@@ -90,8 +90,7 @@ class DirichletWeight:
 
     Character kinds are backed by a verified period table; the general kind
     evaluates through its prime -> value map (unassigned primes fall back to
-    `default_prime_value`). Instances are immutable after construction and
-    safe to share across workers.
+    `default_prime_value`). Instances are immutable after construction.
     """
 
     def __init__(

@@ -21,6 +21,7 @@ from .config import (
     parse_count,
     parse_grid,
     parse_points,
+    parse_real,
     parse_real_list,
     serialize_config,
     validate_config,
@@ -326,8 +327,14 @@ def cmd_run(ns) -> dict:
     return result
 
 
-def _count(text: str) -> int:
-    return parse_count(text, "argument")
+def _count(field: str):
+    """argparse type for a count flag; errors name the field."""
+    return lambda text: parse_count(text, field)
+
+
+def _real(field: str):
+    """argparse type for a finite real flag; errors name the field."""
+    return lambda text: parse_real(text, field)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="stream primes up to a limit")
-    p.add_argument("--limit", type=_count, required=True)
+    p.add_argument("--limit", type=_count("limit"), required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="PATH", help="write one prime per line")
     p.set_defaults(func=cmd_sieve)
@@ -351,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("race", help="stream the weighted race and emit CSV")
     p.add_argument("--character", default="kronecker:-4")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--xmax", type=_count, required=True)
+    p.add_argument("--sigma", type=_real("sigma"), required=True)
+    p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--checkpoints", default="geometric", help="geometric | none | comma list")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--precision", choices=("standard", "oracle"), default="standard")
@@ -360,45 +367,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sign-changes", help="JSON sign-change report for a race")
     p.add_argument("--character", default="kronecker:-4")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--xmax", type=_count, required=True)
+    p.add_argument("--sigma", type=_real("sigma"), required=True)
+    p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_sign_changes)
 
     p = sub.add_parser("lvalue", help="L(sigma, chi) with proven radius")
     p.add_argument("--character", default="kronecker:-4")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--ntrunc", type=_count, required=True)
+    p.add_argument("--sigma", type=_real("sigma"), required=True)
+    p.add_argument("--ntrunc", type=_count("ntrunc"), required=True)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_lvalue)
 
     p = sub.add_parser("verify-lemma", help="log L = prime sum + B, numerically")
     p.add_argument("--character", default="kronecker:-4")
-    p.add_argument("--sigma-grid", type=lambda t: parse_real_list(t, "sigma-grid"), required=True)
-    p.add_argument("--prime-limit", type=_count, required=True)
-    p.add_argument("--ntrunc", type=_count, default=None)
-    p.add_argument("--mmax", type=_count, default=64)
+    p.add_argument("--sigma-grid", type=lambda t: parse_real_list(t, "sigma_grid"), required=True)
+    p.add_argument("--prime-limit", type=_count("prime_limit"), required=True)
+    p.add_argument("--ntrunc", type=_count("ntrunc"), default=None)
+    p.add_argument("--mmax", type=_count("mmax"), default=64)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify_lemma)
 
     p = sub.add_parser("bias-scan", help="R(sigma) over a grid in (1/2, 1]")
     p.add_argument("--character", default="kronecker:-4")
     p.add_argument("--grid", type=lambda t: parse_grid(t, "grid"), required=True)
-    p.add_argument("--xmax", type=_count, required=True)
-    p.add_argument("--ntrunc", type=_count, default=10**6)
+    p.add_argument("--xmax", type=_count("xmax"), required=True)
+    p.add_argument("--ntrunc", type=_count("ntrunc"), default=10**6)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_bias_scan)
 
     p = sub.add_parser("mellin-check", help="residual of the truncated Abel identity")
     p.add_argument("--character", default="kronecker:-4")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--X", dest="x", type=_count, required=True)
+    p.add_argument("--sigma", type=_real("sigma"), required=True)
+    p.add_argument("--s", type=_real("s"), required=True)
+    p.add_argument("--X", dest="x", type=_count("x"), required=True)
     p.set_defaults(func=cmd_mellin_check)
 
     p = sub.add_parser("conjecture", help="sample the sqrt-weighted mod-4 race")
     p.add_argument("--points", type=lambda t: parse_points(t, "points"), required=True)
-    p.add_argument("--budget", type=_count, default=10**9)
+    p.add_argument("--budget", type=_count("budget"), default=10**9)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--report", metavar="PATH", help="write the JSON summary here")
     p.set_defaults(func=cmd_conjecture)
@@ -413,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)
         ns.func(ns)
         return 0
     except ValidationError as exc:

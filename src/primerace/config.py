@@ -7,6 +7,7 @@ command parses them, so a config round-trips through serialization unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -52,23 +53,24 @@ _REQUIRED = {
 }
 
 
-def parse_count(text: str, field: str) -> int:
-    """Nonnegative integer, accepting scientific notation like 1e8."""
+def parse_real(text: str, field: str) -> float:
+    """Finite float; inf and nan are rejected."""
     try:
         value = float(text)
     except ValueError as exc:
         raise ValidationError(f"{field}: not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"{field}: expected a finite number, got {text!r}")
+    return value
+
+
+def parse_count(text: str, field: str) -> int:
+    """Nonnegative integer, accepting scientific notation like 1e8."""
+    value = parse_real(text, field)
     rounded = int(round(value))
     if abs(value - rounded) > 1e-6 * max(1.0, abs(value)) or rounded < 0:
         raise ValidationError(f"{field}: expected a nonnegative integer, got {text!r}")
     return rounded
-
-
-def parse_real(text: str, field: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ValidationError(f"{field}: not a number: {text!r}") from exc
 
 
 def parse_bool(text: str, field: str) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .characters import DirichletWeight, chi4
 from .errors import CapabilityError, DomainError, ValidationError
-from .races import RacePoint, _ordered_map, weighted_race, worker_count
+from .races import RacePoint, _neg_power, weighted_race
 from .sieve import iter_prime_arrays
 
 _EPS = sys.float_info.epsilon
@@ -129,12 +129,12 @@ def l_value(w: DirichletWeight, sigma: float, n_trunc: int) -> BoundedValue:
     abs_acc = 0.0
     for lo in range(1, n_trunc + 1, _CHUNK):
         n = np.arange(lo, min(lo + _CHUNK, n_trunc + 1), dtype=np.int64)
-        contrib = period_f[n % q] * np.exp(-sigma * np.log(n.astype(np.float64)))
+        contrib = period_f[n % q] * _neg_power(n, sigma)
         chunk_sums.append(math.fsum(contrib.tolist()))
         abs_acc += float(np.sum(np.abs(contrib)))
     partial = math.fsum(chunk_sums)
 
-    n_pow = math.exp(-sigma * math.log(n_trunc))
+    n_pow = _neg_power(n_trunc, sigma)
     mean = float(_partial_sum_mean(w))
     correction = (mean - w.partial_sum(n_trunc)) * n_pow
     value = partial + correction
@@ -151,9 +151,7 @@ def _char_prime_sum(
     sums = []
     abs_acc = 0.0
     for primes in iter_prime_arrays(prime_limit):
-        contrib = w.values_at_primes(primes) * np.exp(
-            -sigma * np.log(primes.astype(np.float64))
-        )
+        contrib = w.values_at_primes(primes) * _neg_power(primes, sigma)
         sums.append(math.fsum(contrib.tolist()))
         abs_acc += float(np.sum(np.abs(contrib)))
     return math.fsum(sums), abs_acc
@@ -162,7 +160,7 @@ def _char_prime_sum(
 def prime_power_sum(sigma: float, prime_limit: int) -> float:
     """sum_{p<=P} p^-sigma (unsigned); handy for truncation diagnostics."""
     sums = [
-        math.fsum(np.exp(-sigma * np.log(p.astype(np.float64))).tolist())
+        math.fsum(_neg_power(p, sigma).tolist())
         for p in iter_prime_arrays(prime_limit)
     ]
     return math.fsum(sums)
@@ -186,15 +184,13 @@ def euler_product_value(
     log_sums = []
     abs_acc = 0.0
     for primes in iter_prime_arrays(prime_limit):
-        t = w.values_at_primes(primes) * np.exp(
-            -sigma * np.log(primes.astype(np.float64))
-        )
+        t = w.values_at_primes(primes) * _neg_power(primes, sigma)
         terms = -np.log1p(-t)
         log_sums.append(math.fsum(terms.tolist()))
         abs_acc += float(np.sum(np.abs(terms)))
     log_value = math.fsum(log_sums)
     value = math.exp(log_value)
-    log_tail = 2.0 * math.exp((1.0 - sigma) * math.log(prime_limit)) / (sigma - 1.0)
+    log_tail = 2.0 * _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
     radius = abs(value) * math.expm1(log_tail) + _EPS * (abs_acc + 2.0) * abs(value)
     return BoundedValue(value, radius)
 
@@ -225,9 +221,7 @@ def b_function(
     m_tail = 0.0
     with np.errstate(under="ignore"):
         for primes in iter_prime_arrays(prime_limit):
-            t = w.values_at_primes(primes) * np.exp(
-                -sigma * np.log(primes.astype(np.float64))
-            )
+            t = w.values_at_primes(primes) * _neg_power(primes, sigma)
             u = t * t
             for m in range(2, m_max + 1):
                 if not np.any(u):
@@ -241,8 +235,8 @@ def b_function(
             m_tail += math.fsum(geo.tolist())
     value = math.fsum(part_sums)
 
-    p_pow = math.exp(-sigma * math.log(prime_limit))
-    p_tail = math.exp((1.0 - 2.0 * sigma) * math.log(prime_limit)) / (
+    p_pow = _neg_power(prime_limit, sigma)
+    p_tail = _neg_power(prime_limit, 2.0 * sigma - 1.0) / (
         2.0 * (2.0 * sigma - 1.0) * (1.0 - p_pow)
     )
     # 1e-300 absorbs terms lost to float underflow in the double sum
@@ -292,7 +286,7 @@ def verify_log_decomposition(
         n_trunc = max(10**6, w.modulus)
     log_l = l_value(w, sigma, n_trunc).log()
     center, abs_acc = _char_prime_sum(w, sigma, prime_limit)
-    tail = math.exp((1.0 - sigma) * math.log(prime_limit)) / (sigma - 1.0)
+    tail = _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
     prime_sum = BoundedValue(center, tail + _EPS * (2.0 * abs_acc + abs(center)))
     b_val = b_function(w, sigma, prime_limit, m_max)
     residual = log_l.value - prime_sum.value - b_val.value
@@ -321,10 +315,11 @@ class BiasPoint:
     penalty: float
 
 
-def _bias_point(args) -> BiasPoint:
-    w, sigma, race_x_max, n_trunc = args
+def _bias_point(
+    w: DirichletWeight, sigma: float, race_x_max: int, n_trunc: int
+) -> BiasPoint:
     series = weighted_race(
-        w, sigma, race_x_max, checkpoints=(race_x_max,), track_signs=False, workers=1
+        w, sigma, race_x_max, checkpoints=(race_x_max,), track_signs=False
     )
     race_value = series.final_value
     race_error = series.running_error
@@ -359,7 +354,6 @@ def bias_bound_scan(
     race_x_max: int,
     *,
     n_trunc: int = 10**6,
-    workers: int | None = None,
 ) -> list[BiasPoint]:
     """R(sigma) = log L(sigma) - A(x_max; sigma) - (1/2) log(1/(2 sigma - 1)).
 
@@ -375,10 +369,7 @@ def bias_bound_scan(
             raise DomainError(
                 f"bias_bound_scan requires sigma in (1/2, 1], got {s}"
             )
-    if workers is None:
-        workers = worker_count()
-    tasks = [(w, s, int(race_x_max), int(n_trunc)) for s in grid]
-    return list(_ordered_map(_bias_point, tasks, workers))
+    return [_bias_point(w, s, int(race_x_max), int(n_trunc)) for s in grid]
 
 
 @dataclass(frozen=True)
@@ -397,7 +388,6 @@ def conjecture_scan(
     x_points: Sequence[int],
     *,
     budget: int = DEFAULT_CONJECTURE_BUDGET,
-    workers: int | None = None,
 ) -> ConjectureScan:
     """Sample A(x) = sum_{p<=x} chi4(p)/sqrt(p) at the given ascending points.
 
@@ -417,7 +407,7 @@ def conjecture_scan(
             f"largest point {pts[-1]} exceeds the configured budget {budget}"
         )
     series = weighted_race(
-        chi4(), 0.5, pts[-1], checkpoints=pts, track_signs=False, workers=workers
+        chi4(), 0.5, pts[-1], checkpoints=pts, track_signs=False
     )
     rows = series.points
     min_point = min(rows, key=lambda p: (p.value, p.x))
@@ -462,7 +452,7 @@ def mellin_identity_check(
 
     c = s - sigma
     left_pow = np.exp(-c * logp)
-    x_pow = math.exp(-c * math.log(x_limit))
+    x_pow = _neg_power(x_limit, c)
     right_pow = np.empty_like(left_pow)
     right_pow[:-1] = left_pow[1:]
     right_pow[-1] = x_pow

@@ -4,66 +4,35 @@ The race is consumed in blocks of primes. Block sums are exactly rounded
 (math.fsum) and folded into a double-double prefix, so checkpoint values are
 accurate to a couple of ulps; per-prime values for sign tracking come from a
 block-local cumulative sum whose worst-case float error is folded into
-`running_error`. Per-segment work is pure and may run on worker threads; the
-fold that owns sign detection is strictly sequential, so results are
-bit-identical for any worker count.
+`running_error`. Everything runs in one thread, in a fixed order, so the
+output bytes repeat exactly from run to run.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from .characters import DirichletWeight
 from .errors import CapabilityError, ValidationError
-from .sieve import DEFAULT_SEGMENT_SIZE, base_primes, segment_bounds, sieve_segment
+from .sieve import iter_prime_arrays
 
 _BLOCK = 1 << 15
 _U = sys.float_info.epsilon / 2  # unit roundoff
 
-WORKERS_ENV = "PRIMERACE_WORKERS"
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+def _neg_power(n, sigma: float):
+    """n^-sigma as exp(-sigma * log n), the one power kernel of the package.
 
-
-def worker_count() -> int:
-    """Worker count from the environment; 1 (sequential) when unset."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _ordered_map(
-    fn: Callable[[_T], _R], items: Iterable[_T], workers: int
-) -> Iterator[_R]:
-    """Apply fn with bounded prefetch, yielding results in input order."""
-    if workers <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        it = iter(items)
-        for item in itertools.islice(it, workers + 1):
-            pending.append(pool.submit(fn, item))
-        for item in it:
-            done = pending.popleft()
-            pending.append(pool.submit(fn, item))
-            yield done.result()
-        while pending:
-            yield pending.popleft().result()
+    An ndarray n gives a float64 array; an int or float n gives a float.
+    """
+    if isinstance(n, np.ndarray):
+        return np.exp(-sigma * np.log(n.astype(np.float64)))
+    return math.exp(-sigma * math.log(n))
 
 
 def _dd_add(hi: float, lo: float, x: float) -> tuple[float, float]:
@@ -203,18 +172,15 @@ def _validate_race_args(sigma: float, x_max: int, checkpoints) -> tuple[int, ...
     return cps
 
 
-def _prepare_segment(args) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
-    """Sieve one segment and precompute per-block contributions (pure)."""
-    (lo, hi), w, sigma, shared_base, segment_size = args
-    primes = sieve_segment(lo, hi, base=shared_base, max_width=segment_size).primes
+def _prepare_segment(
+    primes: np.ndarray, w: DirichletWeight, sigma: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
+    """Per-block contributions, prefix sums and exact block sums of one segment."""
     blocks = []
     for off in range(0, len(primes), _BLOCK):
         blk = primes[off : off + _BLOCK]
         wv = w.values_at_primes(blk)
-        if sigma == 0.0:
-            contrib = wv
-        else:
-            contrib = wv * np.exp(-sigma * np.log(blk.astype(np.float64)))
+        contrib = wv if sigma == 0.0 else wv * _neg_power(blk, sigma)
         cum = np.cumsum(contrib)
         block_sum = math.fsum(contrib.tolist())
         abs_weight = float(np.sum(np.abs(contrib)))
@@ -228,7 +194,6 @@ def weighted_race(
     x_max: int,
     checkpoints: Sequence[int] | None = None,
     *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     track_signs: bool = True,
     workers: int | None = None,
 ) -> RaceSeries:
@@ -237,17 +202,11 @@ def weighted_race(
     `running_error` bounds the absolute float error of any reported value:
     2 ulp per term for p^{-sigma} plus the summation-scheme bound. At sigma=0
     with a character weight every value is an exact integer and the bound is 0.
+    `workers` is accepted for compatibility and ignored; the race runs in one
+    thread.
     """
     cps = _validate_race_args(sigma, x_max, checkpoints)
-    if workers is None:
-        workers = worker_count()
-
     exact = sigma == 0.0 and w.is_character
-    shared_base = base_primes(math.isqrt(x_max)) if x_max >= 2 else None
-    tasks = (
-        ((lo, hi), w, sigma, shared_base, segment_size)
-        for lo, hi in segment_bounds(x_max, segment_size)
-    )
 
     dd_hi = dd_lo = 0.0
     total_weight = 0.0
@@ -260,8 +219,8 @@ def weighted_race(
     points: list[RacePoint] = []
     ci = 0
 
-    for seg_blocks in _ordered_map(_prepare_segment, tasks, workers):
-        for blk, contrib, cum, block_sum, abs_weight in seg_blocks:
+    for primes in iter_prime_arrays(x_max):
+        for blk, contrib, cum, block_sum, abs_weight in _prepare_segment(primes, w, sigma):
             prefix = dd_hi + dd_lo
             while ci < len(cps) and cps[ci] < blk[0]:
                 points.append(RacePoint(cps[ci], prefix, err, carry))
@@ -294,12 +253,19 @@ def weighted_race(
                 if len(pos):
                     first_positive = int(blk[pos[0]])
 
+            terms = None  # contrib as a list, built once if a checkpoint needs it
             while ci < len(cps) and cps[ci] <= blk[-1]:
                 k = int(np.searchsorted(blk, cps[ci], side="right"))
                 if k == 0:
                     value, eff = prefix, carry
                 else:
-                    value = math.fsum([dd_hi, dd_lo, math.fsum(contrib[:k].tolist())])
+                    if exact:  # integer partial sums below 2^53: cum is exact
+                        head = float(cum[k - 1])
+                    else:
+                        if terms is None:
+                            terms = contrib.tolist()
+                        head = math.fsum(terms[:k])
+                    value = math.fsum([dd_hi, dd_lo, head])
                     eff = int(filled[k - 1])
                 points.append(RacePoint(cps[ci], value, err, eff))
                 ci += 1
@@ -347,8 +313,6 @@ def race_at_points(
     w: DirichletWeight,
     sigma: float,
     points: Sequence[int],
-    *,
-    workers: int | None = None,
 ) -> list[tuple[int, float]]:
     """A at exactly the requested ascending points; matches race checkpoints."""
     if not points:
@@ -359,7 +323,6 @@ def race_at_points(
         int(max(points)),
         checkpoints=points,
         track_signs=False,
-        workers=workers,
     )
     return series.values
 

@@ -97,7 +97,11 @@ def segment_bounds(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list
 def iter_prime_arrays(
     limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of primes, jointly covering all p <= limit."""
+    """Yield ascending int64 arrays of primes, jointly covering all p <= limit.
+
+    This is the package's one walk over the primes: every segment is sieved
+    against one shared base.
+    """
     if limit < 2:
         return
     shared = base_primes(math.isqrt(limit))

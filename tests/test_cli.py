@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,75 @@ def test_sign_changes_json(capsys):
         "first_positive_x": None,
         "ambiguous_count": 0,
     }
+
+
+# perfbench/reference/signs.json holds the exact sigma = 0 report to 1e9;
+# a positive region starts where a change lies more than 10% past the
+# previous one (the region rule of perfbench/checks.py)
+SIGNS_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "signs.json"
+
+
+def test_sign_changes_sigma0_matches_stored_reference(tmp_path):
+    out = tmp_path / "signs.json"
+    assert run_cli(["sign-changes", "--sigma", "0", "--xmax", "2e7", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    reference = json.loads(SIGNS_REFERENCE.read_text())["change_locations"]
+    expected = [x for x in reference if x <= 2 * 10**7]
+    assert len(expected) == 124
+    locations = report["change_locations"]
+    assert locations == expected
+    starts = [x for i, x in enumerate(locations) if i == 0 or x > 1.1 * locations[i - 1]]
+    assert starts == [26861, 616841, 12306137]  # Bays & Hudson (1978)
+    assert report["ambiguous_count"] == 0
+
+
+MALFORMED_FLAGS = [
+    ["sieve", "--limit", "abc"],
+    ["race", "--sigma", "0.5", "--xmax", "abc"],
+    ["sign-changes", "--sigma", "0", "--xmax", "1e3x"],
+    ["lvalue", "--sigma", "1", "--ntrunc", "abc"],
+    ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "abc"],
+    ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3", "--ntrunc", "abc"],
+    ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3", "--mmax", "abc"],
+    ["verify-lemma", "--sigma-grid", "2.0,abc", "--prime-limit", "1e3"],
+    ["bias-scan", "--grid", "0.6:abc:0.1", "--xmax", "1e3"],
+    ["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "abc"],
+    ["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "1e3", "--ntrunc", "abc"],
+    ["mellin-check", "--sigma", "0", "--s", "1", "--X", "abc"],
+    ["conjecture", "--points", "1e3,abc"],
+    ["conjecture", "--points", "1e3", "--budget", "abc"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_FLAGS, ids=lambda a: " ".join(a))
+def test_malformed_flag_exits_2_without_traceback(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("validation error:")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sieve", "--limit", "inf"], "limit"),
+        (["lvalue", "--sigma", "inf", "--ntrunc", "100"], "sigma"),
+        (["race", "--sigma", "nan", "--xmax", "100"], "sigma"),
+        (["mellin-check", "--sigma", "0", "--s", "nan", "--X", "10"], "s"),
+    ],
+)
+def test_non_finite_number_exits_2_naming_field(argv, field, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {field}:")
+    assert "finite" in err
+
+
+def test_non_finite_config_value_exits_2_naming_field(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = lvalue\nsigma = inf\nntrunc = 100\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: sigma:")
 
 
 def test_lvalue_stdout(capsys):

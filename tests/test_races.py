@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primerace.characters import chi4, general_weight
+from primerace import races
 from primerace.errors import CapabilityError, ValidationError
 from primerace.races import (
     _block_sign_scan,
@@ -16,6 +18,7 @@ from primerace.races import (
     race_extended,
     weighted_race,
 )
+from primerace.sieve import prime_stream
 
 from oracles import mp_race, race_sigma0_brute, race_sigma1_fraction, sign_change_walk
 
@@ -88,6 +91,35 @@ def test_sigma0_sign_changes_to_1e5():
     assert report.first_positive_x == 26861
     assert report.final_sign == -1
     assert report.ambiguous_count == 0
+
+
+def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
+    # exact checkpoints read the block's prefix sum instead of re-summing it,
+    # so the elements handed to fsum grow linearly with the checkpoint count
+    primes = list(prime_stream(10**5))
+    summed = []
+    real_fsum = math.fsum
+
+    def counting_fsum(xs):
+        xs = list(xs)
+        summed.append(len(xs))
+        return real_fsum(xs)
+
+    monkeypatch.setattr(races.math, "fsum", counting_fsum)
+    series = weighted_race(chi4(), 0.0, 10**5, checkpoints=primes)
+    monkeypatch.undo()
+    assert sum(summed) <= 4 * len(primes)
+    oracle = race_sigma0_brute(10**5)
+    assert [(p.x, p.value) for p in series.points] == [(p, float(a)) for p, a in oracle]
+
+
+def test_checkpoint_at_every_prime_matches_single_checkpoints():
+    primes = list(prime_stream(10**5))
+    dense = weighted_race(chi4(), 0.5, 10**5, checkpoints=primes)
+    for i in range(0, len(primes), 479):
+        (x, value), = race_at_points(chi4(), 0.5, [primes[i]])
+        assert dense.points[i].x == x
+        assert dense.points[i].value == value
 
 
 def test_constant_sign_series_has_no_changes():
