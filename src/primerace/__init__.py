@@ -10,8 +10,6 @@ from .characters import (
     chi4,
     general_weight,
     kronecker_symbol,
-    partial_character_sum,
-    weight_at,
 )
 from .cli import run_experiment
 from .config import ExperimentConfig, load_config, parse_config, serialize_config

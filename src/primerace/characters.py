@@ -273,12 +273,3 @@ def general_weight(
         factor_limit=factor_limit,
     )
 
-
-def weight_at(w: DirichletWeight, n: int) -> float:
-    """w(n); table lookup for characters, factorization for general weights."""
-    return w.at(n)
-
-
-def partial_character_sum(w: DirichletWeight, x: int) -> int:
-    """Exact integer S(x) = sum_{n<=x} w(n) for character kinds."""
-    return w.partial_sum(x)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
 from ._version import __version__
 from .characters import build_character
 from .config import (
+    PATH_KEYS,
     ExperimentConfig,
     load_config,
     parse_count,
@@ -51,6 +53,22 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     return format(float(value), ".16e")
+
+
+def _check_writable(paths) -> None:
+    """Open each output path for appending, so a bad path fails before any work.
+
+    A file that did not exist is removed again, and an existing file is left
+    untouched.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
@@ -178,9 +196,7 @@ def cmd_verify_lemma(ns) -> dict:
     rows = []
     radii = []
     for sigma in ns.sigma_grid:
-        rep = verify_log_decomposition(
-            w, sigma, ns.prime_limit, n_trunc=ns.ntrunc, m_max=ns.mmax
-        )
+        rep = verify_log_decomposition(w, sigma, ns.prime_limit, n_trunc=ns.ntrunc)
         rows.append(
             (
                 rep.sigma,
@@ -283,6 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     "manifest"}.
     """
     validate_config(cfg)
+    _check_writable(cfg.get(key) for key in PATH_KEYS)
     parser = build_parser()
     inner = parser.parse_args(_config_to_argv(cfg))
     started = time.perf_counter()
@@ -384,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-grid", type=lambda t: parse_real_list(t, "sigma_grid"), required=True)
     p.add_argument("--prime-limit", type=_count("prime_limit"), required=True)
     p.add_argument("--ntrunc", type=_count("ntrunc"), default=None)
-    p.add_argument("--mmax", type=_count("mmax"), default=64)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify_lemma)
 
@@ -422,6 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        _check_writable(getattr(ns, key, None) for key in PATH_KEYS)
         ns.func(ns)
         return 0
     except ValidationError as exc:

@@ -24,7 +24,7 @@ COMMANDS = (
     "conjecture",
 )
 
-_PATH_KEYS = ("emit", "out", "report", "manifest")
+PATH_KEYS = ("emit", "out", "report", "manifest")
 _BOOL_KEYS = ("count_only", "print_period")
 
 # option -> (required for these commands, allowed for these commands)
@@ -34,7 +34,7 @@ _ALLOWED = {
     "race": {"character", "sigma", "xmax", "checkpoints", "out", "precision", "manifest"},
     "sign-changes": {"character", "sigma", "xmax", "out", "manifest"},
     "lvalue": {"character", "sigma", "ntrunc", "out", "manifest"},
-    "verify-lemma": {"character", "sigma_grid", "prime_limit", "ntrunc", "mmax", "out", "manifest"},
+    "verify-lemma": {"character", "sigma_grid", "prime_limit", "ntrunc", "out", "manifest"},
     "bias-scan": {"character", "grid", "xmax", "ntrunc", "out", "manifest"},
     "mellin-check": {"character", "sigma", "s", "x", "manifest"},
     "conjecture": {"points", "budget", "out", "report", "manifest"},
@@ -190,7 +190,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.get(key) is None:
             raise ValidationError(f"{key}: required for command {cfg.command!r}")
 
-    paths = [cfg.get(k) for k in _PATH_KEYS if cfg.get(k) is not None]
+    paths = [cfg.get(k) for k in PATH_KEYS if cfg.get(k) is not None]
     if len(paths) != len(set(paths)):
         raise ValidationError("out: output paths must be distinct")
     for key in _BOOL_KEYS:

@@ -83,17 +83,6 @@ def sieve_segment(
     return Segment(lo, hi, primes.astype(np.int64))
 
 
-def segment_bounds(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[tuple[int, int]]:
-    """Half-open segment ranges covering [2, limit]."""
-    bounds = []
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
 def iter_prime_arrays(
     limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[np.ndarray]:
@@ -105,10 +94,13 @@ def iter_prime_arrays(
     if limit < 2:
         return
     shared = base_primes(math.isqrt(limit))
-    for lo, hi in segment_bounds(limit, segment_size):
+    lo = 2
+    while lo <= limit:
+        hi = min(lo + segment_size, limit + 1)
         primes = sieve_segment(lo, hi, base=shared, max_width=segment_size).primes
         if len(primes):
             yield primes
+        lo = hi
 
 
 def prime_stream(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:

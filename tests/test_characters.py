@@ -12,8 +12,6 @@ from primerace.characters import (
     chi4,
     general_weight,
     kronecker_symbol,
-    partial_character_sum,
-    weight_at,
 )
 from primerace.errors import CapabilityError, ValidationError
 
@@ -100,12 +98,12 @@ def test_fundamental_characters_survive_all_invariants(d):
 
 def test_weight_at_examples():
     w = chi4()
-    assert weight_at(w, 15) == -1  # chi4(3) * chi4(5) = (-1)(+1)
-    assert weight_at(w, 1) == 1
+    assert w.at(15) == -1  # chi4(3) * chi4(5) = (-1)(+1)
+    assert w.at(1) == 1
     f = general_weight({2: -1.0})
-    assert weight_at(f, 8) == -1.0
+    assert f.at(8) == -1.0
     with pytest.raises(ValidationError):
-        weight_at(w, 0)
+        w.at(0)
 
 
 def test_general_weight_defaults_and_limits():
@@ -124,11 +122,11 @@ def test_general_weight_defaults_and_limits():
 
 def test_partial_sum_examples():
     w = chi4()
-    assert partial_character_sum(w, 4) == 0
-    assert partial_character_sum(w, 3) == 0
-    assert partial_character_sum(w, 5) == 1
+    assert w.partial_sum(4) == 0
+    assert w.partial_sum(3) == 0
+    assert w.partial_sum(5) == 1
     with pytest.raises(CapabilityError):
-        partial_character_sum(general_weight({2: 1.0}), 10)
+        general_weight({2: 1.0}).partial_sum(10)
 
 
 @pytest.mark.parametrize("d", FUNDAMENTAL)
@@ -139,7 +137,7 @@ def test_partial_sums_bounded_to_1e6(d):
     assert int(np.abs(running).max()) <= w.modulus
     # spot-check the O(1) formula against the exact cumulative sums
     for x in (1, 17, 1000, 999_983):
-        assert partial_character_sum(w, x) == int(running[x - 1])
+        assert w.partial_sum(x) == int(running[x - 1])
 
 
 @settings(max_examples=200, deadline=None)

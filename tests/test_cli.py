@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import primerace
 from primerace.cli import main
 from primerace.config import (
     ExperimentConfig,
@@ -124,7 +128,6 @@ MALFORMED_FLAGS = [
     ["lvalue", "--sigma", "1", "--ntrunc", "abc"],
     ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "abc"],
     ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3", "--ntrunc", "abc"],
-    ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3", "--mmax", "abc"],
     ["verify-lemma", "--sigma-grid", "2.0,abc", "--prime-limit", "1e3"],
     ["bias-scan", "--grid", "0.6:abc:0.1", "--xmax", "1e3"],
     ["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "abc"],
@@ -222,6 +225,66 @@ def test_conjecture_points_and_report(tmp_path, capsys):
 def test_io_error_exit_4(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli(["race", "--sigma", "0.5", "--xmax", "100", "--out", str(missing)]) == 4
+
+
+@pytest.fixture
+def no_prime_walk(monkeypatch):
+    """Fail the test if any module walks the primes."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("primes were walked before the output path was checked")
+
+    for name in ("sieve", "races", "lfun", "cli"):
+        monkeypatch.setattr(f"primerace.{name}.iter_prime_arrays", forbidden)
+
+
+def test_bad_output_path_fails_before_computing(tmp_path, no_prime_walk, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert run_cli(["race", "--sigma", "0.5", "--xmax", "3e7", "--out", str(missing)]) == 4
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "command = verify-lemma\nsigma_grid = 2.0\nprime_limit = 1e7\n"
+        f"out = {tmp_path / 'lemma.csv'}\nmanifest = {missing}\n"
+    )
+    assert run_cli(["run", "--config", str(cfg)]) == 4
+    assert not (tmp_path / "lemma.csv").exists()
+    assert capsys.readouterr().err.count("i/o error:") == 2
+
+
+def test_output_path_check_leaves_existing_file(tmp_path):
+    out = tmp_path / "race.csv"
+    out.write_text("old\n")
+    assert run_cli(["race", "--sigma", "-1", "--xmax", "100", "--out", str(out)]) == 2
+    assert out.read_text() == "old\n"
+
+
+def test_python_dash_m_primerace():
+    src = str(Path(primerace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "primerace", "sieve", "--limit", "100", "--count-only"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "25\n"
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_removed_mmax_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3", "--mmax", "64"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--mmax" in err and "Traceback" not in err
+
+
+def test_removed_mmax_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = verify-lemma\nsigma_grid = 2.0\nprime_limit = 1e3\nmmax = 64\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: mmax:")
+    assert "Traceback" not in err
 
 
 def test_byte_identical_reruns(tmp_path):

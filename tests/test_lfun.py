@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,13 @@ from primerace.lfun import (
     verify_log_decomposition,
 )
 
-from oracles import catalan_alternating, machin_pi_over_4, mp_b_double_sum
+from oracles import (
+    catalan_alternating,
+    chi4_value,
+    machin_pi_over_4,
+    mp_b_double_sum,
+    trial_division_primes,
+)
 
 
 class TestBoundedValue:
@@ -111,35 +119,88 @@ class TestEulerProduct:
         assert abs(b.value - a.value) < a.radius
 
 
+# mp_b_double_sum cuts the m-series at m_max; past it each odd prime leaves
+# sum_{m>M} |t|^m / m <= |t|^(M+1) / ((M+1)(1 - |t|)), t = chi4(p) p^-sigma.
+# _oracle_m_max picks M so that this tail, summed over p <= P, is below 1e-25,
+# so the oracle stands for the sum untruncated in m.
+ORACLE_M_TAIL = 1e-25
+
+
+def _oracle_m_max(sigma, prime_limit):
+    t = np.array(trial_division_primes(prime_limit)[1:], dtype=np.float64) ** -sigma
+    m_max = 2
+    while np.sum(t ** (m_max + 1) / ((m_max + 1) * (1.0 - t))) >= ORACLE_M_TAIL:
+        m_max += 1
+    return m_max
+
+
+def _b_rounding_charge(sigma, prime_limit, b):
+    """The rounding part of b_function's radius, restated: no p-tail in it."""
+    p = np.array(trial_division_primes(prime_limit), dtype=np.float64)
+    t = np.array([chi4_value(int(q)) for q in p]) * p ** -sigma
+    lg = -np.log1p(-t)
+    eps = sys.float_info.epsilon
+    return eps * (2.0 * np.sum(np.abs(lg)) + 5.0 * np.sum(np.abs(lg - t)) + abs(b))
+
+
 class TestBFunction:
+    def _check_against_oracle(self, sigma, prime_limit):
+        bv = b_function(chi4(), sigma, prime_limit)
+        oracle = mp_b_double_sum(
+            sigma, prime_limit, _oracle_m_max(sigma, prime_limit), dps=40
+        )
+        gap = abs(bv.value - oracle)
+        assert gap <= bv.radius + ORACLE_M_TAIL
+        # the radius is mostly the p > P tail, which the oracle shares; the
+        # rounding charge alone must cover the gap
+        assert gap <= _b_rounding_charge(sigma, prime_limit, oracle) + ORACLE_M_TAIL
+        return bv
+
     def test_against_high_precision_double_sum(self):
-        bv = b_function(chi4(), 2.0, 10**4, 60)
-        oracle = mp_b_double_sum(2.0, 10**4, 60, dps=40)
+        bv = self._check_against_oracle(2.0, 10**4)
         assert bv.value > 0
         assert bv.radius < 1e-10
-        assert abs(bv.value - oracle) <= bv.radius
 
     def test_sigma_three_quarters(self):
-        bv = b_function(chi4(), 0.75, 2 * 10**4, 60)
-        oracle = mp_b_double_sum(0.75, 2 * 10**4, 60, dps=40)
-        assert abs(bv.value - oracle) <= bv.radius + 1e-13
+        bv = self._check_against_oracle(0.75, 2 * 10**4)
         assert math.isfinite(bv.radius)
+
+    def test_sigma_just_above_half(self):
+        # the old m <= 64 cut-off was loosest here: |t| = 3^-0.51 = 0.571
+        self._check_against_oracle(0.51, 10**4)
+
+    def test_sigma_one_point_one(self):
+        self._check_against_oracle(1.1, 10**4)
 
     def test_large_sigma_vanishes(self):
         bv = b_function(chi4(), 30.0, 100)
         assert abs(bv.value) < 1e-15
 
     def test_radius_strictly_shrinks_with_truncation(self):
-        base = b_function(chi4(), 0.75, 10**3, 16).radius
-        assert b_function(chi4(), 0.75, 10**4, 16).radius < base
-        assert b_function(chi4(), 0.75, 10**3, 32).radius < base
-        assert base < b_function(chi4(), 0.75, 10**3, 8).radius
+        base = b_function(chi4(), 0.75, 10**3).radius
+        assert b_function(chi4(), 0.75, 10**4).radius < base
+
+    def test_log1p_rounding_within_charge(self):
+        # the radius charges 2 eps |log1p| per prime; sample |t| < 2^-1/2
+        from mpmath import log1p, mp, mpf
+
+        rng = np.random.default_rng(5)
+        t = 10.0 ** rng.uniform(-12.0, math.log10(0.7071), 2000)
+        t *= rng.choice([-1.0, 1.0], t.size)
+        lg = -np.log1p(-t)
+        eps = sys.float_info.epsilon
+        with mp.workdps(40):
+            for ti, li in zip(t.tolist(), lg.tolist()):
+                exact = -log1p(-mpf(ti))
+                assert abs(mpf(li) - exact) <= 2.0 * eps * abs(li)
+                # Sterbenz: lg and t are within a factor 2, so lg - t is exact
+                assert mpf(li) - mpf(ti) == mpf(li - ti)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             b_function(chi4(), 0.5, 100)
         with pytest.raises(ValidationError):
-            b_function(chi4(), 1.0, 100, m_max=1)
+            b_function(chi4(), 1.0, 1)
 
 
 class TestDecomposition:

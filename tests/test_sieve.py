@@ -59,6 +59,11 @@ def test_small_segment_sizes_agree():
     assert list(prime_stream(50_000, segment_size=1 << 10)) == full
 
 
+def test_negative_segment_size_rejected():
+    with pytest.raises(ValidationError):
+        prime_count(100, segment_size=-5)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=3, max_value=30_000), min_size=1, max_size=5))
 def test_segment_concatenation(cuts):
