@@ -8,7 +8,6 @@ from .characters import (
     character_from_discriminant,
     character_from_table,
     chi4,
-    general_weight,
     kronecker_symbol,
 )
 from .cli import run_experiment
@@ -25,7 +24,6 @@ from .lfun import (
     euler_product_value,
     l_value,
     mellin_identity_check,
-    prime_power_sum,
     verify_log_decomposition,
 )
 from .races import (
@@ -35,9 +33,6 @@ from .races import (
     SignChangeReport,
     default_checkpoints,
     detect_sign_changes,
-    effective_sign_changes,
-    race_at_points,
-    race_extended,
     weighted_race,
 )
 from .sieve import Segment, iter_prime_arrays, prime_count, prime_stream, sieve_segment

@@ -1,27 +1,20 @@
-"""Real Dirichlet characters and completely multiplicative weights bounded by 1.
+"""Real non-principal Dirichlet characters.
 
-Characters are always evaluated through a period table indexed by n mod q,
-so the hot path inside a race loop is a single array lookup. Kronecker-built
-characters fill that table once from the symbol. General weights carry an
-explicit prime -> value map and evaluate composites through factorization.
+A character is evaluated through a period table indexed by n mod q, so the
+hot path inside a race loop is a single array lookup. Kronecker-built
+characters fill that table once from the symbol.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
-from .errors import CapabilityError, ValidationError
-from .sieve import prime_stream
+from .errors import ValidationError
 
 CHARACTER_TABLE = "character_table"
 KRONECKER = "kronecker"
-GENERAL = "general_multiplicative"
-
-DEFAULT_FACTOR_LIMIT = 10**6
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -80,92 +73,44 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=8)
-def _trial_primes(limit: int) -> tuple[int, ...]:
-    return tuple(prime_stream(limit))
-
-
 class DirichletWeight:
-    """A real completely multiplicative arithmetic weight with |w(n)| <= 1.
+    """A real non-principal Dirichlet character, backed by a verified period table.
 
-    Character kinds are backed by a verified period table; the general kind
-    evaluates through its prime -> value map (unassigned primes fall back to
-    `default_prime_value`). Instances are immutable after construction.
+    `period[r]` is w(n) for n = r mod `modulus`. Instances are immutable after
+    construction.
     """
 
     def __init__(
         self,
         kind: str,
         *,
-        modulus: int = 0,
-        period: np.ndarray | None = None,
+        modulus: int,
+        period: np.ndarray,
         discriminant: int | None = None,
-        prime_values: Mapping[int, float] | None = None,
-        default_prime_value: float = 0.0,
-        factor_limit: int = DEFAULT_FACTOR_LIMIT,
     ):
         self.kind = kind
         self.modulus = modulus
         self.discriminant = discriminant
         self.period = period
-        self.prime_values = dict(prime_values) if prime_values else {}
-        self.default_prime_value = float(default_prime_value)
-        self.factor_limit = int(factor_limit)
-        if period is not None:
-            # exact integer partial sums over one period; pref[r] = sum_{n<=r} w(n)
-            vals = [int(period[n % modulus]) for n in range(1, modulus + 1)]
-            pref = [0]
-            for v in vals:
-                pref.append(pref[-1] + v)
-            self._prefix = pref
-
-    @property
-    def is_character(self) -> bool:
-        return self.period is not None
+        # exact integer partial sums over one period; pref[r] = sum_{n<=r} w(n)
+        vals = [int(period[n % modulus]) for n in range(1, modulus + 1)]
+        pref = [0]
+        for v in vals:
+            pref.append(pref[-1] + v)
+        self._prefix = pref
 
     def at(self, n: int) -> float:
-        """w(n) for n >= 1. O(1) for character kinds."""
+        """w(n) for n >= 1, in O(1)."""
         if n < 1:
             raise ValidationError("weights are defined on n >= 1")
-        if self.period is not None:
-            return float(self.period[n % self.modulus])
-        return self._general_at(n)
+        return float(self.period[n % self.modulus])
 
     def values_at_primes(self, primes: np.ndarray) -> np.ndarray:
         """Vectorized w(p) over an array of primes, as float64."""
-        if self.period is not None:
-            return self.period[primes % self.modulus].astype(np.float64)
-        return np.array([self.prime_value(int(p)) for p in primes], dtype=np.float64)
-
-    def prime_value(self, p: int) -> float:
-        return float(self.prime_values.get(p, self.default_prime_value))
-
-    def _general_at(self, n: int) -> float:
-        value = 1.0
-        m = n
-        for p in _trial_primes(self.factor_limit):
-            if p * p > m:
-                break
-            while m % p == 0:
-                value *= self.prime_value(p)
-                m //= p
-            if value == 0.0:
-                return 0.0
-        if m > 1:
-            if math.isqrt(m) > self.factor_limit:
-                raise CapabilityError(
-                    f"cannot factor {n}: cofactor {m} exceeds the "
-                    f"factorization limit {self.factor_limit}"
-                )
-            value *= self.prime_value(m)
-        return value
+        return self.period[primes % self.modulus].astype(np.float64)
 
     def partial_sum(self, x: int) -> int:
         """S(x) = sum_{n<=x} w(n) as an exact integer; |S(x)| <= q."""
-        if not self.is_character:
-            raise CapabilityError(
-                "partial sums are only bounded for character kinds"
-            )
         if x < 0:
             raise ValidationError("partial_sum requires x >= 0")
         s = self._prefix[x % self.modulus]
@@ -175,9 +120,7 @@ class DirichletWeight:
     def __repr__(self) -> str:
         if self.kind == KRONECKER:
             return f"DirichletWeight(kronecker d={self.discriminant})"
-        if self.kind == CHARACTER_TABLE:
-            return f"DirichletWeight(table mod {self.modulus})"
-        return f"DirichletWeight(general, {len(self.prime_values)} primes assigned)"
+        return f"DirichletWeight(table mod {self.modulus})"
 
 
 def _validated_table(q: int, values: np.ndarray, origin: str) -> np.ndarray:
@@ -251,25 +194,3 @@ def build_character(spec: str) -> DirichletWeight:
         f"unrecognized character spec {spec!r}; "
         "expected 'kronecker:<d>' or 'table:<q>:<comma-values>'"
     )
-
-
-def general_weight(
-    prime_values: Mapping[int, float],
-    default: float = 0.0,
-    factor_limit: int = DEFAULT_FACTOR_LIMIT,
-) -> DirichletWeight:
-    """General completely multiplicative weight from prime assignments."""
-    if abs(default) > 1:
-        raise ValidationError("default prime value must satisfy |v| <= 1")
-    for p, v in prime_values.items():
-        if abs(v) > 1:
-            raise ValidationError(f"|w({p})| = {abs(v)} exceeds 1")
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            raise ValidationError(f"prime_values key {p} is not prime")
-    return DirichletWeight(
-        GENERAL,
-        prime_values=prime_values,
-        default_prime_value=default,
-        factor_limit=factor_limit,
-    )
-

@@ -36,12 +36,7 @@ from .lfun import (
     mellin_identity_check,
     verify_log_decomposition,
 )
-from .races import (
-    default_checkpoints,
-    detect_sign_changes,
-    race_extended,
-    weighted_race,
-)
+from .races import detect_sign_changes, weighted_race
 from .sieve import iter_prime_arrays, prime_count
 
 
@@ -134,14 +129,6 @@ def _race_rows(series) -> list[tuple]:
 
 def cmd_race(ns) -> dict:
     w = _character(ns)
-    if getattr(ns, "precision", "standard") == "oracle":
-        checkpoints = _checkpoint_list(ns.checkpoints, ns.xmax)
-        if checkpoints is None:
-            checkpoints = default_checkpoints(ns.xmax)
-        values = race_extended(w, ns.sigma, checkpoints)
-        rows = [(x, v, 0.0, (v > 0) - (v < 0)) for x, v in values]
-        _write_csv(ns.out, ["x", "A", "error_bound", "effective_sign"], rows)
-        return {"radii": {"running_error": 0.0}, "outputs": [ns.out] if ns.out else []}
     series = weighted_race(w, ns.sigma, ns.xmax, checkpoints=_checkpoint_list(ns.checkpoints, ns.xmax))
     _write_csv(ns.out, ["x", "A", "error_bound", "effective_sign"], _race_rows(series))
     return {
@@ -379,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--checkpoints", default="geometric", help="geometric | none | comma list")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--precision", choices=("standard", "oracle"), default="standard")
     p.set_defaults(func=cmd_race)
 
     p = sub.add_parser("sign-changes", help="JSON sign-change report for a race")

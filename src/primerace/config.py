@@ -25,13 +25,17 @@ COMMANDS = (
 )
 
 PATH_KEYS = ("emit", "out", "report", "manifest")
+
+# Largest count any input may name. It bounds what a typo can allocate: the
+# base sieve for 10^12 is a 0.5 MB mask up to 10^6, where 1e20 would need 5 GB.
+MAX_COUNT = 10**12
 _BOOL_KEYS = ("count_only", "print_period")
 
 # option -> (required for these commands, allowed for these commands)
 _ALLOWED = {
     "sieve": {"limit", "count_only", "emit", "manifest"},
     "character": {"spec", "print_period", "manifest"},
-    "race": {"character", "sigma", "xmax", "checkpoints", "out", "precision", "manifest"},
+    "race": {"character", "sigma", "xmax", "checkpoints", "out", "manifest"},
     "sign-changes": {"character", "sigma", "xmax", "out", "manifest"},
     "lvalue": {"character", "sigma", "ntrunc", "out", "manifest"},
     "verify-lemma": {"character", "sigma_grid", "prime_limit", "ntrunc", "out", "manifest"},
@@ -65,11 +69,13 @@ def parse_real(text: str, field: str) -> float:
 
 
 def parse_count(text: str, field: str) -> int:
-    """Nonnegative integer, accepting scientific notation like 1e8."""
+    """Integer in [0, MAX_COUNT], accepting scientific notation like 1e8."""
     value = parse_real(text, field)
     rounded = int(round(value))
     if abs(value - rounded) > 1e-6 * max(1.0, abs(value)) or rounded < 0:
         raise ValidationError(f"{field}: expected a nonnegative integer, got {text!r}")
+    if rounded > MAX_COUNT:
+        raise ValidationError(f"{field}: {text!r} exceeds the largest accepted count, {MAX_COUNT}")
     return rounded
 
 
@@ -205,9 +211,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not 0.0 <= sigma <= 1.0:
             raise ValidationError(f"sigma: must lie in [0, 1], got {sigma}")
         parse_count(cfg.get("xmax"), "xmax")
-        precision = cfg.get("precision")
-        if precision is not None and precision not in ("standard", "oracle"):
-            raise ValidationError(f"precision: expected standard or oracle, got {precision!r}")
     elif cmd == "lvalue":
         if parse_real(cfg.get("sigma"), "sigma") <= 0:
             raise ValidationError("sigma: must be > 0 for lvalue")

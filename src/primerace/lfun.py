@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import DirichletWeight, chi4
-from .errors import CapabilityError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .races import RacePoint, _neg_power, weighted_race
 from .sieve import iter_prime_arrays
 
@@ -79,11 +79,6 @@ class BoundedValue:
         return abs(self.value - other.value) <= self.radius + other.radius
 
 
-def _require_character(w: DirichletWeight, op: str) -> None:
-    if not w.is_character:
-        raise CapabilityError(f"{op} requires a character weight")
-
-
 def _partial_sum_mean(w: DirichletWeight) -> Fraction:
     """Mean of S(u) over one period, exact."""
     q = w.modulus
@@ -115,7 +110,6 @@ def l_value(w: DirichletWeight, sigma: float, n_trunc: int) -> BoundedValue:
     correction (Sbar - S(N)) N^-sigma; the radius covers the remaining tail
     plus accumulated rounding.
     """
-    _require_character(w, "l_value")
     if sigma <= 0.0:
         raise DomainError(f"l_value requires sigma > 0, got {sigma}")
     n_trunc = int(n_trunc)
@@ -156,15 +150,6 @@ def _char_prime_sum(
     return math.fsum(sums), abs_acc
 
 
-def prime_power_sum(sigma: float, prime_limit: int) -> float:
-    """sum_{p<=P} p^-sigma (unsigned); handy for truncation diagnostics."""
-    sums = [
-        math.fsum(_neg_power(p, sigma).tolist())
-        for p in iter_prime_arrays(prime_limit)
-    ]
-    return math.fsum(sums)
-
-
 def euler_product_value(
     w: DirichletWeight, sigma: float, prime_limit: int
 ) -> BoundedValue:
@@ -173,7 +158,6 @@ def euler_product_value(
     The log-tail obeys |sum_{p>P} log(1 - w(p) p^-sigma)^-1| <= 2 P^(1-sigma)
     / (sigma - 1), which exponentiates into the radius.
     """
-    _require_character(w, "euler_product_value")
     if sigma <= 1.0:
         raise DomainError(
             f"euler_product_value requires sigma > 1, got {sigma}"
@@ -209,7 +193,6 @@ def b_function(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedVal
     4 eps per unit of |term|, and the exactly rounded per-segment and total
     sums eps (sum |term| + |B|).
     """
-    _require_character(w, "b_function")
     if sigma <= 0.5:
         raise DomainError(f"b_function requires sigma > 1/2, got {sigma}")
     if prime_limit < 2:
@@ -271,7 +254,6 @@ def verify_log_decomposition(
         raise DomainError(
             f"verify_log_decomposition requires sigma > 1, got {sigma}"
         )
-    _require_character(w, "verify_log_decomposition")
     if n_trunc is None:
         n_trunc = max(10**6, w.modulus)
     log_l = l_value(w, sigma, n_trunc).log()
@@ -352,7 +334,6 @@ def bias_bound_scan(
     x_max; its tail has no unconditional bound for sigma < 1). No pass/fail
     judgement is attached.
     """
-    _require_character(w, "bias_bound_scan")
     grid = [float(s) for s in sigma_grid]
     for s in grid:
         if not 0.5 < s <= 1.0:

@@ -97,27 +97,6 @@ class SignChangeReport:
     ambiguous_count: int
 
 
-def effective_sign_changes(
-    values: Sequence[float], initial_sign: int = 0
-) -> tuple[list[int], int]:
-    """Reference scalar implementation of the sign-change convention.
-
-    The effective sign at a position is the sign of the value if nonzero,
-    otherwise the last nonzero sign (initially `initial_sign`). A change is a
-    -/+ or +/- transition of the effective sign; zeros never count. Returns
-    (indices of changes, final effective sign).
-    """
-    eff = initial_sign
-    changes = []
-    for i, v in enumerate(values):
-        s = (v > 0) - (v < 0)
-        if s != 0:
-            if eff != 0 and s != eff:
-                changes.append(i)
-            eff = s
-    return changes, eff
-
-
 def _block_sign_scan(avals: np.ndarray, carry: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized effective-sign scan over one block.
 
@@ -195,18 +174,15 @@ def weighted_race(
     checkpoints: Sequence[int] | None = None,
     *,
     track_signs: bool = True,
-    workers: int | None = None,
 ) -> RaceSeries:
     """Stream the race to x_max, sampling A at checkpoints and tracking signs.
 
     `running_error` bounds the absolute float error of any reported value:
     2 ulp per term for p^{-sigma} plus the summation-scheme bound. At sigma=0
-    with a character weight every value is an exact integer and the bound is 0.
-    `workers` is accepted for compatibility and ignored; the race runs in one
-    thread.
+    every value is an exact integer and the bound is 0.
     """
     cps = _validate_race_args(sigma, x_max, checkpoints)
-    exact = sigma == 0.0 and w.is_character
+    exact = sigma == 0.0
 
     dd_hi = dd_lo = 0.0
     total_weight = 0.0
@@ -307,60 +283,3 @@ def detect_sign_changes(series: RaceSeries) -> SignChangeReport:
         first_positive_x=series.first_positive_x,
         ambiguous_count=sum(1 for e in events if e.ambiguous),
     )
-
-
-def race_at_points(
-    w: DirichletWeight,
-    sigma: float,
-    points: Sequence[int],
-) -> list[tuple[int, float]]:
-    """A at exactly the requested ascending points; matches race checkpoints."""
-    if not points:
-        return []
-    series = weighted_race(
-        w,
-        sigma,
-        int(max(points)),
-        checkpoints=points,
-        track_signs=False,
-    )
-    return series.values
-
-
-def race_extended(
-    w: DirichletWeight,
-    sigma: float,
-    points: Sequence[int],
-    dps: int = 40,
-) -> list[tuple[int, float]]:
-    """Extended-precision (mpmath) recomputation of A at the given points.
-
-    Oracle-mode reference for desk-scale runs; far slower than the streaming
-    race and intended for verification, not production sweeps.
-    """
-    from mpmath import mp, mpf
-
-    from .sieve import prime_stream
-
-    if any(b <= a for a, b in zip(points, points[1:])):
-        raise ValidationError("points must be strictly ascending")
-    old_dps = mp.dps
-    mp.dps = dps
-    try:
-        sig = mpf(sigma)
-        total = mpf(0)
-        out = []
-        pi = 0
-        for p in prime_stream(int(max(points))):
-            while pi < len(points) and points[pi] < p:
-                out.append((int(points[pi]), float(total)))
-                pi += 1
-            wp = w.at(p)
-            if wp:
-                total += wp * mpf(p) ** (-sig)
-        while pi < len(points):
-            out.append((int(points[pi]), float(total)))
-            pi += 1
-        return out
-    finally:
-        mp.dps = old_dps

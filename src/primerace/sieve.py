@@ -77,10 +77,12 @@ def sieve_segment(
                 if start >= hi:
                     continue
             mask[(start - first_odd) // 2 :: p] = False
-    primes = first_odd + 2 * np.flatnonzero(mask)
+    primes = np.flatnonzero(mask)  # int64; scaled in place, with no temporaries
+    primes *= 2
+    primes += first_odd
     if lo <= 2 < hi:
         primes = np.concatenate((np.array([2], dtype=np.int64), primes))
-    return Segment(lo, hi, primes.astype(np.int64))
+    return Segment(lo, hi, primes)
 
 
 def iter_prime_arrays(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def is_prime_trial(n: int) -> bool:
@@ -38,6 +39,16 @@ def simple_sieve(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [n for n in range(limit + 1) if flags[n]]
+
+
+@lru_cache(maxsize=2)
+def _sieved(limit: int) -> tuple[int, ...]:
+    return tuple(simple_sieve(limit))
+
+
+def prime_power_sum(sigma: float, prime_limit: int) -> float:
+    """sum_{p<=P} p^-sigma (unsigned), exactly summed over the one-shot sieve."""
+    return math.fsum(p ** -sigma for p in _sieved(prime_limit))
 
 
 def chi4_value(n: int) -> int:

@@ -10,10 +10,9 @@ from primerace.characters import (
     character_from_discriminant,
     character_from_table,
     chi4,
-    general_weight,
     kronecker_symbol,
 )
-from primerace.errors import CapabilityError, ValidationError
+from primerace.errors import ValidationError
 
 from oracles import chi4_value, kronecker_ref
 
@@ -100,24 +99,8 @@ def test_weight_at_examples():
     w = chi4()
     assert w.at(15) == -1  # chi4(3) * chi4(5) = (-1)(+1)
     assert w.at(1) == 1
-    f = general_weight({2: -1.0})
-    assert f.at(8) == -1.0
     with pytest.raises(ValidationError):
         w.at(0)
-
-
-def test_general_weight_defaults_and_limits():
-    f = general_weight({3: -1.0}, default=0.0)
-    assert f.at(6) == 0.0  # unassigned prime 2 defaults to 0
-    assert f.at(9) == 1.0
-    g = general_weight({2: 0.5}, default=1.0, factor_limit=100)
-    big_prime = 10_007
-    with pytest.raises(CapabilityError):
-        g.at(big_prime * big_prime)
-    with pytest.raises(ValidationError):
-        general_weight({4: 1.0})
-    with pytest.raises(ValidationError):
-        general_weight({2: 1.5})
 
 
 def test_partial_sum_examples():
@@ -125,8 +108,6 @@ def test_partial_sum_examples():
     assert w.partial_sum(4) == 0
     assert w.partial_sum(3) == 0
     assert w.partial_sum(5) == 1
-    with pytest.raises(CapabilityError):
-        general_weight({2: 1.0}).partial_sum(10)
 
 
 @pytest.mark.parametrize("d", FUNDAMENTAL)

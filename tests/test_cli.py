@@ -11,6 +11,7 @@ from primerace.cli import main
 from primerace.config import (
     ExperimentConfig,
     parse_config,
+    parse_count,
     parse_grid,
     parse_points,
     serialize_config,
@@ -69,24 +70,6 @@ def test_race_validation_exit_2(capsys):
     assert run_cli(["race", "--sigma", "-0.1", "--xmax", "100"]) == 2
     assert run_cli(["race", "--sigma", "0.5", "--xmax", "100",
                     "--checkpoints", "50,200"]) == 2
-
-
-def test_race_oracle_precision(tmp_path):
-    out = tmp_path / "race.csv"
-    assert run_cli(["race", "--sigma", "0.5", "--xmax", "1000",
-                    "--precision", "oracle", "--checkpoints", "10,1000",
-                    "--out", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert len(rows) == 2
-    a10 = float(rows[0].split(",")[1])
-    assert abs(a10 - (-(3 ** -0.5) + 5 ** -0.5 - 7 ** -0.5)) < 1e-14
-
-
-def test_race_oracle_default_checkpoints(tmp_path):
-    out = tmp_path / "race.csv"
-    assert run_cli(["race", "--sigma", "0.5", "--xmax", "100",
-                    "--precision", "oracle", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) > 2
 
 
 def test_sign_changes_json(capsys):
@@ -228,16 +211,19 @@ def test_io_error_exit_4(tmp_path):
 
 
 @pytest.fixture
-def no_prime_walk(monkeypatch):
-    """Fail the test if any module walks the primes."""
+def no_compute(monkeypatch):
+    """Fail the test if any module sieves, walks the primes or sums an L-series."""
     def forbidden(*args, **kwargs):
-        pytest.fail("primes were walked before the output path was checked")
+        pytest.fail("computing started before the inputs were checked")
 
+    monkeypatch.setattr("primerace.sieve.base_primes", forbidden)
     for name in ("sieve", "races", "lfun", "cli"):
         monkeypatch.setattr(f"primerace.{name}.iter_prime_arrays", forbidden)
+    for name in ("lfun", "cli"):
+        monkeypatch.setattr(f"primerace.{name}.l_value", forbidden)
 
 
-def test_bad_output_path_fails_before_computing(tmp_path, no_prime_walk, capsys):
+def test_bad_output_path_fails_before_computing(tmp_path, no_compute, capsys):
     missing = tmp_path / "missing" / "x.csv"
     assert run_cli(["race", "--sigma", "0.5", "--xmax", "3e7", "--out", str(missing)]) == 4
     cfg = tmp_path / "exp.cfg"
@@ -285,6 +271,91 @@ def test_removed_mmax_config_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: mmax:")
     assert "Traceback" not in err
+
+
+def test_removed_precision_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["race", "--sigma", "0.5", "--xmax", "100", "--precision", "oracle"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--precision" in err and "Traceback" not in err
+
+
+def test_removed_precision_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = race\nsigma = 0.5\nxmax = 100\nprecision = oracle\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: precision:")
+    assert "Traceback" not in err
+
+
+OVERSIZED_COUNTS = [
+    (["sieve", "--limit", "1e13", "--count-only"], "limit"),
+    (["race", "--sigma", "0.5", "--xmax", "1e20"], "xmax"),
+    (["race", "--sigma", "0.5", "--xmax", "1e6", "--checkpoints", "10,2e12"], "checkpoints"),
+    (["sign-changes", "--sigma", "0", "--xmax", "1000000000001"], "xmax"),
+    (["lvalue", "--sigma", "1", "--ntrunc", "1e13"], "ntrunc"),
+    (["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e20"], "prime_limit"),
+    (["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3", "--ntrunc", "1e13"], "ntrunc"),
+    (["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "1e20"], "xmax"),
+    (["mellin-check", "--sigma", "0", "--s", "1", "--X", "1e20"], "x"),
+    (["conjecture", "--points", "1e3,...,1e13"], "points"),
+    (["conjecture", "--points", "1e3", "--budget", "1e13"], "budget"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, field", OVERSIZED_COUNTS, ids=[" ".join(argv) for argv, _ in OVERSIZED_COUNTS]
+)
+def test_oversized_count_exits_2_before_computing(argv, field, no_compute, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {field}:")
+    assert "Traceback" not in err
+
+
+def test_oversized_config_count_exits_2_before_computing(tmp_path, no_compute, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = race\nsigma = 0.5\nxmax = 1e20\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: xmax:")
+
+
+def test_count_cap_is_inclusive():
+    assert parse_count("1e12", "xmax") == 10**12
+
+
+def test_cli_imports_neither_mpmath_nor_sympy(tmp_path):
+    # the oracles live in tests/; the product runs on NumPy alone
+    runs = [
+        ["race", "--sigma", "0.5", "--xmax", "1e4", "--out", str(tmp_path / "race.csv")],
+        ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e4", "--ntrunc", "1e4",
+         "--out", str(tmp_path / "lemma.csv")],
+        ["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "1e4", "--ntrunc", "1e4",
+         "--out", str(tmp_path / "bias.csv")],
+    ]
+    script = (
+        "import runpy, sys\n"
+        f"for argv in {runs!r}:\n"
+        "    sys.argv = ['primerace', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('primerace', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (argv, exc.code)\n"
+        "print(sorted({'mpmath', 'sympy'} & set(sys.modules)))\n"
+    )
+    src = str(Path(primerace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    for name in ("race.csv", "lemma.csv", "bias.csv"):
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def test_byte_identical_reruns(tmp_path):

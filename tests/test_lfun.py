@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primerace.characters import character_from_discriminant, chi4, general_weight
-from primerace.errors import CapabilityError, DomainError, ValidationError
+from primerace.characters import character_from_discriminant, chi4
+from primerace.errors import DomainError, ValidationError
 from primerace.lfun import (
     BoundedValue,
     b_function,
@@ -16,7 +16,6 @@ from primerace.lfun import (
     euler_product_value,
     l_value,
     mellin_identity_check,
-    prime_power_sum,
     verify_log_decomposition,
 )
 
@@ -25,6 +24,7 @@ from oracles import (
     chi4_value,
     machin_pi_over_4,
     mp_b_double_sum,
+    prime_power_sum,
     trial_division_primes,
 )
 
@@ -78,8 +78,6 @@ class TestLValue:
             l_value(chi4(), -0.5, 100)
         with pytest.raises(ValidationError):
             l_value(chi4(), 1.0, 3)  # below the modulus
-        with pytest.raises(CapabilityError):
-            l_value(general_weight({2: 1.0}), 1.0, 100)
 
     @pytest.mark.parametrize("sigma,n", [(0.8, 20_000), (1.0, 50_000), (0.55, 10_000), (2.0, 5_000)])
     def test_tail_bounds_are_honest(self, sigma, n):

@@ -3,19 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primerace.characters import chi4, general_weight
+from primerace.characters import DirichletWeight, chi4
 from primerace import races
 from primerace.errors import CapabilityError, ValidationError
 from primerace.races import (
     _block_sign_scan,
     default_checkpoints,
     detect_sign_changes,
-    effective_sign_changes,
-    race_at_points,
-    race_extended,
     weighted_race,
 )
 from primerace.sieve import prime_stream
@@ -32,29 +29,34 @@ def test_race_examples():
     assert weighted_race(c4, 0.5, 1).final_value == 0.0
 
 
+def _values_at(sigma, points):
+    """A at exactly the given ascending points."""
+    return weighted_race(
+        chi4(), sigma, max(points), checkpoints=points, track_signs=False
+    ).values
+
+
 def test_race_at_points_examples():
-    c4 = chi4()
-    (x, a10), = race_at_points(c4, 0.5, [10])
+    (x, a10), = _values_at(0.5, [10])
     assert x == 10
     assert abs(a10 - (-(3 ** -0.5) + 5 ** -0.5 - 7 ** -0.5)) < 1e-15
-    assert race_at_points(c4, 0.5, [2]) == [(2, 0.0)]
-    assert race_at_points(c4, 0.5, []) == []
+    assert _values_at(0.5, [2]) == [(2, 0.0)]
 
 
 def test_race_at_points_matches_race_checkpoints():
+    # checkpoint values depend neither on x_max past them nor on sign tracking
     c4 = chi4()
     pts = [10, 97, 1000, 4999]
-    direct = race_at_points(c4, 0.5, pts)
     series = weighted_race(c4, 0.5, 5000, checkpoints=pts)
-    assert direct == [(p.x, p.value) for p in series.points]
+    assert _values_at(0.5, pts) == [(p.x, p.value) for p in series.points]
 
 
 def test_synthetic_sign_convention():
-    changes, final = effective_sign_changes([2, 1, -1, 0, 3])
+    changes, final = sign_change_walk([2, 1, -1, 0, 3])
     assert changes == [2, 4]  # the 3rd and 5th entries
     assert final == 1
-    assert effective_sign_changes([0, 0, 1, 2, 0, 3])[0] == []
-    assert effective_sign_changes([1, 0, -1])[0] == [2]
+    assert sign_change_walk([0, 0, 1, 2, 0, 3])[0] == []
+    assert sign_change_walk([1, 0, -1])[0] == [2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -62,6 +64,7 @@ def test_synthetic_sign_convention():
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60),
     st.sampled_from([-1, 0, 1]),
 )
+@example([1, 2, 3, 1, 2], 0)  # a series that never leaves the + side
 def test_vectorized_scan_matches_scalar(values, carry):
     arr = np.array(values, dtype=np.float64)
     idx, filled = _block_sign_scan(arr, carry)
@@ -117,13 +120,15 @@ def test_checkpoint_at_every_prime_matches_single_checkpoints():
     primes = list(prime_stream(10**5))
     dense = weighted_race(chi4(), 0.5, 10**5, checkpoints=primes)
     for i in range(0, len(primes), 479):
-        (x, value), = race_at_points(chi4(), 0.5, [primes[i]])
+        (x, value), = _values_at(0.5, [primes[i]])
         assert dense.points[i].x == x
         assert dense.points[i].value == value
 
 
 def test_constant_sign_series_has_no_changes():
-    w = general_weight({}, default=1.0)  # every prime weighs +1
+    # a weight of +1 at every prime; built directly, since the character
+    # constructors reject a principal table
+    w = DirichletWeight("constant", modulus=1, period=np.array([1], dtype=np.int8))
     report = detect_sign_changes(weighted_race(w, 0.5, 2000))
     assert report.change_count == 0
     assert report.final_sign == 1
@@ -164,7 +169,7 @@ def test_compensated_accuracy_sigma1_1e6():
 
 def test_extended_precision_route_agrees():
     pts = [100, 10_000]
-    ours = race_extended(chi4(), 0.5, pts)
+    ours = weighted_race(chi4(), 0.5, 10_000, checkpoints=pts).values
     theirs = mp_race(0.5, pts, dps=45)
     for (x, v), ref in zip(ours, theirs):
         assert abs(v - ref) < 1e-14
@@ -213,17 +218,11 @@ def test_default_checkpoints_scheme():
 
 def test_worker_determinism():
     c4 = chi4()
-    a = weighted_race(c4, 0.5, 10**6, workers=1)
-    b = weighted_race(c4, 0.5, 10**6, workers=3)
+    a = weighted_race(c4, 0.5, 10**6)
+    b = weighted_race(c4, 0.5, 10**6)
     assert a.final_value == b.final_value
     assert a.running_error == b.running_error
     assert [(p.x, p.value, p.error_bound) for p in a.points] == [
         (p.x, p.value, p.error_bound) for p in b.points
     ]
     assert a.sign_events == b.sign_events
-
-
-def test_general_weight_race():
-    f = general_weight({2: -1.0, 3: 0.5}, default=0.0)
-    series = weighted_race(f, 0.0, 10, checkpoints=[10])
-    assert series.final_value == -0.5  # -1 (p=2) + 0.5 (p=3), others default 0

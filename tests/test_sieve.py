@@ -15,6 +15,8 @@ from oracles import simple_sieve, trial_division_primes
 
 def test_segment_examples():
     assert sieve_segment(2, 11).primes.tolist() == [2, 3, 5, 7]
+    assert sieve_segment(2, 11).primes.dtype == np.int64  # the segment holding 2
+    assert sieve_segment(90, 110).primes.dtype == np.int64
     assert sieve_segment(2, 3).primes.tolist() == [2]
     assert sieve_segment(90, 97).primes.tolist() == []
 
