@@ -269,7 +269,7 @@ def _config_to_argv(cfg: ExperimentConfig) -> list[str]:
     for key, value in cfg.options:
         if key == "manifest":
             continue
-        flag = "--" + key.replace("_", "-")
+        flag = "--X" if key == "x" else "--" + key.replace("_", "-")
         if key in ("count_only", "print_period"):
             if value.strip().lower() in ("true", "1", "yes"):
                 argv.append(flag)

@@ -254,6 +254,8 @@ def verify_log_decomposition(
         raise DomainError(
             f"verify_log_decomposition requires sigma > 1, got {sigma}"
         )
+    if prime_limit < 1:
+        raise ValidationError(f"prime_limit must be >= 1, got {prime_limit}")
     if n_trunc is None:
         n_trunc = max(10**6, w.modulus)
     log_l = l_value(w, sigma, n_trunc).log()
@@ -414,20 +416,31 @@ def mellin_identity_check(
     if s == sigma:
         return 0.0
 
-    arrays = list(iter_prime_arrays(int(x_limit)))
-    primes = np.concatenate(arrays)
-    logp = np.log(primes.astype(np.float64))
-    wv = w.values_at_primes(primes)
-    a_steps = np.cumsum(wv * np.exp(-sigma * logp))
-    lhs = math.fsum((wv * np.exp(-s * logp)).tolist())
-
+    n = int(x_limit)
     c = s - sigma
-    left_pow = np.exp(-c * logp)
     x_pow = _neg_power(x_limit, c)
-    right_pow = np.empty_like(left_pow)
-    right_pow[:-1] = left_pow[1:]
-    right_pow[-1] = x_pow
-    rhs = float(a_steps[-1]) * x_pow + math.fsum(
-        (a_steps * (left_pow - right_pow)).tolist()
+    lhs = math.fsum(
+        t
+        for primes in iter_prime_arrays(n)
+        for t in (w.values_at_primes(primes) * _neg_power(primes, s)).tolist()
     )
+
+    last = [0.0, 1.0]  # A and u^-c at the last prime walked
+
+    def pieces():
+        """A(p_i) (p_i^-c - p_{i+1}^-c) for every prime, then A(X) (p^-c - X^-c).
+
+        Each segment's cumsum starts from the carried A, and its powers from
+        the carried p^-c, so every value keeps the bits of one global pass.
+        """
+        for primes in iter_prime_arrays(n):
+            terms = w.values_at_primes(primes) * _neg_power(primes, sigma)
+            a_steps = np.cumsum(np.concatenate(([last[0]], terms)))
+            left_pow = np.concatenate(([last[1]], _neg_power(primes, c)))
+            yield from (a_steps[:-1] * (left_pow[:-1] - left_pow[1:])).tolist()
+            last[:] = float(a_steps[-1]), float(left_pow[-1])
+        yield last[0] * (last[1] - x_pow)
+
+    integral = math.fsum(pieces())
+    rhs = last[0] * x_pow + integral
     return abs(lhs - rhs)

@@ -4,8 +4,11 @@ The race is consumed in blocks of primes. Block sums are exactly rounded
 (math.fsum) and folded into a double-double prefix, so checkpoint values are
 accurate to a couple of ulps; per-prime values for sign tracking come from a
 block-local cumulative sum whose worst-case float error is folded into
-`running_error`. Everything runs in one thread, in a fixed order, so the
-output bytes repeat exactly from run to run.
+`running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
+the block sum is read exactly from the end of that cumulative sum and the
+error stays 0. The sign scan skips any block that cannot flip the carried
+sign. Everything runs in one thread, in a fixed order, so the output bytes
+repeat exactly from run to run.
 """
 
 from __future__ import annotations
@@ -103,6 +106,8 @@ def _block_sign_scan(avals: np.ndarray, carry: int) -> tuple[np.ndarray, np.ndar
     Returns (indices where the effective sign flips, effective sign at every
     position). `carry` is the effective sign entering the block.
     """
+    if (carry < 0 and avals.max() <= 0) or (carry > 0 and avals.min() >= 0):
+        return np.empty(0, dtype=np.intp), np.full(len(avals), float(carry))
     s = np.sign(avals)
     n = len(s)
     marker = np.where(s != 0, np.arange(1, n + 1), 0)
@@ -161,8 +166,11 @@ def _prepare_segment(
         wv = w.values_at_primes(blk)
         contrib = wv if sigma == 0.0 else wv * _neg_power(blk, sigma)
         cum = np.cumsum(contrib)
-        block_sum = math.fsum(contrib.tolist())
-        abs_weight = float(np.sum(np.abs(contrib)))
+        if sigma == 0.0:  # integer partial sums below 2^53: cum is exact
+            block_sum, abs_weight = float(cum[-1]), 0.0  # no error to charge
+        else:
+            block_sum = math.fsum(contrib.tolist())
+            abs_weight = float(np.sum(np.abs(contrib)))
         blocks.append((blk, contrib, cum, block_sum, abs_weight))
     return blocks
 
@@ -205,10 +213,10 @@ def weighted_race(
             avals = prefix + cum
             change_idx, filled = _block_sign_scan(avals, carry)
 
-            total_weight += abs_weight
-            block_weight_max = max(block_weight_max, abs_weight)
-            value_max = max(value_max, float(np.max(np.abs(avals))))
             if not exact:
+                total_weight += abs_weight
+                block_weight_max = max(block_weight_max, abs_weight)
+                value_max = max(value_max, float(np.max(np.abs(avals))))
                 err = _U * (2.0 * total_weight + _BLOCK * block_weight_max + value_max)
 
             if events is not None:

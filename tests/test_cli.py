@@ -1,14 +1,22 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import primerace
 from primerace.cli import main
 from primerace.config import (
+    _ALLOWED,
+    _REQUIRED,
+    COMMANDS,
     ExperimentConfig,
     parse_config,
     parse_count,
@@ -102,6 +110,16 @@ def test_sign_changes_sigma0_matches_stored_reference(tmp_path):
     starts = [x for i, x in enumerate(locations) if i == 0 or x > 1.1 * locations[i - 1]]
     assert starts == [26861, 616841, 12306137]  # Bays & Hudson (1978)
     assert report["ambiguous_count"] == 0
+
+
+def test_sign_changes_sigma0_full_reference_1e9(tmp_path):
+    # the whole stored report, including the fourth region at 951784481
+    out = tmp_path / "signs.json"
+    assert run_cli(["sign-changes", "--sigma", "0", "--xmax", "1e9", "--out", str(out)]) == 0
+    assert out.read_bytes() == SIGNS_REFERENCE.read_bytes()
+    locations = json.loads(out.read_text())["change_locations"]
+    starts = [x for i, x in enumerate(locations) if i == 0 or x > 1.1 * locations[i - 1]]
+    assert starts == [26861, 616841, 12306137, 951784481]  # Bays & Hudson (1978)
 
 
 MALFORMED_FLAGS = [
@@ -326,6 +344,91 @@ def test_count_cap_is_inclusive():
     assert parse_count("1e12", "xmax") == 10**12
 
 
+# Fuzzed inputs. Each option draws from a list of valid values, or now and
+# then from a list of malformed ones. A valid count is at most 1e5, so no case
+# sieves or sums far, and every case runs in a fresh temporary working
+# directory, where its relative output paths land.
+FUZZ_COUNTS = (["0", "1", "2", "10", "97", "1e3", "99991", "1e5"],
+               ["-1", "2.5", "abc", "1e3x", "", "nan", "inf", "1000000000001", "1e20", "1e400"])
+FUZZ_REALS = (["0", "0.5", "0.75", "1", "1.5", "2", "1e-300", "1e300"],
+              ["-0.5", "nan", "inf", "-inf", "abc", ""])
+FUZZ_CHARACTERS = (["kronecker:-4", "kronecker:5", "kronecker:-3", "kronecker:8",
+                    "table:4:0,1,0,-1"],
+                   ["kronecker:9", "kronecker:abc", "table:3:0,1", "table:5:0,1,1,1,1",
+                    "bogus", ""])
+FUZZ_PATHS = (["a.csv", "b.json", "c.txt"], ["missing/x.csv", ".", ""])
+FUZZ_BOOLS = (["true", "false"], ["maybe"])
+FUZZ_VALUES = {
+    "limit": FUZZ_COUNTS, "xmax": FUZZ_COUNTS, "ntrunc": FUZZ_COUNTS,
+    "prime_limit": FUZZ_COUNTS, "x": FUZZ_COUNTS, "budget": FUZZ_COUNTS,
+    "sigma": FUZZ_REALS, "s": FUZZ_REALS,
+    "character": FUZZ_CHARACTERS, "spec": FUZZ_CHARACTERS,
+    "checkpoints": (["geometric", "none", "10,100", "1e3", ""],
+                    ["100,10", "5,5", "0", "abc", "10,1e20"]),
+    "points": (["1e3", "1e2,1e3,...,1e5", "10,100"],
+               ["100,10", "...,1e3", "1e3,...", "1e3,...,1e13", "0", "abc", ""]),
+    "grid": (["0.6:0.7:0.1", "0.6:0.6:0.1", "0.75:0.95:0.1"],
+             ["0.7:0.6:0.1", "0.6:0.9:0", "0.4:0.6:0.1", "nan:1:0.1", "0.6:0.7", "abc"]),
+    "sigma_grid": (["2.0", "1.1,1.5", "3", "2.0,,3.0"], ["0.5", "1", "nan", "abc", ""]),
+    "count_only": FUZZ_BOOLS, "print_period": FUZZ_BOOLS,
+    "emit": FUZZ_PATHS, "out": FUZZ_PATHS, "report": FUZZ_PATHS, "manifest": FUZZ_PATHS,
+}
+FUZZ_JUNK_LINES = ["garbage", "= 1", "sigma =", "bogus = 1", "command = plot"]
+
+
+@st.composite
+def fuzz_case(draw):
+    """(argv, config text or None) for one command with drawn options."""
+    def rarely():
+        return draw(st.integers(0, 5)) == 0
+
+    command = draw(st.sampled_from(COMMANDS + ("plot",)))
+    keys = sorted(_ALLOWED.get(command, {"sigma", "xmax"}))
+    required = _REQUIRED.get(command, set())
+    # an omitted ntrunc defaults to 1e6 in bias-scan, so it is always drawn
+    chosen = [k for k in keys
+              if k == "ntrunc" or (not rarely() if k in required else draw(st.booleans()))]
+    if rarely():
+        chosen.append(draw(st.sampled_from(sorted(FUZZ_VALUES))))
+    options = [(k, draw(st.sampled_from(FUZZ_VALUES[k][rarely()]))) for k in chosen]
+    if draw(st.booleans()):
+        argv = [command]
+        for key, value in options:
+            flag = "--X" if key == "x" else "--" + key.replace("_", "-")
+            argv += [flag] if key in ("count_only", "print_period") else [flag, value]
+        return argv, None
+    lines = [f"command = {command}"] + [f"{k} = {v}" for k, v in options]
+    if rarely():
+        lines.append(draw(st.sampled_from(FUZZ_JUNK_LINES)))
+    argv = ["run", "--config", "exp.cfg"]
+    if rarely():
+        argv += ["--set", draw(st.sampled_from(["xmax=1e3", "sigma=0.5", "out=d.csv", "novalue"]))]
+    return argv, "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_case())
+@example((["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "0", "--ntrunc", "10"], None))
+def test_fuzzed_inputs_exit_cleanly(case):
+    argv, config_text = case
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if config_text is not None:
+                Path("exp.cfg").write_text(config_text)
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = run_cli(argv)
+                except SystemExit as exc:  # argparse usage errors, --help
+                    code = 0 if exc.code is None else exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4), (argv, config_text, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_cli_imports_neither_mpmath_nor_sympy(tmp_path):
     # the oracles live in tests/; the product runs on NumPy alone
     runs = [
@@ -448,6 +551,15 @@ class TestRunCommand:
         assert "wall_time_seconds" in doc
         assert "running_error" in doc["radii"]
         assert doc["outputs"] == [str(out)]
+
+    def test_run_config_mellin_check(self, tmp_path, capsys):
+        # the config key x is the --X flag
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"command = mellin-check\nsigma = 0\ns = 2\nx = 10\nmanifest = {tmp_path / 'm.json'}\n"
+        )
+        assert run_cli(["run", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("residual=")
 
     def test_run_invalid_config_exit_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primerace import lfun
 from primerace.characters import character_from_discriminant, chi4
 from primerace.errors import DomainError, ValidationError
 from primerace.lfun import (
@@ -18,6 +19,7 @@ from primerace.lfun import (
     mellin_identity_check,
     verify_log_decomposition,
 )
+from primerace.sieve import iter_prime_arrays
 
 from oracles import (
     catalan_alternating,
@@ -304,6 +306,36 @@ class TestMellinIdentity:
             mellin_identity_check(chi4(), 1.0, 0.5, 100)
         with pytest.raises(ValidationError):
             mellin_identity_check(chi4(), 0.0, 1.0, 1)
+
+    @staticmethod
+    def _one_array_residual(w, sigma, s, x_limit):
+        """The identity over one array of every prime <= X, the folded loop's reference."""
+        primes = np.array(trial_division_primes(x_limit), dtype=np.int64)
+        logp = np.log(primes.astype(np.float64))
+        wv = w.values_at_primes(primes)
+        a_steps = np.cumsum(wv * np.exp(-sigma * logp))
+        lhs = math.fsum((wv * np.exp(-s * logp)).tolist())
+        left_pow = np.exp(-(s - sigma) * logp)
+        x_pow = math.exp(-(s - sigma) * math.log(x_limit))
+        right_pow = np.append(left_pow[1:], x_pow)
+        rhs = float(a_steps[-1]) * x_pow + math.fsum((a_steps * (left_pow - right_pow)).tolist())
+        return abs(lhs - rhs)
+
+    @pytest.mark.parametrize(
+        "disc, sigma, s, x_limit",
+        [(-4, 0.1, 0.35, 10**5), (-4, 0.7, 0.71, 99_991), (5, 0.3, 0.9, 30_011), (8, 0.5, 1.5, 2000)],
+    )
+    def test_segment_fold_keeps_every_bit(self, monkeypatch, disc, sigma, s, x_limit):
+        # A and the last power are carried across segments, so 1,024-wide
+        # segments give the residual of one pass over a single array
+        w = character_from_discriminant(disc)
+        whole = mellin_identity_check(w, sigma, s, x_limit)
+        monkeypatch.setattr(
+            lfun, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=1 << 10)
+        )
+        assert mellin_identity_check(w, sigma, s, x_limit) == whole
+        assert whole == self._one_array_residual(w, sigma, s, x_limit)
+        assert whole > 0.0  # a rounding-level residual, so its bits are a real check
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -15,7 +15,7 @@ from primerace.races import (
     detect_sign_changes,
     weighted_race,
 )
-from primerace.sieve import prime_stream
+from primerace.sieve import iter_prime_arrays, prime_stream
 
 from oracles import mp_race, race_sigma0_brute, race_sigma1_fraction, sign_change_walk
 
@@ -65,12 +65,22 @@ def test_synthetic_sign_convention():
     st.sampled_from([-1, 0, 1]),
 )
 @example([1, 2, 3, 1, 2], 0)  # a series that never leaves the + side
+@example([-1, 0, -3, 0, -2], -1)  # cannot flip a - carry: the scan is skipped
+@example([0, 2, 0, 1, 3], 1)  # cannot flip a + carry: the scan is skipped
+@example([0, 0, 0], -1)
+@example([0, 0, 0], 0)
+@example([0, 0, 0], 1)
+@example([-1, -2, 0, -1, 3], -1)  # one flip, in the last element
+@example([1, 2, 0, 1, -3], 1)
 def test_vectorized_scan_matches_scalar(values, carry):
     arr = np.array(values, dtype=np.float64)
     idx, filled = _block_sign_scan(arr, carry)
     ref_changes, ref_final = sign_change_walk(values, carry)
     assert idx.tolist() == ref_changes
     assert int(filled[-1]) == (ref_final if ref_final != 0 else carry)
+    assert filled.tolist() == [
+        sign_change_walk(values[: i + 1], carry)[1] for i in range(len(values))
+    ]
 
 
 def test_sigma0_exact_match_to_1e4():
@@ -114,6 +124,42 @@ def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
     assert sum(summed) <= 4 * len(primes)
     oracle = race_sigma0_brute(10**5)
     assert [(p.x, p.value) for p in series.points] == [(p, float(a)) for p, a in oracle]
+
+
+def test_sigma0_block_sums_skip_fsum(monkeypatch):
+    # at sigma = 0 a block sum is the last entry of its integer cumsum; the
+    # only fsum left is the 3-term [dd_hi, dd_lo, head] of a checkpoint
+    summed = []
+    real_fsum = math.fsum
+
+    def counting_fsum(xs):
+        xs = list(xs)
+        summed.append(len(xs))
+        return real_fsum(xs)
+
+    monkeypatch.setattr(races.math, "fsum", counting_fsum)
+    series = weighted_race(chi4(), 0.0, 10**5, checkpoints=[50_000])
+    monkeypatch.undo()
+    assert summed == [3]
+    oracle = race_sigma0_brute(10**5)
+    assert series.points[0].value == float([a for p, a in oracle if p <= 50_000][-1])
+    assert series.final_value == float(oracle[-1][1])
+
+
+def test_sigma0_small_segments_match_brute_force(monkeypatch):
+    # 1,024-wide segments give about 100 segments and blocks below 1e5, so
+    # the sign scan meets many blocks that cannot flip the carried sign
+    monkeypatch.setattr(
+        races, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=1 << 10)
+    )
+    oracle = race_sigma0_brute(10**5)
+    series = weighted_race(chi4(), 0.0, 10**5, checkpoints=[p for p, _ in oracle])
+    assert [(p.x, p.value) for p in series.points] == [(p, float(a)) for p, a in oracle]
+    changes, final = sign_change_walk([a for _, a in oracle])
+    report = detect_sign_changes(series)
+    assert report.change_locations == tuple(oracle[i][0] for i in changes)
+    assert report.final_sign == final
+    assert report.first_positive_x == next(p for p, a in oracle if a > 0)
 
 
 def test_checkpoint_at_every_prime_matches_single_checkpoints():
