@@ -12,7 +12,7 @@ from .characters import (
 )
 from .cli import run_experiment
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
-from .errors import CapabilityError, DomainError, PrimeRaceError, ValidationError
+from .errors import DomainError, PrimeRaceError, ValidationError
 from .lfun import (
     BiasPoint,
     BoundedValue,
@@ -21,6 +21,7 @@ from .lfun import (
     b_function,
     bias_bound_scan,
     conjecture_scan,
+    decomposition_scan,
     euler_product_value,
     l_value,
     mellin_identity_check,

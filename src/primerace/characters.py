@@ -15,6 +15,10 @@ from .errors import ValidationError
 
 CHARACTER_TABLE = "character_table"
 KRONECKER = "kronecker"
+# Largest accepted modulus. Checking complete multiplicativity takes q^2
+# products, about 1 s at q = 10^4, and a typed discriminant could ask for more.
+MAX_MODULUS = 10**4
+_ROWS = 64  # rows of the q x q products checked at a time, so memory is O(q)
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -123,10 +127,18 @@ class DirichletWeight:
         return f"DirichletWeight(table mod {self.modulus})"
 
 
+def _check_modulus(q: int, origin: str) -> None:
+    if q > MAX_MODULUS:
+        raise ValidationError(
+            f"{origin}: modulus {q} exceeds the largest accepted modulus, {MAX_MODULUS}"
+        )
+
+
 def _validated_table(q: int, values: np.ndarray, origin: str) -> np.ndarray:
     """Check every character invariant on the residue table; raise on failure."""
     if q < 3:
         raise ValidationError(f"{origin}: modulus must be >= 3, got {q}")
+    _check_modulus(q, origin)
     if len(values) != q:
         raise ValidationError(f"{origin}: expected {q} period values, got {len(values)}")
     if not np.isin(values, (-1, 0, 1)).all():
@@ -144,14 +156,15 @@ def _validated_table(q: int, values: np.ndarray, origin: str) -> np.ndarray:
     # to every m, n >= 1
     m = np.arange(1, q + 1, dtype=np.int64)
     table = values[m % q]
-    products = values[(m[:, None] * m[None, :]) % q]
-    ok = products == table[:, None] * table[None, :]
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0]
-        raise ValidationError(
-            f"{origin}: not completely multiplicative, witness pair "
-            f"(m, n) = ({int(m[i])}, {int(m[j])})"
-        )
+    for lo in range(0, q, _ROWS):
+        rows = m[lo : lo + _ROWS, None]
+        ok = values[(rows * m) % q] == table[lo : lo + _ROWS, None] * table
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise ValidationError(
+                f"{origin}: not completely multiplicative, witness pair "
+                f"(m, n) = ({int(m[lo + i])}, {int(m[j])})"
+            )
     if int(values.sum()) != 0:
         raise ValidationError(f"{origin}: principal character rejected, non-principal required")
     return values
@@ -165,6 +178,7 @@ def character_from_table(q: int, values) -> DirichletWeight:
 
 def character_from_discriminant(d: int) -> DirichletWeight:
     """Real character mod |d| realized by the Kronecker symbol (d/.)."""
+    _check_modulus(abs(d), f"kronecker d={d}")  # before the squarefree test
     if abs(d) < 3 or not is_fundamental_discriminant(d):
         raise ValidationError(f"non-fundamental discriminant: {d}")
     q = abs(d)

@@ -13,12 +13,14 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from ._version import __version__
 from .characters import build_character
 from .config import (
     PATH_KEYS,
     ExperimentConfig,
+    check_distinct,
     load_config,
     parse_count,
     parse_grid,
@@ -28,13 +30,13 @@ from .config import (
     serialize_config,
     validate_config,
 )
-from .errors import CapabilityError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .lfun import (
     bias_bound_scan,
     conjecture_scan,
+    decomposition_scan,
     l_value,
     mellin_identity_check,
-    verify_log_decomposition,
 )
 from .races import detect_sign_changes, weighted_race
 from .sieve import iter_prime_arrays, prime_count
@@ -66,14 +68,16 @@ def _check_writable(paths) -> None:
             os.remove(path)
 
 
+def _output(path: str | None):
+    """The file at path opened for writing, or stdout (left open) if path is None."""
+    if path is None:
+        return nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
 def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
     formatted = [[_fmt(v) for v in row] for row in rows]
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(formatted)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(formatted)
@@ -81,11 +85,8 @@ def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
 
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _character(ns) -> "DirichletWeight":
@@ -120,7 +121,7 @@ def cmd_character(ns) -> dict:
 
 def _race_rows(series) -> list[tuple]:
     by_x = {}
-    for e in series.sign_events or ():
+    for e in series.sign_events:
         by_x[e.prime] = (e.prime, e.value, e.error_bound, e.sign_after)
     for p in series.points:  # checkpoint values are authoritative on ties
         by_x[p.x] = (p.x, p.value, p.error_bound, p.effective_sign)
@@ -182,8 +183,7 @@ def cmd_verify_lemma(ns) -> dict:
     ]
     rows = []
     radii = []
-    for sigma in ns.sigma_grid:
-        rep = verify_log_decomposition(w, sigma, ns.prime_limit, n_trunc=ns.ntrunc)
+    for rep in decomposition_scan(w, ns.sigma_grid, ns.prime_limit, n_trunc=ns.ntrunc):
         rows.append(
             (
                 rep.sigma,
@@ -264,31 +264,34 @@ def cmd_conjecture(ns) -> dict:
     }
 
 
-def _config_to_argv(cfg: ExperimentConfig) -> list[str]:
-    argv = [cfg.command]
-    for key, value in cfg.options:
-        if key == "manifest":
-            continue
-        flag = "--X" if key == "x" else "--" + key.replace("_", "-")
-        if key in ("count_only", "print_period"):
-            if value.strip().lower() in ("true", "1", "yes"):
-                argv.append(flag)
-        else:
-            argv.extend([flag, value])
-    return argv
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The parser of every subcommand a config may name: all but `run`."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sub for name, sub in action.choices.items() if name != "run"}
+
+
+def _options(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A subcommand's options by dest, which are its config keys."""
+    return {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Validate a config, run its command, write outputs plus a manifest.
 
+    The config is checked and parsed against the CLI's own parser, so it
+    gives the Namespace that the matching flags give, and the same checks run
+    in the same order as in `main`: parse, distinct and writable output paths,
+    then the command.
+
     The manifest JSON records the config, the package version, the wall time,
     and every radius the run produced. Returns {"radii", "outputs",
     "manifest"}.
     """
-    validate_config(cfg)
+    subs = _subcommands(build_parser())
+    values = validate_config(cfg, {name: _options(sub) for name, sub in subs.items()})
     _check_writable(cfg.get(key) for key in PATH_KEYS)
-    parser = build_parser()
-    inner = parser.parse_args(_config_to_argv(cfg))
+    func = subs[cfg.command].get_default("func")
+    inner = argparse.Namespace(command=cfg.command, func=func, **values)
     started = time.perf_counter()
     result = inner.func(inner)
     elapsed = time.perf_counter() - started
@@ -324,8 +327,7 @@ def cmd_run(ns) -> dict:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if overrides:
-        cfg = cfg.with_overrides(overrides)
+    cfg = cfg.with_overrides(overrides)
     result = run_experiment(cfg)
     print(f"manifest written to {result['manifest']}")
     return result
@@ -424,13 +426,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        _check_writable(getattr(ns, key, None) for key in PATH_KEYS)
+        paths = [getattr(ns, key, None) for key in PATH_KEYS]
+        check_distinct(paths)
+        _check_writable(paths)
         ns.func(ns)
         return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, CapabilityError) as exc:
+    except DomainError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,8 +1,10 @@
 """Declarative experiment configs: flat key = value files, no nesting.
 
-A config names one subcommand plus its options, using the same option names
-as the CLI flags (underscores for dashes). Values stay strings until the
-command parses them, so a config round-trips through serialization unchanged.
+A config names one subcommand plus its options. Each key is the dest of one
+of that subcommand's CLI flags (underscores for dashes, `x` for `--X`), and
+the CLI's argparse parser is the only schema: `validate_config` reads the
+keys, defaults and value types from it. Values stay strings until then, so a
+config round-trips through serialization unchanged.
 """
 
 from __future__ import annotations
@@ -12,49 +14,14 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
-COMMANDS = (
-    "sieve",
-    "character",
-    "race",
-    "sign-changes",
-    "lvalue",
-    "verify-lemma",
-    "bias-scan",
-    "mellin-check",
-    "conjecture",
-)
-
 PATH_KEYS = ("emit", "out", "report", "manifest")
 
 # Largest count any input may name. It bounds what a typo can allocate: the
 # base sieve for 10^12 is a 0.5 MB mask up to 10^6, where 1e20 would need 5 GB.
 MAX_COUNT = 10**12
-_BOOL_KEYS = ("count_only", "print_period")
-
-# option -> (required for these commands, allowed for these commands)
-_ALLOWED = {
-    "sieve": {"limit", "count_only", "emit", "manifest"},
-    "character": {"spec", "print_period", "manifest"},
-    "race": {"character", "sigma", "xmax", "checkpoints", "out", "manifest"},
-    "sign-changes": {"character", "sigma", "xmax", "out", "manifest"},
-    "lvalue": {"character", "sigma", "ntrunc", "out", "manifest"},
-    "verify-lemma": {"character", "sigma_grid", "prime_limit", "ntrunc", "out", "manifest"},
-    "bias-scan": {"character", "grid", "xmax", "ntrunc", "out", "manifest"},
-    "mellin-check": {"character", "sigma", "s", "x", "manifest"},
-    "conjecture": {"points", "budget", "out", "report", "manifest"},
-}
-
-_REQUIRED = {
-    "sieve": {"limit"},
-    "character": {"spec"},
-    "race": {"sigma", "xmax"},
-    "sign-changes": {"sigma", "xmax"},
-    "lvalue": {"sigma", "ntrunc"},
-    "verify-lemma": {"sigma_grid", "prime_limit"},
-    "bias-scan": {"grid", "xmax"},
-    "mellin-check": {"sigma", "s", "x"},
-    "conjecture": {"points"},
-}
+# Largest number of sigmas a start:stop:step grid may hold. Each entry costs a
+# whole race, and a step like 1e-12 would otherwise ask for 4e11 of them.
+MAX_GRID = 10**4
 
 
 def parse_real(text: str, field: str) -> float:
@@ -113,15 +80,19 @@ def parse_points(text: str, field: str = "points") -> list[int]:
 
 
 def parse_grid(text: str, field: str = "grid") -> list[float]:
-    """'start:stop:step' inclusive grid of sigmas."""
+    """'start:stop:step' inclusive grid of sigmas, at most MAX_GRID of them."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"{field}: expected start:stop:step, got {text!r}")
     start, stop, step = (parse_real(p, field) for p in parts)
     if step <= 0 or stop < start:
         raise ValidationError(f"{field}: need step > 0 and stop >= start")
-    n = int(round((stop - start) / step)) + 1
-    grid = [round(start + i * step, 12) for i in range(n)]
+    span = (stop - start) / step  # the grid has round(span) + 1 entries
+    if not span < MAX_GRID - 0.5:
+        raise ValidationError(
+            f"{field}: {text!r} exceeds the largest accepted grid, {MAX_GRID} entries"
+        )
+    grid = [round(start + i * step, 12) for i in range(int(round(span)) + 1)]
     return [g for g in grid if g <= stop + 1e-12]
 
 
@@ -133,17 +104,10 @@ class ExperimentConfig:
     options: tuple[tuple[str, str], ...]
 
     def get(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.options:
-            if k == key:
-                return v
-        return default
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.options)
+        return dict(self.options).get(key, default)
 
     def with_overrides(self, overrides: dict[str, str]) -> "ExperimentConfig":
-        merged = self.as_dict()
-        merged.update(overrides)
+        merged = {**dict(self.options), **overrides}
         command = merged.pop("command", self.command)
         return ExperimentConfig(command, tuple(sorted(merged.items())))
 
@@ -182,61 +146,43 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Structural and domain validation; raises ValidationError naming the field."""
-    if cfg.command not in COMMANDS:
+def check_distinct(paths) -> None:
+    """Reject two outputs that name the same path; None entries are unset."""
+    given = [p for p in paths if p is not None]
+    if len(given) != len(set(given)):
+        raise ValidationError("out: output paths must be distinct")
+
+
+def validate_config(cfg: ExperimentConfig, commands: dict) -> dict[str, object]:
+    """Check a config against the CLI's options and parse its values.
+
+    `commands` maps each command to its argparse actions by dest. Every key
+    but `manifest` must be one of those dests, and every required one must be
+    given. A store_true option takes true/false, and any other value goes
+    through its option's own `type`, so a config is parsed as its flags are.
+    Returns each option's value by dest, defaults included, once the output
+    paths are known to be distinct. Raises ValidationError naming the field.
+    """
+    if cfg.command not in commands:
         raise ValidationError(
-            f"command: unknown command {cfg.command!r}; expected one of {', '.join(COMMANDS)}"
+            f"command: unknown command {cfg.command!r}; expected one of {', '.join(commands)}"
         )
-    allowed = _ALLOWED[cfg.command]
-    for key, _ in cfg.options:
-        if key not in allowed:
+    options = commands[cfg.command]
+    given = dict(cfg.options)
+    for key in given:
+        if key not in options and key != "manifest":
             raise ValidationError(f"{key}: not a valid option for command {cfg.command!r}")
-    for key in _REQUIRED[cfg.command]:
-        if cfg.get(key) is None:
+    for key, action in options.items():
+        if action.required and key not in given:
             raise ValidationError(f"{key}: required for command {cfg.command!r}")
 
-    paths = [cfg.get(k) for k in PATH_KEYS if cfg.get(k) is not None]
-    if len(paths) != len(set(paths)):
-        raise ValidationError("out: output paths must be distinct")
-    for key in _BOOL_KEYS:
-        if cfg.get(key) is not None:
-            parse_bool(cfg.get(key), key)
-
-    cmd = cfg.command
-    if cmd == "sieve":
-        parse_count(cfg.get("limit"), "limit")
-    elif cmd in ("race", "sign-changes"):
-        sigma = parse_real(cfg.get("sigma"), "sigma")
-        if not 0.0 <= sigma <= 1.0:
-            raise ValidationError(f"sigma: must lie in [0, 1], got {sigma}")
-        parse_count(cfg.get("xmax"), "xmax")
-    elif cmd == "lvalue":
-        if parse_real(cfg.get("sigma"), "sigma") <= 0:
-            raise ValidationError("sigma: must be > 0 for lvalue")
-        parse_count(cfg.get("ntrunc"), "ntrunc")
-    elif cmd == "verify-lemma":
-        for s in parse_real_list(cfg.get("sigma_grid"), "sigma_grid"):
-            if s <= 1.0:
-                raise ValidationError(f"sigma_grid: entries must be > 1, got {s}")
-        parse_count(cfg.get("prime_limit"), "prime_limit")
-    elif cmd == "bias-scan":
-        for s in parse_grid(cfg.get("grid"), "grid"):
-            if not 0.5 < s <= 1.0:
-                raise ValidationError(f"grid: sigmas must lie in (1/2, 1], got {s}")
-        parse_count(cfg.get("xmax"), "xmax")
-    elif cmd == "mellin-check":
-        sigma = parse_real(cfg.get("sigma"), "sigma")
-        s = parse_real(cfg.get("s"), "s")
-        if sigma < 0:
-            raise ValidationError(f"sigma: must be >= 0, got {sigma}")
-        if s < sigma:
-            raise ValidationError(f"s: must be >= sigma, got s={s} < sigma={sigma}")
-        parse_count(cfg.get("x"), "x")
-    elif cmd == "conjecture":
-        pts = parse_points(cfg.get("points"), "points")
-        budget = parse_count(cfg.get("budget"), "budget") if cfg.get("budget") else 10**9
-        if pts[-1] > budget:
-            raise ValidationError(
-                f"points: largest point {pts[-1]} exceeds budget {budget}"
-            )
+    values = {}
+    for key, action in options.items():
+        if key not in given:
+            values[key] = action.default
+        elif action.nargs == 0:  # a store_true flag
+            values[key] = parse_bool(given[key], key)
+        else:
+            values[key] = given[key] if action.type is None else action.type(given[key])
+    check_distinct(given.get(key) for key in PATH_KEYS)
+    return values

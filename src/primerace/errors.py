@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ValidationError -> 2,
-DomainError / CapabilityError -> 3, I/O failures -> 4.
+DomainError -> 3, I/O failures -> 4.
 """
 
 
@@ -15,7 +15,3 @@ class ValidationError(PrimeRaceError):
 
 class DomainError(PrimeRaceError):
     """Input lies outside the mathematical domain of an operation."""
-
-
-class CapabilityError(PrimeRaceError):
-    """The operation is not supported for this kind of input."""

@@ -237,6 +237,15 @@ class DecompositionReport:
         return abs(self.residual) <= self.radius_budget
 
 
+def _check_decomposition_args(sigma: float, prime_limit: int) -> None:
+    if sigma <= 1.0:
+        raise DomainError(
+            f"verify_log_decomposition requires sigma > 1, got {sigma}"
+        )
+    if prime_limit < 2:  # b_function's bound, checked before log L is summed
+        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
+
+
 def verify_log_decomposition(
     w: DirichletWeight,
     sigma: float,
@@ -250,12 +259,7 @@ def verify_log_decomposition(
     truncation of the full series; its radius is the unconditional bound
     P^(1-sigma)/(sigma-1), with no cancellation assumed.
     """
-    if sigma <= 1.0:
-        raise DomainError(
-            f"verify_log_decomposition requires sigma > 1, got {sigma}"
-        )
-    if prime_limit < 1:
-        raise ValidationError(f"prime_limit must be >= 1, got {prime_limit}")
+    _check_decomposition_args(sigma, prime_limit)
     if n_trunc is None:
         n_trunc = max(10**6, w.modulus)
     log_l = l_value(w, sigma, n_trunc).log()
@@ -271,6 +275,16 @@ def verify_log_decomposition(
         b_value=b_val,
         residual=residual,
     )
+
+
+def decomposition_scan(
+    w: DirichletWeight, sigma_grid: Sequence[float], prime_limit: int, *, n_trunc: int | None = None
+) -> list[DecompositionReport]:
+    """verify_log_decomposition at each sigma, with the whole grid checked first."""
+    grid = list(sigma_grid)
+    for s in grid:
+        _check_decomposition_args(s, prime_limit)
+    return [verify_log_decomposition(w, s, prime_limit, n_trunc=n_trunc) for s in grid]
 
 
 @dataclass(frozen=True)
@@ -292,19 +306,11 @@ class BiasPoint:
 def _bias_point(
     w: DirichletWeight, sigma: float, race_x_max: int, n_trunc: int
 ) -> BiasPoint:
-    series = weighted_race(
-        w, sigma, race_x_max, checkpoints=(race_x_max,), track_signs=False
-    )
+    lv = l_value(w, sigma, n_trunc)  # first, so a bad n_trunc fails before the race
+    series = weighted_race(w, sigma, race_x_max, checkpoints=(race_x_max,))
     race_value = series.final_value
     race_error = series.running_error
     penalty = 0.5 * math.log(1.0 / (2.0 * sigma - 1.0))
-    lv = l_value(w, sigma, n_trunc)
-    if lv.value <= 0.0:
-        return BiasPoint(
-            sigma, race_x_max, "log-domain-error",
-            math.nan, math.nan, math.nan, math.nan,
-            race_value, race_error, penalty,
-        )
     try:
         log_l = lv.log()
     except DomainError:
@@ -342,6 +348,8 @@ def bias_bound_scan(
             raise DomainError(
                 f"bias_bound_scan requires sigma in (1/2, 1], got {s}"
             )
+    if race_x_max < 1:
+        raise ValidationError(f"x_max must be >= 1, got {race_x_max}")
     return [_bias_point(w, s, int(race_x_max), int(n_trunc)) for s in grid]
 
 
@@ -379,9 +387,7 @@ def conjecture_scan(
         raise ValidationError(
             f"largest point {pts[-1]} exceeds the configured budget {budget}"
         )
-    series = weighted_race(
-        chi4(), 0.5, pts[-1], checkpoints=pts, track_signs=False
-    )
+    series = weighted_race(chi4(), 0.5, pts[-1], checkpoints=pts)
     rows = series.points
     min_point = min(rows, key=lambda p: (p.value, p.x))
     return ConjectureScan(

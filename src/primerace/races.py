@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import DirichletWeight
-from .errors import CapabilityError, ValidationError
+from .errors import ValidationError
 from .sieve import iter_prime_arrays
 
 _BLOCK = 1 << 15
@@ -69,14 +69,14 @@ class SignChangeEvent:
 
 @dataclass
 class RaceSeries:
-    """A(x) sampled at checkpoints, with optional per-prime sign tracking."""
+    """A(x) sampled at checkpoints, with every per-prime sign change."""
 
     weight: DirichletWeight
     sigma: float
     x_max: int
     checkpoints: tuple[int, ...]
     points: list[RacePoint]
-    sign_events: list[SignChangeEvent] | None
+    sign_events: list[SignChangeEvent]
     final_value: float
     final_sign: int
     first_positive_x: int | None
@@ -85,10 +85,6 @@ class RaceSeries:
     @property
     def values(self) -> list[tuple[int, float]]:
         return [(p.x, p.value) for p in self.points]
-
-    @property
-    def tracks_signs(self) -> bool:
-        return self.sign_events is not None
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,6 @@ def weighted_race(
     sigma: float,
     x_max: int,
     checkpoints: Sequence[int] | None = None,
-    *,
-    track_signs: bool = True,
 ) -> RaceSeries:
     """Stream the race to x_max, sampling A at checkpoints and tracking signs.
 
@@ -199,7 +193,7 @@ def weighted_race(
     err = 0.0
     carry = 0
     first_positive: int | None = None
-    events: list[SignChangeEvent] | None = [] if track_signs else None
+    events: list[SignChangeEvent] = []
     points: list[RacePoint] = []
     ci = 0
 
@@ -219,19 +213,18 @@ def weighted_race(
                 value_max = max(value_max, float(np.max(np.abs(avals))))
                 err = _U * (2.0 * total_weight + _BLOCK * block_weight_max + value_max)
 
-            if events is not None:
-                for i in change_idx.tolist():
-                    before = carry if i == 0 else int(filled[i - 1])
-                    events.append(
-                        SignChangeEvent(
-                            prime=int(blk[i]),
-                            value=float(avals[i]),
-                            error_bound=err,
-                            sign_before=before,
-                            sign_after=int(filled[i]),
-                            ambiguous=abs(float(avals[i])) <= err,
-                        )
+            for i in change_idx.tolist():
+                before = carry if i == 0 else int(filled[i - 1])
+                events.append(
+                    SignChangeEvent(
+                        prime=int(blk[i]),
+                        value=float(avals[i]),
+                        error_bound=err,
+                        sign_before=before,
+                        sign_after=int(filled[i]),
+                        ambiguous=abs(float(avals[i])) <= err,
                     )
+                )
             if first_positive is None:
                 pos = np.flatnonzero(avals > 0.0)
                 if len(pos):
@@ -278,11 +271,7 @@ def weighted_race(
 
 
 def detect_sign_changes(series: RaceSeries) -> SignChangeReport:
-    """Assemble the sign-change report from a tracked race."""
-    if series.sign_events is None:
-        raise CapabilityError(
-            "series was computed without per-prime sign tracking"
-        )
+    """Assemble the sign-change report from a race."""
     events = series.sign_events
     return SignChangeReport(
         change_count=len(events),

@@ -73,6 +73,22 @@ def test_multiplicativity_violation_reports_witness():
         character_from_table(5, [0, 1, 1, -1, -1])
 
 
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_blocked_products_check_reports_the_first_witness(rows, monkeypatch):
+    # the check walks the q x q products in blocks of rows; its witness must be
+    # the first one of the whole matrix in row-major order
+    q = 101
+    table = np.array([kronecker_symbol(q, r) for r in range(q)], dtype=np.int8)
+    other = next(r for r in range(71, q) if table[r] != table[70])
+    table[[70, other]] = table[[other, 70]]  # keeps w(1), the zeros and the sum
+    m = np.arange(1, q + 1)
+    ok = table[np.outer(m, m) % q] == np.outer(table[m % q], table[m % q])
+    i, j = np.argwhere(~ok)[0]
+    monkeypatch.setattr("primerace.characters._ROWS", rows)
+    with pytest.raises(ValidationError, match=rf"witness pair \(m, n\) = \({m[i]}, {m[j]}\)$"):
+        character_from_table(q, table)
+
+
 def test_gcd_vanishing_enforced():
     with pytest.raises(ValidationError, match="vanish"):
         character_from_table(4, [0, 1, 1, -1])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -12,11 +13,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import primerace
-from primerace.cli import main
+from primerace import cli
+from primerace.characters import MAX_MODULUS
+from primerace.cli import _options, _subcommands, build_parser, main
 from primerace.config import (
-    _ALLOWED,
-    _REQUIRED,
-    COMMANDS,
+    MAX_GRID,
     ExperimentConfig,
     parse_config,
     parse_count,
@@ -32,6 +33,11 @@ from oracles import trial_division_primes
 
 def run_cli(args):
     return main(args)
+
+
+def config_options():
+    """Each config-runnable command's options by dest, read from the parser."""
+    return {name: _options(sub) for name, sub in _subcommands(build_parser()).items()}
 
 
 def test_sieve_count_only(capsys):
@@ -230,15 +236,18 @@ def test_io_error_exit_4(tmp_path):
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Fail the test if any module sieves, walks the primes or sums an L-series."""
+    """Fail the test if any module sieves, walks the primes or sums an L-series.
+
+    `l_value` may still check its arguments: every L-series sum starts with a
+    call to the power kernel, which is the one lfun entry replaced here.
+    """
     def forbidden(*args, **kwargs):
         pytest.fail("computing started before the inputs were checked")
 
     monkeypatch.setattr("primerace.sieve.base_primes", forbidden)
     for name in ("sieve", "races", "lfun", "cli"):
         monkeypatch.setattr(f"primerace.{name}.iter_prime_arrays", forbidden)
-    for name in ("lfun", "cli"):
-        monkeypatch.setattr(f"primerace.{name}.l_value", forbidden)
+    monkeypatch.setattr("primerace.lfun._neg_power", forbidden)
 
 
 def test_bad_output_path_fails_before_computing(tmp_path, no_compute, capsys):
@@ -344,6 +353,143 @@ def test_count_cap_is_inclusive():
     assert parse_count("1e12", "xmax") == 10**12
 
 
+# (CLI argv, the same run as config text, exit code). The config route reads
+# its keys, types and defaults from the CLI's parser, and every range check
+# lives in the library, so both routes must fail alike, and before computing.
+# The first 22 cases are the range checks the config route used to make on its
+# own, plus the grid cap; the last six used to differ between the routes or
+# to compute before they failed.
+BOTH_ROUTES = [
+    (["sieve", "--limit", "-1"], "command = sieve; limit = -1", 2),
+    (["race", "--sigma", "-0.1", "--xmax", "100"], "command = race; sigma = -0.1; xmax = 100", 2),
+    (["race", "--sigma", "1.5", "--xmax", "100"], "command = race; sigma = 1.5; xmax = 100", 2),
+    (["race", "--sigma", "0.5", "--xmax", "2.5"], "command = race; sigma = 0.5; xmax = 2.5", 2),
+    (["sign-changes", "--sigma", "2", "--xmax", "100"],
+     "command = sign-changes; sigma = 2; xmax = 100", 2),
+    (["sign-changes", "--sigma", "0", "--xmax", "-5"],
+     "command = sign-changes; sigma = 0; xmax = -5", 2),
+    (["lvalue", "--sigma", "0", "--ntrunc", "100"], "command = lvalue; sigma = 0; ntrunc = 100", 3),
+    (["lvalue", "--sigma", "1", "--ntrunc", "1e20"], "command = lvalue; sigma = 1; ntrunc = 1e20", 2),
+    (["verify-lemma", "--sigma-grid", "1", "--prime-limit", "1e3"],
+     "command = verify-lemma; sigma_grid = 1; prime_limit = 1e3", 3),
+    (["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "abc"],
+     "command = verify-lemma; sigma_grid = 2.0; prime_limit = abc", 2),
+    (["bias-scan", "--grid", "0.4:0.6:0.1", "--xmax", "1e3"],
+     "command = bias-scan; grid = 0.4:0.6:0.1; xmax = 1e3", 3),
+    (["bias-scan", "--grid", "0.6:1.1:0.1", "--xmax", "1e3"],
+     "command = bias-scan; grid = 0.6:1.1:0.1; xmax = 1e3", 3),
+    (["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "1e20"],
+     "command = bias-scan; grid = 0.6:0.7:0.1; xmax = 1e20", 2),
+    (["bias-scan", "--grid", "0.55:0.95:1e-12", "--xmax", "1e3"],
+     "command = bias-scan; grid = 0.55:0.95:1e-12; xmax = 1e3", 2),
+    # the largest grid the cap accepts reaches the library's sigma check
+    (["bias-scan", "--grid", "0:0.9999:0.0001", "--xmax", "1e3"],
+     "command = bias-scan; grid = 0:0.9999:0.0001; xmax = 1e3", 3),
+    (["bias-scan", "--grid", "0:1:0.0001", "--xmax", "1e3"],
+     "command = bias-scan; grid = 0:1:0.0001; xmax = 1e3", 2),
+    (["mellin-check", "--sigma", "-1", "--s", "1", "--X", "10"],
+     "command = mellin-check; sigma = -1; s = 1; x = 10", 3),
+    (["mellin-check", "--sigma", "1", "--s", "0.5", "--X", "10"],
+     "command = mellin-check; sigma = 1; s = 0.5; x = 10", 3),
+    (["mellin-check", "--sigma", "0", "--s", "1", "--X", "2.5"],
+     "command = mellin-check; sigma = 0; s = 1; x = 2.5", 2),
+    (["conjecture", "--points", "1e3,1e2"], "command = conjecture; points = 1e3,1e2", 2),
+    (["conjecture", "--points", "1e3,1e4", "--budget", "1e3"],
+     "command = conjecture; points = 1e3,1e4; budget = 1e3", 2),
+    (["conjecture", "--points", "1e3", "--budget", "-1"],
+     "command = conjecture; points = 1e3; budget = -1", 2),
+    (["lvalue", "--sigma", "-1", "--ntrunc", "100"], "command = lvalue; sigma = -1; ntrunc = 100", 3),
+    (["verify-lemma", "--sigma-grid", "2.0,0.5", "--prime-limit", "3e7"],
+     "command = verify-lemma; sigma_grid = 2.0,0.5; prime_limit = 3e7", 3),
+    (["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1"],
+     "command = verify-lemma; sigma_grid = 2.0; prime_limit = 1", 2),
+    (["bias-scan", "--grid", "0.6:0.6:0.1", "--xmax", "1e8", "--ntrunc", "2"],
+     "command = bias-scan; grid = 0.6:0.6:0.1; xmax = 1e8; ntrunc = 2", 2),
+    (["bias-scan", "--grid", "0.6:0.6:0.1", "--xmax", "0"],
+     "command = bias-scan; grid = 0.6:0.6:0.1; xmax = 0", 2),
+    (["conjecture", "--points", "1e3", "--out", "same.txt", "--report", "same.txt"],
+     "command = conjecture; points = 1e3; out = same.txt; report = same.txt", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config_text, code", BOTH_ROUTES, ids=[" ".join(argv) for argv, _, _ in BOTH_ROUTES]
+)
+def test_both_routes_fail_alike_before_computing(
+    argv, config_text, code, tmp_path, monkeypatch, no_compute, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == code
+    cli_err = capsys.readouterr().err
+    Path("exp.cfg").write_text(config_text.replace("; ", "\n") + "\n")
+    assert run_cli(["run", "--config", "exp.cfg"]) == code
+    config_err = capsys.readouterr().err
+    assert cli_err.splitlines()[0] == config_err.splitlines()[0]
+    assert cli_err.startswith("validation error:" if code == 2 else "compute error:")
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+
+def test_grid_cap_is_inclusive():
+    assert len(parse_grid("0:0.9999:0.0001")) == MAX_GRID
+    with pytest.raises(ValidationError, match="^grid: .*largest accepted grid"):
+        parse_grid("0:1:0.0001")
+    with pytest.raises(ValidationError, match="^grid: "):
+        parse_grid("0.55:0.95:5e-324")  # a span past the float range
+
+
+def test_character_modulus_cap(monkeypatch, capsys):
+    spec = f"kronecker:-{MAX_MODULUS + 7}"  # a fundamental discriminant past the cap
+    def forbidden(*args):
+        pytest.fail("a table was built for a modulus over the cap")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("primerace.characters.kronecker_symbol", forbidden)
+        assert run_cli(["character", "--spec", spec]) == 2
+        assert run_cli(["race", "--character", spec, "--sigma", "0", "--xmax", "10"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"validation error: kronecker d=-{MAX_MODULUS + 7}: modulus "
+                   f"{MAX_MODULUS + 7} exceeds the largest accepted modulus, {MAX_MODULUS}"] * 2
+    assert run_cli(["character", "--spec", "kronecker:-3003", "--print-period"]) == 0
+    period = capsys.readouterr().out
+    # the table the q x q products check accepted, unchanged
+    assert hashlib.sha256(period.encode()).hexdigest() == (
+        "20024a8a23bfdeb300e066b1d756a3862f6cc6ccbf6a0711c93db1e265ed4eb2"
+    )
+
+
+# a sample value per config key; the flag is --<key> with dashes, except --X
+OPTION_SAMPLES = {
+    "limit": "1e3", "count_only": "true", "emit": "p.txt", "spec": "kronecker:5",
+    "print_period": "true", "character": "kronecker:5", "sigma": "0.5", "xmax": "1e3",
+    "checkpoints": "10,100", "out": "o.csv", "ntrunc": "1e3", "sigma_grid": "1.5,2",
+    "prime_limit": "1e3", "grid": "0.6:0.7:0.1", "s": "1", "x": "1e3",
+    "points": "1e2,1e3,...,1e5", "budget": "1e6", "report": "r.json",
+}
+CONFIG_KEYS = [(command, key) for command, options in config_options().items()
+               for key in options]
+
+
+@pytest.mark.parametrize("command, key", CONFIG_KEYS, ids=[f"{c}-{k}" for c, k in CONFIG_KEYS])
+def test_config_key_parses_like_its_flag(command, key, tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}",
+                        lambda ns: seen.append(ns) or {"radii": {}, "outputs": []})
+    monkeypatch.chdir(tmp_path)
+    options = config_options()[command]
+    keys = sorted({k for k, action in options.items() if action.required} | {key})
+    argv, lines = [command], [f"command = {command}", "manifest = m.json"]
+    for k in keys:
+        flag = "--X" if k == "x" else "--" + k.replace("_", "-")
+        argv += [flag] if OPTION_SAMPLES[k] == "true" else [flag, OPTION_SAMPLES[k]]
+        lines.append(f"{k} = {OPTION_SAMPLES[k]}")
+    assert run_cli(argv) == 0
+    Path("exp.cfg").write_text("\n".join(lines) + "\n")
+    assert run_cli(["run", "--config", "exp.cfg"]) == 0
+    flag_ns, config_ns = seen
+    assert flag_ns == config_ns
+    assert getattr(config_ns, key) != options[key].default
+
+
 # Fuzzed inputs. Each option draws from a list of valid values, or now and
 # then from a list of malformed ones. A valid count is at most 1e5, so no case
 # sieves or sums far, and every case runs in a fresh temporary working
@@ -374,6 +520,12 @@ FUZZ_VALUES = {
     "emit": FUZZ_PATHS, "out": FUZZ_PATHS, "report": FUZZ_PATHS, "manifest": FUZZ_PATHS,
 }
 FUZZ_JUNK_LINES = ["garbage", "= 1", "sigma =", "bogus = 1", "command = plot"]
+# commands, keys, flags and store_true keys, all read from the parser
+FUZZ_COMMANDS = config_options()
+FUZZ_FLAGS = {key: action.option_strings[0]
+              for options in FUZZ_COMMANDS.values() for key, action in options.items()}
+FUZZ_SWITCHES = {key for options in FUZZ_COMMANDS.values()
+                 for key, action in options.items() if action.nargs == 0}
 
 
 @st.composite
@@ -382,9 +534,10 @@ def fuzz_case(draw):
     def rarely():
         return draw(st.integers(0, 5)) == 0
 
-    command = draw(st.sampled_from(COMMANDS + ("plot",)))
-    keys = sorted(_ALLOWED.get(command, {"sigma", "xmax"}))
-    required = _REQUIRED.get(command, set())
+    command = draw(st.sampled_from(tuple(FUZZ_COMMANDS) + ("plot",)))
+    table = FUZZ_COMMANDS.get(command)
+    keys = sorted(table.keys() | {"manifest"}) if table else ["sigma", "xmax"]
+    required = {key for key, action in table.items() if action.required} if table else set()
     # an omitted ntrunc defaults to 1e6 in bias-scan, so it is always drawn
     chosen = [k for k in keys
               if k == "ntrunc" or (not rarely() if k in required else draw(st.booleans()))]
@@ -394,8 +547,8 @@ def fuzz_case(draw):
     if draw(st.booleans()):
         argv = [command]
         for key, value in options:
-            flag = "--X" if key == "x" else "--" + key.replace("_", "-")
-            argv += [flag] if key in ("count_only", "print_period") else [flag, value]
+            flag = FUZZ_FLAGS.get(key, "--" + key.replace("_", "-"))
+            argv += [flag] if key in FUZZ_SWITCHES else [flag, value]
         return argv, None
     lines = [f"command = {command}"] + [f"{k} = {v}" for k, v in options]
     if rarely():
@@ -492,27 +645,29 @@ class TestConfig:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_config("command = race\nsigma = 0.5\nsigma = 0.6\n")
 
-    def test_validation_names_field(self):
-        cfg = parse_config("command = race\nsigma = -0.1\nxmax = 100\n")
-        with pytest.raises(ValidationError, match="sigma"):
-            validate_config(cfg)
+    def test_validation_names_field(self, tmp_path, no_compute, capsys):
+        # the range is checked by the library, on the real run --config route
+        path = tmp_path / "exp.cfg"
+        path.write_text("command = race\nsigma = -0.1\nxmax = 100\n")
+        assert run_cli(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("validation error: sigma must lie in [0, 1]")
         cfg = parse_config("command = race\nxmax = 100\n")
         with pytest.raises(ValidationError, match="sigma"):
-            validate_config(cfg)
+            validate_config(cfg, config_options())
         cfg = parse_config("command = race\nsigma = 0.5\nxmax = 100\nbogus = 1\n")
         with pytest.raises(ValidationError, match="bogus"):
-            validate_config(cfg)
+            validate_config(cfg, config_options())
 
     def test_distinct_output_paths(self):
         cfg = parse_config(
             "command = conjecture\npoints = 1e3\nout = same.csv\nreport = same.csv\n"
         )
         with pytest.raises(ValidationError, match="distinct"):
-            validate_config(cfg)
+            validate_config(cfg, config_options())
 
     def test_unknown_command(self):
         with pytest.raises(ValidationError, match="unknown command"):
-            validate_config(ExperimentConfig("plot", ()))
+            validate_config(ExperimentConfig("plot", ()), config_options())
 
     def test_parse_points_ellipsis(self):
         assert parse_points("1e2,1e3,...,1e6") == [100, 1000, 10000, 100000, 1000000]
@@ -593,10 +748,10 @@ class TestRunCommand:
 
 
 class TestWorkerDeterminism:
-    def test_race_csv_identical_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_race_csv_identical_across_worker_counts(self, tmp_path):
+        # one thread does all the work, so two runs give the same bytes
         outputs = []
-        for n, name in ((1, "w1.csv"), (4, "w4.csv")):
-            monkeypatch.setenv("PRIMERACE_WORKERS", str(n))
+        for name in ("run1.csv", "run2.csv"):
             path = tmp_path / name
             assert run_cli(["race", "--sigma", "0.5", "--xmax", "2e5", "--out", str(path)]) == 0
             outputs.append(path.read_bytes())

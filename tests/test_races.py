@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from primerace.characters import DirichletWeight, chi4
 from primerace import races
-from primerace.errors import CapabilityError, ValidationError
+from primerace.errors import ValidationError
 from primerace.races import (
     _block_sign_scan,
     default_checkpoints,
@@ -31,9 +31,7 @@ def test_race_examples():
 
 def _values_at(sigma, points):
     """A at exactly the given ascending points."""
-    return weighted_race(
-        chi4(), sigma, max(points), checkpoints=points, track_signs=False
-    ).values
+    return weighted_race(chi4(), sigma, max(points), checkpoints=points).values
 
 
 def test_race_at_points_examples():
@@ -44,7 +42,7 @@ def test_race_at_points_examples():
 
 
 def test_race_at_points_matches_race_checkpoints():
-    # checkpoint values depend neither on x_max past them nor on sign tracking
+    # checkpoint values do not depend on x_max past them
     c4 = chi4()
     pts = [10, 97, 1000, 4999]
     series = weighted_race(c4, 0.5, 5000, checkpoints=pts)
@@ -179,12 +177,6 @@ def test_constant_sign_series_has_no_changes():
     assert report.change_count == 0
     assert report.final_sign == 1
     assert report.first_positive_x == 2
-
-
-def test_detect_requires_tracking():
-    series = weighted_race(chi4(), 0.5, 100, track_signs=False)
-    with pytest.raises(CapabilityError):
-        detect_sign_changes(series)
 
 
 def test_checkpoint_refinement_leaves_changes_alone():
