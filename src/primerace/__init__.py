@@ -30,7 +30,6 @@ from .lfun import (
 from .races import (
     RacePoint,
     RaceSeries,
-    SignChangeEvent,
     SignChangeReport,
     default_checkpoints,
     detect_sign_changes,

@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import astuple, fields
 
 from ._version import __version__
 from .characters import build_character
@@ -32,6 +33,8 @@ from .config import (
 )
 from .errors import DomainError, ValidationError
 from .lfun import (
+    BiasPoint,
+    BoundedValue,
     bias_bound_scan,
     conjecture_scan,
     decomposition_scan,
@@ -89,25 +92,31 @@ def _write_json(path: str | None, payload: dict) -> None:
         fh.write(text)
 
 
-def _character(ns) -> "DirichletWeight":
-    return build_character(getattr(ns, "character", None) or "kronecker:-4")
+def _write_records(path: str | None, cls: type, records: list) -> None:
+    """CSV of dataclass records: the field names are the header."""
+    _write_csv(path, [f.name for f in fields(cls)], [astuple(r) for r in records])
+
+
+def _fields_dict(record, skip: tuple[str, ...] = ()) -> dict:
+    """A dataclass record's fields in declaration order, for a JSON payload."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+
+
+# Every command returns the radii its run produced; `main` ignores them and
+# `run_experiment` records them in the manifest.
 
 
 def cmd_sieve(ns) -> dict:
-    limit = ns.limit
     if ns.count_only:
-        print(prime_count(limit))
-        return {"radii": {}, "outputs": []}
-    if ns.emit:
-        with open(ns.emit, "w", encoding="utf-8") as fh:
-            for primes in iter_prime_arrays(limit):
-                fh.write("\n".join(map(str, primes.tolist())))
-                fh.write("\n")
-        return {"radii": {}, "outputs": [ns.emit]}
-    for primes in iter_prime_arrays(limit):
-        sys.stdout.write("\n".join(map(str, primes.tolist())))
-        sys.stdout.write("\n")
-    return {"radii": {}, "outputs": []}
+        if ns.emit is not None:
+            raise ValidationError("emit: --count-only writes no file, so it excludes --emit")
+        print(prime_count(ns.limit))
+        return {}
+    with _output(ns.emit) as fh:
+        for primes in iter_prime_arrays(ns.limit):
+            fh.write("\n".join(map(str, primes.tolist())))
+            fh.write("\n")
+    return {}
 
 
 def cmd_character(ns) -> dict:
@@ -116,26 +125,20 @@ def cmd_character(ns) -> dict:
         print(",".join(str(int(v)) for v in w.period))
     else:
         print(f"kind={w.kind} modulus={w.modulus} non_principal=true")
-    return {"radii": {}, "outputs": []}
+    return {}
 
 
 def _race_rows(series) -> list[tuple]:
-    by_x = {}
-    for e in series.sign_events:
-        by_x[e.prime] = (e.prime, e.value, e.error_bound, e.sign_after)
-    for p in series.points:  # checkpoint values are authoritative on ties
-        by_x[p.x] = (p.x, p.value, p.error_bound, p.effective_sign)
-    return [by_x[x] for x in sorted(by_x)]
+    by_x = {p.x: p for p in series.sign_events}
+    by_x.update((p.x, p) for p in series.points)  # checkpoint values win ties
+    return [astuple(by_x[x]) for x in sorted(by_x)]
 
 
 def cmd_race(ns) -> dict:
-    w = _character(ns)
+    w = build_character(ns.character)
     series = weighted_race(w, ns.sigma, ns.xmax, checkpoints=_checkpoint_list(ns.checkpoints, ns.xmax))
     _write_csv(ns.out, ["x", "A", "error_bound", "effective_sign"], _race_rows(series))
-    return {
-        "radii": {"running_error": series.running_error},
-        "outputs": [ns.out] if ns.out else [],
-    }
+    return {"running_error": series.running_error}
 
 
 def _checkpoint_list(spec: str, x_max: int):
@@ -147,33 +150,20 @@ def _checkpoint_list(spec: str, x_max: int):
 
 
 def cmd_sign_changes(ns) -> dict:
-    w = _character(ns)
+    w = build_character(ns.character)
     series = weighted_race(w, ns.sigma, ns.xmax, checkpoints=(ns.xmax,))
-    report = detect_sign_changes(series)
-    payload = {
-        "change_count": report.change_count,
-        "change_locations": list(report.change_locations),
-        "final_sign": report.final_sign,
-        "first_positive_x": report.first_positive_x,
-        "ambiguous_count": report.ambiguous_count,
-    }
-    _write_json(ns.out, payload)
-    return {
-        "radii": {"running_error": series.running_error},
-        "outputs": [ns.out] if ns.out else [],
-    }
+    _write_json(ns.out, _fields_dict(detect_sign_changes(series)))
+    return {"running_error": series.running_error}
 
 
 def cmd_lvalue(ns) -> dict:
-    w = _character(ns)
-    bv = l_value(w, ns.sigma, ns.ntrunc)
-    rows = [(bv.value, bv.radius)]
-    _write_csv(ns.out, ["value", "radius"], rows)
-    return {"radii": {"l_value": bv.radius}, "outputs": [ns.out] if ns.out else []}
+    bv = l_value(build_character(ns.character), ns.sigma, ns.ntrunc)
+    _write_records(ns.out, BoundedValue, [bv])
+    return {"l_value": bv.radius}
 
 
 def cmd_verify_lemma(ns) -> dict:
-    w = _character(ns)
+    w = build_character(ns.character)
     header = [
         "sigma",
         "log_l_value", "log_l_radius",
@@ -202,66 +192,39 @@ def cmd_verify_lemma(ns) -> dict:
             }
         )
     _write_csv(ns.out, header, rows)
-    return {"radii": {"decomposition": radii}, "outputs": [ns.out] if ns.out else []}
+    return {"decomposition": radii}
 
 
 def cmd_bias_scan(ns) -> dict:
-    w = _character(ns)
+    w = build_character(ns.character)
     points = bias_bound_scan(w, ns.grid, ns.xmax, n_trunc=ns.ntrunc)
-    header = [
-        "sigma", "x_max", "status",
-        "r_value", "r_radius",
-        "log_l_value", "log_l_radius",
-        "race_value", "race_error",
-        "penalty",
-    ]
-    rows = [
-        (
-            p.sigma, p.x_max, p.status,
-            p.r_value, p.r_radius,
-            p.log_l_value, p.log_l_radius,
-            p.race_value, p.race_error,
-            p.penalty,
-        )
-        for p in points
-    ]
-    _write_csv(ns.out, header, rows)
+    _write_records(ns.out, BiasPoint, points)
     radii = [
         {"sigma": p.sigma, "r": p.r_radius, "log_l": p.log_l_radius, "race": p.race_error}
         for p in points
     ]
-    return {"radii": {"bias_scan": radii}, "outputs": [ns.out] if ns.out else []}
+    return {"bias_scan": radii}
 
 
 def cmd_mellin_check(ns) -> dict:
-    w = _character(ns)
+    w = build_character(ns.character)
     residual = mellin_identity_check(w, ns.sigma, ns.s, ns.x)
     print(f"residual={_fmt(residual)}")
-    return {"radii": {"mellin_residual": residual}, "outputs": []}
+    return {"mellin_residual": residual}
 
 
 def cmd_conjecture(ns) -> dict:
     scan = conjecture_scan(ns.points, budget=ns.budget)
     rows = [(p.x, p.value, p.error_bound) for p in scan.points]
     _write_csv(ns.out, ["x", "A", "error_bound"], rows)
-    summary = {
-        "min_value": scan.min_value,
-        "min_x": scan.min_x,
-        "final_value": scan.final_value,
-        "final_x": scan.final_x,
-        "all_negative_beyond_1000": scan.all_negative_beyond_1000,
-    }
     if ns.report:
-        _write_json(ns.report, summary)
+        _write_json(ns.report, _fields_dict(scan, skip=("points",)))
     print(
         f"min A={_fmt(scan.min_value)} at x={scan.min_x}; "
         f"final A={_fmt(scan.final_value)} at x={scan.final_x}; "
-        f"all sampled values beyond 1e3 negative: {summary['all_negative_beyond_1000']}"
+        f"all sampled values beyond 1e3 negative: {scan.all_negative_beyond_1000}"
     )
-    return {
-        "radii": {"error_bounds": [p.error_bound for p in scan.points]},
-        "outputs": [p for p in (ns.out, ns.report) if p],
-    }
+    return {"error_bounds": [p.error_bound for p in scan.points]}
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -281,7 +244,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     The config is checked and parsed against the CLI's own parser, so it
     gives the Namespace that the matching flags give, and the same checks run
     in the same order as in `main`: parse, distinct and writable output paths,
-    then the command.
+    then the command. The outputs are the given `emit`, `out` and `report`
+    paths; the manifest goes to `manifest`, else to `<first output>.manifest.json`,
+    else to `manifest.json`, and that path is checked with the others.
 
     The manifest JSON records the config, the package version, the wall time,
     and every radius the run produced. Returns {"radii", "outputs",
@@ -289,34 +254,31 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     subs = _subcommands(build_parser())
     values = validate_config(cfg, {name: _options(sub) for name, sub in subs.items()})
-    _check_writable(cfg.get(key) for key in PATH_KEYS)
+    outputs = [path for path in map(values.get, PATH_KEYS) if path is not None]
+    manifest_path = cfg.get("manifest")
+    if manifest_path is None:
+        manifest_path = (outputs[0] + ".manifest.json") if outputs else "manifest.json"
+    check_distinct(outputs + [manifest_path])
+    _check_writable(outputs + [manifest_path])
     func = subs[cfg.command].get_default("func")
     inner = argparse.Namespace(command=cfg.command, func=func, **values)
     started = time.perf_counter()
-    result = inner.func(inner)
+    radii = inner.func(inner)
     elapsed = time.perf_counter() - started
 
-    manifest_path = cfg.get("manifest")
-    if manifest_path is None:
-        outputs = result.get("outputs") or []
-        manifest_path = (outputs[0] + ".manifest.json") if outputs else "manifest.json"
     manifest = {
         "command": cfg.command,
         "config": dict(cfg.options),
         "config_text": serialize_config(cfg),
         "version": __version__,
         "wall_time_seconds": elapsed,
-        "radii": result.get("radii", {}),
-        "outputs": result.get("outputs", []),
+        "radii": radii,
+        "outputs": outputs,
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return {
-        "radii": result.get("radii", {}),
-        "outputs": result.get("outputs", []),
-        "manifest": manifest_path,
-    }
+    return {"radii": radii, "outputs": outputs, "manifest": manifest_path}
 
 
 def cmd_run(ns) -> dict:
@@ -327,10 +289,9 @@ def cmd_run(ns) -> dict:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    cfg = cfg.with_overrides(overrides)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg.with_overrides(overrides))
     print(f"manifest written to {result['manifest']}")
-    return result
+    return result["radii"]
 
 
 def _count(field: str):

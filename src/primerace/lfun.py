@@ -45,21 +45,6 @@ class BoundedValue:
         if not self.radius >= 0.0:
             raise ValidationError(f"radius must be >= 0, got {self.radius}")
 
-    def __add__(self, other: "BoundedValue") -> "BoundedValue":
-        v = self.value + other.value
-        return BoundedValue(v, self.radius + other.radius + _EPS * abs(v))
-
-    def __sub__(self, other: "BoundedValue") -> "BoundedValue":
-        v = self.value - other.value
-        return BoundedValue(v, self.radius + other.radius + _EPS * abs(v))
-
-    def __neg__(self) -> "BoundedValue":
-        return BoundedValue(-self.value, self.radius)
-
-    def scaled(self, c: float) -> "BoundedValue":
-        v = c * self.value
-        return BoundedValue(v, abs(c) * self.radius + _EPS * abs(v))
-
     def log(self) -> "BoundedValue":
         """Natural log with first-order radius propagation (safety factor 2)."""
         if self.value - self.radius <= 0.0:
@@ -70,9 +55,6 @@ class BoundedValue:
         v = math.log(self.value)
         r = 2.0 * self.radius / (self.value - self.radius) + _EPS * (abs(v) + 1.0)
         return BoundedValue(v, r)
-
-    def contains(self, x: float) -> bool:
-        return abs(x - self.value) <= self.radius
 
     def overlaps(self, other: "BoundedValue") -> bool:
         """Radius-aware agreement test; never compare bare centers."""

@@ -57,26 +57,16 @@ class RacePoint:
     effective_sign: int
 
 
-@dataclass(frozen=True)
-class SignChangeEvent:
-    prime: int
-    value: float
-    error_bound: float
-    sign_before: int
-    sign_after: int
-    ambiguous: bool
-
-
 @dataclass
 class RaceSeries:
-    """A(x) sampled at checkpoints, with every per-prime sign change."""
+    """A(x) sampled at checkpoints, with every per-prime sign change.
 
-    weight: DirichletWeight
-    sigma: float
-    x_max: int
-    checkpoints: tuple[int, ...]
+    A sign change is the RacePoint of the prime where the effective sign
+    flips, carrying the sign after the flip.
+    """
+
     points: list[RacePoint]
-    sign_events: list[SignChangeEvent]
+    sign_events: list[RacePoint]
     final_value: float
     final_sign: int
     first_positive_x: int | None
@@ -193,7 +183,7 @@ def weighted_race(
     err = 0.0
     carry = 0
     first_positive: int | None = None
-    events: list[SignChangeEvent] = []
+    events: list[RacePoint] = []
     points: list[RacePoint] = []
     ci = 0
 
@@ -214,17 +204,7 @@ def weighted_race(
                 err = _U * (2.0 * total_weight + _BLOCK * block_weight_max + value_max)
 
             for i in change_idx.tolist():
-                before = carry if i == 0 else int(filled[i - 1])
-                events.append(
-                    SignChangeEvent(
-                        prime=int(blk[i]),
-                        value=float(avals[i]),
-                        error_bound=err,
-                        sign_before=before,
-                        sign_after=int(filled[i]),
-                        ambiguous=abs(float(avals[i])) <= err,
-                    )
-                )
+                events.append(RacePoint(int(blk[i]), float(avals[i]), err, int(filled[i])))
             if first_positive is None:
                 pos = np.flatnonzero(avals > 0.0)
                 if len(pos):
@@ -257,10 +237,6 @@ def weighted_race(
         ci += 1
 
     return RaceSeries(
-        weight=w,
-        sigma=sigma,
-        x_max=x_max,
-        checkpoints=cps,
         points=points,
         sign_events=events,
         final_value=final_value,
@@ -275,8 +251,8 @@ def detect_sign_changes(series: RaceSeries) -> SignChangeReport:
     events = series.sign_events
     return SignChangeReport(
         change_count=len(events),
-        change_locations=tuple(e.prime for e in events),
+        change_locations=tuple(e.x for e in events),
         final_sign=series.final_sign,
         first_positive_x=series.first_positive_x,
-        ambiguous_count=sum(1 for e in events if e.ambiguous),
+        ambiguous_count=sum(1 for e in events if abs(e.value) <= e.error_bound),
     )

@@ -57,8 +57,14 @@ def test_character_print_period(capsys):
     assert capsys.readouterr().out.strip() == "0,1,0,-1"
 
 
-def test_character_bad_spec_exit_2(capsys):
+def test_character_bad_spec_exit_2(no_compute, capsys):
     assert run_cli(["character", "--spec", "kronecker:9"]) == 2
+    # an empty spec is rejected, not read as the default chi_4
+    assert run_cli(["race", "--character", "", "--sigma", "0.5", "--xmax", "10"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "validation error: unrecognized character spec ''; "
+        "expected 'kronecker:<d>' or 'table:<q>:<comma-values>'"
+    )
 
 
 def test_race_csv_format(tmp_path):
@@ -96,6 +102,8 @@ def test_sign_changes_json(capsys):
         "first_positive_x": None,
         "ambiguous_count": 0,
     }
+    assert list(payload) == ["change_count", "change_locations", "final_sign",
+                             "first_positive_x", "ambiguous_count"]
 
 
 # perfbench/reference/signs.json holds the exact sigma = 0 report to 1e9;
@@ -212,7 +220,8 @@ def test_bias_scan_csv(tmp_path):
     assert run_cli(["bias-scan", "--grid", "0.6:0.9:0.1", "--xmax", "1e4",
                     "--ntrunc", "1e5", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0].split(",")[:3] == ["sigma", "x_max", "status"]
+    assert lines[0] == ("sigma,x_max,status,r_value,r_radius,log_l_value,log_l_radius,"
+                        "race_value,race_error,penalty")
     assert len(lines) == 5
     assert all(line.split(",")[2] == "ok" for line in lines[1:])
 
@@ -227,6 +236,8 @@ def test_conjecture_points_and_report(tmp_path, capsys):
     summary = json.loads(rep.read_text())
     assert summary["all_negative_beyond_1000"] is True
     assert summary["final_x"] == 100000
+    assert list(summary) == ["min_value", "min_x", "final_value", "final_x",
+                             "all_negative_beyond_1000"]
 
 
 def test_io_error_exit_4(tmp_path):
@@ -357,8 +368,9 @@ def test_count_cap_is_inclusive():
 # its keys, types and defaults from the CLI's parser, and every range check
 # lives in the library, so both routes must fail alike, and before computing.
 # The first 22 cases are the range checks the config route used to make on its
-# own, plus the grid cap; the last six used to differ between the routes or
-# to compute before they failed.
+# own, plus the grid cap; the next six used to differ between the routes or
+# to compute before they failed. The last one, --count-only with --emit, used
+# to exit 0 and write nothing to the named file.
 BOTH_ROUTES = [
     (["sieve", "--limit", "-1"], "command = sieve; limit = -1", 2),
     (["race", "--sigma", "-0.1", "--xmax", "100"], "command = race; sigma = -0.1; xmax = 100", 2),
@@ -409,6 +421,8 @@ BOTH_ROUTES = [
      "command = bias-scan; grid = 0.6:0.6:0.1; xmax = 0", 2),
     (["conjecture", "--points", "1e3", "--out", "same.txt", "--report", "same.txt"],
      "command = conjecture; points = 1e3; out = same.txt; report = same.txt", 2),
+    (["sieve", "--limit", "1e3", "--count-only", "--emit", "p.txt"],
+     "command = sieve; limit = 1e3; count_only = true; emit = p.txt", 2),
 ]
 
 
@@ -473,7 +487,7 @@ CONFIG_KEYS = [(command, key) for command, options in config_options().items()
 def test_config_key_parses_like_its_flag(command, key, tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}",
-                        lambda ns: seen.append(ns) or {"radii": {}, "outputs": []})
+                        lambda ns: seen.append(ns) or {})
     monkeypatch.chdir(tmp_path)
     options = config_options()[command]
     keys = sorted({k for k, action in options.items() if action.required} | {key})
@@ -727,6 +741,29 @@ class TestRunCommand:
         cfg.write_text("command = lvalue\nsigma = 1\nntrunc = 1e4\n")
         assert run_cli(["run", "--config", str(cfg), "--set", f"out={out}"]) == 0
         assert out.read_text().splitlines()[0] == "value,radius"
+
+    def test_default_manifest_path_is_checked_before_the_run(
+        self, tmp_path, monkeypatch, no_compute, capsys
+    ):
+        # the derived manifest path, <out>.manifest.json, names the report
+        monkeypatch.chdir(tmp_path)
+        Path("exp.cfg").write_text(
+            "command = conjecture\npoints = 1e3\nout = a.csv\nreport = a.csv.manifest.json\n"
+        )
+        assert run_cli(["run", "--config", "exp.cfg"]) == 2
+        assert capsys.readouterr().err.startswith("validation error: out: output paths")
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+    def test_default_manifest_path_follows_first_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.cfg").write_text(
+            "command = conjecture\npoints = 1e2,1e3\nout = c.csv\nreport = c.json\n"
+        )
+        assert run_cli(["run", "--config", "exp.cfg"]) == 0
+        doc = json.loads(Path("c.csv.manifest.json").read_text())
+        assert doc["outputs"] == ["c.csv", "c.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.csv", "c.csv.manifest.json", "c.json", "exp.cfg"]
 
     def test_run_missing_config_exit_4(self, tmp_path):
         assert run_cli(["run", "--config", str(tmp_path / "nope.cfg")]) == 4

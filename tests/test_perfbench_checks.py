@@ -45,3 +45,16 @@ def test_lemma_workload_passes_the_checker(checks, tmp_path, monkeypatch):
     assert "sigma_grid = 1.1,1.5,2.0\nprime_limit = 1e7\n" in cfg.read_text()
     assert main(["run", "--config", str(cfg)]) == 0
     assert checks.check_lemma(out.read_bytes()) == []
+
+
+def test_tracer_hooks_resolve_to_package_callables():
+    # a renamed hook would only turn its per-layer metrics into null
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", CHECKS_PATH.parent / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module_name, attr, _, _ in tracer.HOOKS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
