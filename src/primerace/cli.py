@@ -19,9 +19,7 @@ from dataclasses import astuple, fields
 from ._version import __version__
 from .characters import build_character
 from .config import (
-    PATH_KEYS,
     ExperimentConfig,
-    check_distinct,
     load_config,
     parse_count,
     parse_grid,
@@ -33,6 +31,8 @@ from .config import (
 )
 from .errors import DomainError, ValidationError
 from .lfun import (
+    _DEFAULT_N_TRUNC,
+    DEFAULT_CONJECTURE_BUDGET,
     BiasPoint,
     BoundedValue,
     bias_bound_scan,
@@ -55,15 +55,26 @@ def _fmt(value) -> str:
     return format(float(value), ".16e")
 
 
-def _check_writable(paths) -> None:
-    """Open each output path for appending, so a bad path fails before any work.
+# The options that name an output file; a config may also name the manifest.
+_PATH_KEYS = ("emit", "out", "report")
 
-    A file that did not exist is removed again, and an existing file is left
-    untouched.
+
+def _check_outputs(paths: dict[str, str | None]) -> None:
+    """Check output paths, given by key, before any work; None is unset.
+
+    Two keys that name one path are a ValidationError naming both. Then each
+    path is opened for appending, so a bad path fails at once: a file that
+    did not exist is removed again, and an existing file is left untouched.
     """
-    for path in paths:
-        if path is None:
-            continue
+    seen = {}
+    for key, path in paths.items():
+        if path in seen:
+            raise ValidationError(
+                f"{key}: output paths must be distinct, and {path!r} is also the {seen[path]} path"
+            )
+        if path is not None:
+            seen[path] = key
+    for path in seen:
         existed = os.path.exists(path)
         with open(path, "a", encoding="utf-8"):
             pass
@@ -219,10 +230,11 @@ def cmd_conjecture(ns) -> dict:
     _write_csv(ns.out, ["x", "A", "error_bound"], rows)
     if ns.report:
         _write_json(ns.report, _fields_dict(scan, skip=("points",)))
-    print(
+    print(  # on stderr, so a CSV on stdout stays parseable
         f"min A={_fmt(scan.min_value)} at x={scan.min_x}; "
         f"final A={_fmt(scan.final_value)} at x={scan.final_x}; "
-        f"all sampled values beyond 1e3 negative: {scan.all_negative_beyond_1000}"
+        f"all sampled values beyond 1e3 negative: {scan.all_negative_beyond_1000}",
+        file=sys.stderr,
     )
     return {"error_bounds": [p.error_bound for p in scan.points]}
 
@@ -254,12 +266,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     subs = _subcommands(build_parser())
     values = validate_config(cfg, {name: _options(sub) for name, sub in subs.items()})
-    outputs = [path for path in map(values.get, PATH_KEYS) if path is not None]
+    paths = {key: values.get(key) for key in _PATH_KEYS}
+    outputs = [path for path in paths.values() if path is not None]
     manifest_path = cfg.get("manifest")
     if manifest_path is None:
         manifest_path = (outputs[0] + ".manifest.json") if outputs else "manifest.json"
-    check_distinct(outputs + [manifest_path])
-    _check_writable(outputs + [manifest_path])
+    _check_outputs({**paths, "manifest": manifest_path})
     func = subs[cfg.command].get_default("func")
     inner = argparse.Namespace(command=cfg.command, func=func, **values)
     started = time.perf_counter()
@@ -357,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", default="kronecker:-4")
     p.add_argument("--grid", type=lambda t: parse_grid(t, "grid"), required=True)
     p.add_argument("--xmax", type=_count("xmax"), required=True)
-    p.add_argument("--ntrunc", type=_count("ntrunc"), default=10**6)
+    p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_bias_scan)
 
@@ -370,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="sample the sqrt-weighted mod-4 race")
     p.add_argument("--points", type=lambda t: parse_points(t, "points"), required=True)
-    p.add_argument("--budget", type=_count("budget"), default=10**9)
+    p.add_argument("--budget", type=_count("budget"), default=DEFAULT_CONJECTURE_BUDGET)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--report", metavar="PATH", help="write the JSON summary here")
     p.set_defaults(func=cmd_conjecture)
@@ -387,9 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        paths = [getattr(ns, key, None) for key in PATH_KEYS]
-        check_distinct(paths)
-        _check_writable(paths)
+        _check_outputs({key: getattr(ns, key, None) for key in _PATH_KEYS})
         ns.func(ns)
         return 0
     except ValidationError as exc:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
-PATH_KEYS = ("emit", "out", "report", "manifest")
-
 # Largest count any input may name. It bounds what a typo can allocate: the
 # base sieve for 10^12 is a 0.5 MB mask up to 10^6, where 1e20 would need 5 GB.
 MAX_COUNT = 10**12
@@ -146,13 +144,6 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def check_distinct(paths) -> None:
-    """Reject two outputs that name the same path; None entries are unset."""
-    given = [p for p in paths if p is not None]
-    if len(given) != len(set(given)):
-        raise ValidationError("out: output paths must be distinct")
-
-
 def validate_config(cfg: ExperimentConfig, commands: dict) -> dict[str, object]:
     """Check a config against the CLI's options and parse its values.
 
@@ -160,8 +151,8 @@ def validate_config(cfg: ExperimentConfig, commands: dict) -> dict[str, object]:
     but `manifest` must be one of those dests, and every required one must be
     given. A store_true option takes true/false, and any other value goes
     through its option's own `type`, so a config is parsed as its flags are.
-    Returns each option's value by dest, defaults included, once the output
-    paths are known to be distinct. Raises ValidationError naming the field.
+    Returns each option's value by dest, defaults included. Raises
+    ValidationError naming the field.
     """
     if cfg.command not in commands:
         raise ValidationError(
@@ -184,5 +175,4 @@ def validate_config(cfg: ExperimentConfig, commands: dict) -> dict[str, object]:
             values[key] = parse_bool(given[key], key)
         else:
             values[key] = given[key] if action.type is None else action.type(given[key])
-    check_distinct(given.get(key) for key in PATH_KEYS)
     return values

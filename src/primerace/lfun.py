@@ -32,6 +32,7 @@ _EPS = sys.float_info.epsilon
 _CHUNK = 1 << 20
 
 DEFAULT_CONJECTURE_BUDGET = 10**9
+_DEFAULT_N_TRUNC = 10**6
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,24 @@ def l_value(w: DirichletWeight, sigma: float, n_trunc: int) -> BoundedValue:
 
 def _char_prime_sum(
     w: DirichletWeight, sigma: float, prime_limit: int
-) -> tuple[float, float]:
-    """(sum_{p<=P} w(p) p^-sigma, sum of |terms|), both float."""
-    sums = []
-    abs_acc = 0.0
+) -> tuple[float, float, float, float, float]:
+    """One walk for both series of the log-L lemma, with t = w(p) p^-sigma.
+
+    With lg = -log1p(-t), returns the exactly rounded sums of t and of lg - t
+    over p <= P, then the sums of |t|, |lg| and |lg - t|. Needs |t| < 1.
+    """
+    t_sums, b_sums = [], []
+    abs_t = abs_lg = abs_b = 0.0
     for primes in iter_prime_arrays(prime_limit):
-        contrib = w.values_at_primes(primes) * _neg_power(primes, sigma)
-        sums.append(math.fsum(contrib.tolist()))
-        abs_acc += float(np.sum(np.abs(contrib)))
-    return math.fsum(sums), abs_acc
+        t = w.values_at_primes(primes) * _neg_power(primes, sigma)
+        lg = -np.log1p(-t)
+        terms = lg - t
+        t_sums.append(math.fsum(t.tolist()))
+        b_sums.append(math.fsum(terms.tolist()))
+        abs_t += float(np.sum(np.abs(t)))
+        abs_lg += float(np.sum(np.abs(lg)))
+        abs_b += float(np.sum(np.abs(terms)))
+    return math.fsum(t_sums), math.fsum(b_sums), abs_t, abs_lg, abs_b
 
 
 def euler_product_value(
@@ -179,18 +189,12 @@ def b_function(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedVal
         raise DomainError(f"b_function requires sigma > 1/2, got {sigma}")
     if prime_limit < 2:
         raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
+    return _b_bounded(_char_prime_sum(w, sigma, prime_limit), sigma, prime_limit)
 
-    part_sums = []
-    abs_log = abs_terms = 0.0
-    for primes in iter_prime_arrays(prime_limit):
-        t = w.values_at_primes(primes) * _neg_power(primes, sigma)
-        lg = -np.log1p(-t)
-        terms = lg - t
-        part_sums.append(math.fsum(terms.tolist()))
-        abs_log += float(np.sum(np.abs(lg)))
-        abs_terms += float(np.sum(np.abs(terms)))
-    value = math.fsum(part_sums)
 
+def _b_bounded(walk: tuple, sigma: float, prime_limit: int) -> BoundedValue:
+    """B with the radius of `b_function`, from a `_char_prime_sum` walk."""
+    _, value, _, abs_log, abs_terms = walk
     p_pow = _neg_power(prime_limit, sigma)
     p_tail = _neg_power(prime_limit, 2.0 * sigma - 1.0) / (
         2.0 * (2.0 * sigma - 1.0) * (1.0 - p_pow)
@@ -219,15 +223,6 @@ class DecompositionReport:
         return abs(self.residual) <= self.radius_budget
 
 
-def _check_decomposition_args(sigma: float, prime_limit: int) -> None:
-    if sigma <= 1.0:
-        raise DomainError(
-            f"verify_log_decomposition requires sigma > 1, got {sigma}"
-        )
-    if prime_limit < 2:  # b_function's bound, checked before log L is summed
-        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
-
-
 def verify_log_decomposition(
     w: DirichletWeight,
     sigma: float,
@@ -241,32 +236,36 @@ def verify_log_decomposition(
     truncation of the full series; its radius is the unconditional bound
     P^(1-sigma)/(sigma-1), with no cancellation assumed.
     """
-    _check_decomposition_args(sigma, prime_limit)
-    if n_trunc is None:
-        n_trunc = max(10**6, w.modulus)
-    log_l = l_value(w, sigma, n_trunc).log()
-    center, abs_acc = _char_prime_sum(w, sigma, prime_limit)
-    tail = _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
-    prime_sum = BoundedValue(center, tail + _EPS * (2.0 * abs_acc + abs(center)))
-    b_val = b_function(w, sigma, prime_limit)
-    residual = log_l.value - prime_sum.value - b_val.value
-    return DecompositionReport(
-        sigma=sigma,
-        log_l=log_l,
-        prime_sum=prime_sum,
-        b_value=b_val,
-        residual=residual,
-    )
+    (report,) = decomposition_scan(w, [sigma], prime_limit, n_trunc=n_trunc)
+    return report
 
 
 def decomposition_scan(
     w: DirichletWeight, sigma_grid: Sequence[float], prime_limit: int, *, n_trunc: int | None = None
 ) -> list[DecompositionReport]:
-    """verify_log_decomposition at each sigma, with the whole grid checked first."""
+    """verify_log_decomposition at each sigma, with the whole grid checked first.
+
+    Each sigma walks the primes once, for both the prime sum and B.
+    """
     grid = list(sigma_grid)
-    for s in grid:
-        _check_decomposition_args(s, prime_limit)
-    return [verify_log_decomposition(w, s, prime_limit, n_trunc=n_trunc) for s in grid]
+    for sigma in grid:
+        if sigma <= 1.0:
+            raise DomainError(f"verify_log_decomposition requires sigma > 1, got {sigma}")
+        if prime_limit < 2:  # b_function's bound, checked before log L is summed
+            raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
+    if n_trunc is None:
+        n_trunc = max(_DEFAULT_N_TRUNC, w.modulus)
+    reports = []
+    for sigma in grid:
+        log_l = l_value(w, sigma, n_trunc).log()
+        walk = _char_prime_sum(w, sigma, prime_limit)
+        center, _, abs_acc, _, _ = walk
+        tail = _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
+        prime_sum = BoundedValue(center, tail + _EPS * (2.0 * abs_acc + abs(center)))
+        b_val = _b_bounded(walk, sigma, prime_limit)
+        residual = log_l.value - prime_sum.value - b_val.value
+        reports.append(DecompositionReport(sigma, log_l, prime_sum, b_val, residual))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -315,7 +314,7 @@ def bias_bound_scan(
     sigma_grid: Sequence[float],
     race_x_max: int,
     *,
-    n_trunc: int = 10**6,
+    n_trunc: int = _DEFAULT_N_TRUNC,
 ) -> list[BiasPoint]:
     """R(sigma) = log L(sigma) - A(x_max; sigma) - (1/2) log(1/(2 sigma - 1)).
 

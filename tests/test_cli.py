@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import primerace
 from primerace import cli
 from primerace.characters import MAX_MODULUS
-from primerace.cli import _options, _subcommands, build_parser, main
+from primerace.cli import _options, _subcommands, build_parser, main, run_experiment
 from primerace.config import (
     MAX_GRID,
     ExperimentConfig,
@@ -238,6 +239,16 @@ def test_conjecture_points_and_report(tmp_path, capsys):
     assert summary["final_x"] == 100000
     assert list(summary) == ["min_value", "min_x", "final_value", "final_x",
                              "all_negative_beyond_1000"]
+
+
+def test_conjecture_stdout_is_its_csv(capsys):
+    assert run_cli(["conjecture", "--points", "1e2,1e3"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] == ["x", "A", "error_bound"]
+    assert [row[0] for row in rows[1:]] == ["100", "1000"]
+    assert captured.err.startswith("min A=")
+    assert "final A=" in captured.err
 
 
 def test_io_error_exit_4(tmp_path):
@@ -672,12 +683,21 @@ class TestConfig:
         with pytest.raises(ValidationError, match="bogus"):
             validate_config(cfg, config_options())
 
-    def test_distinct_output_paths(self):
-        cfg = parse_config(
-            "command = conjecture\npoints = 1e3\nout = same.csv\nreport = same.csv\n"
-        )
-        with pytest.raises(ValidationError, match="distinct"):
-            validate_config(cfg, config_options())
+    def test_distinct_output_paths(self, tmp_path, monkeypatch, no_compute):
+        # the run checks its given paths and the derived manifest path at once
+        monkeypatch.chdir(tmp_path)
+        for outputs, message in [
+            ("out = same.csv\nreport = same.csv\n",
+             "report: output paths must be distinct, and 'same.csv' is also the out path"),
+            ("out = a.csv\nreport = a.csv.manifest.json\n",
+             "manifest: output paths must be distinct, "
+             "and 'a.csv.manifest.json' is also the report path"),
+        ]:
+            cfg = parse_config("command = conjecture\npoints = 1e3\n" + outputs)
+            with pytest.raises(ValidationError) as exc:
+                run_experiment(cfg)
+            assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command(self):
         with pytest.raises(ValidationError, match="unknown command"):
@@ -751,7 +771,9 @@ class TestRunCommand:
             "command = conjecture\npoints = 1e3\nout = a.csv\nreport = a.csv.manifest.json\n"
         )
         assert run_cli(["run", "--config", "exp.cfg"]) == 2
-        assert capsys.readouterr().err.startswith("validation error: out: output paths")
+        assert capsys.readouterr().err == (
+            "validation error: manifest: output paths must be distinct, "
+            "and 'a.csv.manifest.json' is also the report path\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
     def test_default_manifest_path_follows_first_output(self, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from primerace.lfun import (
     b_function,
     bias_bound_scan,
     conjecture_scan,
+    decomposition_scan,
     euler_product_value,
     l_value,
     mellin_identity_check,
@@ -213,6 +214,21 @@ class TestDecomposition:
     def test_requires_sigma_above_one(self):
         with pytest.raises(DomainError):
             verify_log_decomposition(chi4(), 1.0, 1000)
+
+    def test_one_walk_per_sigma(self, monkeypatch):
+        # the prime sum and B come from the same pass over the primes
+        walks = []
+
+        def counting(limit):
+            walks.append(limit)
+            return iter_prime_arrays(limit)
+
+        monkeypatch.setattr(lfun, "iter_prime_arrays", counting)
+        decomposition_scan(chi4(), [1.1, 1.5, 2.0], 10**5)
+        assert walks == [10**5] * 3
+        walks.clear()
+        b_function(chi4(), 1.5, 10**5)
+        assert walks == [10**5]
 
 
 class TestBiasScan:

@@ -2,7 +2,8 @@
 
 Runs the self-test of perfbench/checks.py (what `python3 perfbench/checks.py`
 does) in-process, loading the module by path since perfbench is not a package,
-and feeds it the output of the benchmark's full `lemma` workload.
+and feeds it the output of the benchmark's full `lemma` workload, whose bytes
+are pinned in tests/golden/.
 """
 
 import importlib.util
@@ -45,6 +46,8 @@ def test_lemma_workload_passes_the_checker(checks, tmp_path, monkeypatch):
     assert "sigma_grid = 1.1,1.5,2.0\nprime_limit = 1e7\n" in cfg.read_text()
     assert main(["run", "--config", str(cfg)]) == 0
     assert checks.check_lemma(out.read_bytes()) == []
+    golden = Path(__file__).resolve().parent / "golden" / "lemma.workload.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_tracer_hooks_resolve_to_package_callables():
