@@ -33,6 +33,7 @@ from .races import (
     SignChangeReport,
     default_checkpoints,
     detect_sign_changes,
+    race_scan,
     weighted_race,
 )
 from .sieve import Segment, iter_prime_arrays, prime_count, prime_stream, sieve_segment

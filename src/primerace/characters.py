@@ -103,12 +103,6 @@ class DirichletWeight:
             pref.append(pref[-1] + v)
         self._prefix = pref
 
-    def at(self, n: int) -> float:
-        """w(n) for n >= 1, in O(1)."""
-        if n < 1:
-            raise ValidationError("weights are defined on n >= 1")
-        return float(self.period[n % self.modulus])
-
     def values_at_primes(self, primes: np.ndarray) -> np.ndarray:
         """Vectorized w(p) over an array of primes, as float64."""
         return self.period[primes % self.modulus].astype(np.float64)

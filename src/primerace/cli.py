@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -316,8 +317,23 @@ def _real(field: str):
     return lambda text: parse_real(text, field)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float literal as a value.
+
+    argparse counts only -<digits> and -<digits>.<digits> as numbers, so
+    `--sigma -1e3` would fail with a missing argument instead of reaching the
+    range check that a config's `sigma = -1e3` reaches. Subparsers inherit it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primerace",
         description="Weighted prime races, sign changes, and rigorously bounded L-values.",
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError
-from .races import RacePoint, _neg_power, weighted_race
+from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, weighted_race
 from .sieve import iter_prime_arrays
 
 _EPS = sys.float_info.epsilon
@@ -56,10 +56,6 @@ class BoundedValue:
         v = math.log(self.value)
         r = 2.0 * self.radius / (self.value - self.radius) + _EPS * (abs(v) + 1.0)
         return BoundedValue(v, r)
-
-    def overlaps(self, other: "BoundedValue") -> bool:
-        """Radius-aware agreement test; never compare bare centers."""
-        return abs(self.value - other.value) <= self.radius + other.radius
 
 
 def _partial_sum_mean(w: DirichletWeight) -> Fraction:
@@ -106,7 +102,7 @@ def l_value(w: DirichletWeight, sigma: float, n_trunc: int) -> BoundedValue:
     for lo in range(1, n_trunc + 1, _CHUNK):
         n = np.arange(lo, min(lo + _CHUNK, n_trunc + 1), dtype=np.int64)
         contrib = period_f[n % q] * _neg_power(n, sigma)
-        chunk_sums.append(math.fsum(contrib.tolist()))
+        chunk_sums.append(_exact_sum(contrib))
         abs_acc += float(np.sum(np.abs(contrib)))
     partial = math.fsum(chunk_sums)
 
@@ -134,8 +130,8 @@ def _char_prime_sum(
         t = w.values_at_primes(primes) * _neg_power(primes, sigma)
         lg = -np.log1p(-t)
         terms = lg - t
-        t_sums.append(math.fsum(t.tolist()))
-        b_sums.append(math.fsum(terms.tolist()))
+        t_sums.append(_exact_sum(t))
+        b_sums.append(_exact_sum(terms))
         abs_t += float(np.sum(np.abs(t)))
         abs_lg += float(np.sum(np.abs(lg)))
         abs_b += float(np.sum(np.abs(terms)))
@@ -161,7 +157,7 @@ def euler_product_value(
     for primes in iter_prime_arrays(prime_limit):
         t = w.values_at_primes(primes) * _neg_power(primes, sigma)
         terms = -np.log1p(-t)
-        log_sums.append(math.fsum(terms.tolist()))
+        log_sums.append(_exact_sum(terms))
         abs_acc += float(np.sum(np.abs(terms)))
     log_value = math.fsum(log_sums)
     value = math.exp(log_value)
@@ -284,11 +280,8 @@ class BiasPoint:
     penalty: float
 
 
-def _bias_point(
-    w: DirichletWeight, sigma: float, race_x_max: int, n_trunc: int
-) -> BiasPoint:
-    lv = l_value(w, sigma, n_trunc)  # first, so a bad n_trunc fails before the race
-    series = weighted_race(w, sigma, race_x_max, checkpoints=(race_x_max,))
+def _bias_point(sigma: float, x_max: int, lv: BoundedValue, series: RaceSeries) -> BiasPoint:
+    """One scan row from L(sigma) and the race to x_max at sigma."""
     race_value = series.final_value
     race_error = series.running_error
     penalty = 0.5 * math.log(1.0 / (2.0 * sigma - 1.0))
@@ -296,14 +289,14 @@ def _bias_point(
         log_l = lv.log()
     except DomainError:
         return BiasPoint(
-            sigma, race_x_max, "log-domain-error",
+            sigma, x_max, "log-domain-error",
             math.nan, math.nan, math.nan, math.nan,
             race_value, race_error, penalty,
         )
     r_value = log_l.value - race_value - penalty
     r_radius = log_l.radius + race_error + _EPS * (abs(r_value) + abs(penalty))
     return BiasPoint(
-        sigma, race_x_max, "ok",
+        sigma, x_max, "ok",
         r_value, r_radius, log_l.value, log_l.radius,
         race_value, race_error, penalty,
     )
@@ -321,7 +314,7 @@ def bias_bound_scan(
     Under RH for L(s, chi) this stays O(1) as sigma -> 1/2+; the scan only
     reports the observed values with disclosed truncation (the race is cut at
     x_max; its tail has no unconditional bound for sigma < 1). No pass/fail
-    judgement is attached.
+    judgement is attached. One walk over the primes serves the whole grid.
     """
     grid = [float(s) for s in sigma_grid]
     for s in grid:
@@ -331,7 +324,11 @@ def bias_bound_scan(
             )
     if race_x_max < 1:
         raise ValidationError(f"x_max must be >= 1, got {race_x_max}")
-    return [_bias_point(w, s, int(race_x_max), int(n_trunc)) for s in grid]
+    x_max = int(race_x_max)
+    # every L-value first, so a bad n_trunc fails before the race
+    l_values = [l_value(w, s, int(n_trunc)) for s in grid]
+    races = race_scan(w, grid, x_max, checkpoints=(x_max,))
+    return [_bias_point(s, x_max, lv, series) for s, lv, series in zip(grid, l_values, races)]
 
 
 @dataclass(frozen=True)

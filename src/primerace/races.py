@@ -1,7 +1,10 @@
 """Streaming weighted prime races A(x) = sum_{p<=x} w(p) p^{-sigma}.
 
-The race is consumed in blocks of primes. Block sums are exactly rounded
-(math.fsum) and folded into a double-double prefix, so checkpoint values are
+One walk over the primes serves every sigma of a scan: each segment is sieved
+once, and its weights w(p) and logs log p are shared, so a sigma adds only
+its powers, sums and sign scan. The race is consumed in blocks of primes.
+Block sums are exactly rounded (`_exact_sum`, bit for bit what math.fsum
+returns) and folded into a double-double prefix, so checkpoint values are
 accurate to a couple of ulps; per-prime values for sign tracking come from a
 block-local cumulative sum whose worst-case float error is folded into
 `running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,11 +34,63 @@ _U = sys.float_info.epsilon / 2  # unit roundoff
 def _neg_power(n, sigma: float):
     """n^-sigma as exp(-sigma * log n), the one power kernel of the package.
 
-    An ndarray n gives a float64 array; an int or float n gives a float.
+    An ndarray n gives a float64 array; an int or float n gives a float. For
+    arrays it is `_power_exp(_power_log(n), sigma)`, so a walk that needs many
+    sigma takes each log once.
     """
     if isinstance(n, np.ndarray):
-        return np.exp(-sigma * np.log(n.astype(np.float64)))
+        return _power_exp(_power_log(n), sigma)
     return math.exp(-sigma * math.log(n))
+
+
+def _power_log(n: np.ndarray) -> np.ndarray:
+    """The log half of `_neg_power`: log n as float64."""
+    return np.log(n.astype(np.float64))
+
+
+def _power_exp(log_n: np.ndarray, sigma: float) -> np.ndarray:
+    """The exp half of `_neg_power`: n^-sigma from log n."""
+    return np.exp(-sigma * log_n)
+
+
+# Bits per limb of `_exact_sum`. A limb is below 2^26 in magnitude, so fewer
+# than 2^26 of them sum to an integer below 2^52, exact in any order.
+_LIMB = 26
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x) for a float64 array: the exactly rounded sum, same bits.
+
+    The array is cut into limbs on fixed binary grids (an error-free
+    extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008).
+    With 2^e > max|x| and grid g = e - 26k for k = 1, 2, ..., each limb
+    c = trunc(r / 2^g) is an integer array with |c| < 2^26, and r - c 2^g is
+    the exact residual: scaling by a power of two, trunc and that subtraction
+    all round nothing. The limb sums accumulate in a Python int T, and
+    T / 2^-g is CPython's correctly rounded int division, which rounds half
+    to even as fsum does. Empty, all-zero (fsum's signed zero) and non-finite
+    arrays, arrays of 2^26 or more terms, and grids below 2^-1000 fall back
+    to math.fsum.
+    """
+    if not 0 < len(x) < 1 << _LIMB:
+        return math.fsum(x.tolist())
+    top = float(np.max(np.abs(x)))
+    if top == 0.0 or not math.isfinite(top):
+        return math.fsum(x.tolist())
+    g = math.frexp(top)[1]
+    r = x.copy()
+    c = np.empty_like(r)
+    total = 0
+    while r.any():
+        g -= _LIMB
+        if g < -1000:
+            return math.fsum(x.tolist())
+        np.multiply(r, 2.0**-g, out=c)
+        np.trunc(c, out=c)
+        total = (total << _LIMB) + int(c.sum())
+        c *= 2.0**g
+        r -= c
+    return total / (1 << -g) if g < 0 else float(total << g)
 
 
 def _dd_add(hi: float, lo: float, x: float) -> tuple[float, float]:
@@ -71,10 +126,6 @@ class RaceSeries:
     final_sign: int
     first_positive_x: int | None
     running_error: float
-
-    @property
-    def values(self) -> list[tuple[int, float]]:
-        return [(p.x, p.value) for p in self.points]
 
 
 @dataclass(frozen=True)
@@ -143,22 +194,126 @@ def _validate_race_args(sigma: float, x_max: int, checkpoints) -> tuple[int, ...
 
 
 def _prepare_segment(
-    primes: np.ndarray, w: DirichletWeight, sigma: float
+    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
-    """Per-block contributions, prefix sums and exact block sums of one segment."""
+    """Per-block primes, contributions, prefix sums, exact block sums and sum |x|.
+
+    `weights` and `logs` are w(p) and log p over the whole segment, shared by
+    every sigma; `logs` may be None at sigma = 0.
+    """
+    exact = sigma == 0.0
+    contribs = weights if exact else weights * _power_exp(logs, sigma)
     blocks = []
     for off in range(0, len(primes), _BLOCK):
-        blk = primes[off : off + _BLOCK]
-        wv = w.values_at_primes(blk)
-        contrib = wv if sigma == 0.0 else wv * _neg_power(blk, sigma)
+        contrib = contribs[off : off + _BLOCK]
         cum = np.cumsum(contrib)
-        if sigma == 0.0:  # integer partial sums below 2^53: cum is exact
+        if exact:  # integer partial sums below 2^53: cum is exact
             block_sum, abs_weight = float(cum[-1]), 0.0  # no error to charge
         else:
-            block_sum = math.fsum(contrib.tolist())
+            block_sum = _exact_sum(contrib)
             abs_weight = float(np.sum(np.abs(contrib)))
-        blocks.append((blk, contrib, cum, block_sum, abs_weight))
+        blocks.append((primes[off : off + _BLOCK], contrib, cum, block_sum, abs_weight))
     return blocks
+
+
+@dataclass
+class _RaceState:
+    """One sigma's race as the walk goes: prefix, error bound, signs and samples."""
+
+    sigma: float
+    checkpoints: tuple[int, ...]
+    dd_hi: float = 0.0
+    dd_lo: float = 0.0
+    total_weight: float = 0.0
+    block_weight_max: float = 0.0
+    value_max: float = 0.0
+    err: float = 0.0
+    carry: int = 0
+    first_positive: int | None = None
+    ci: int = 0  # index of the next checkpoint
+    points: list[RacePoint] = field(default_factory=list)
+    events: list[RacePoint] = field(default_factory=list)
+
+    def add_block(self, blk, contrib, cum, block_sum: float, abs_weight: float) -> None:
+        """Sample checkpoints, scan signs and fold one block of `_prepare_segment`."""
+        cps = self.checkpoints
+        prefix = self.dd_hi + self.dd_lo
+        while self.ci < len(cps) and cps[self.ci] < blk[0]:
+            self.points.append(RacePoint(cps[self.ci], prefix, self.err, self.carry))
+            self.ci += 1
+
+        avals = prefix + cum
+        change_idx, filled = _block_sign_scan(avals, self.carry)
+
+        exact = self.sigma == 0.0
+        if not exact:
+            self.total_weight += abs_weight
+            self.block_weight_max = max(self.block_weight_max, abs_weight)
+            self.value_max = max(self.value_max, float(np.max(np.abs(avals))))
+            self.err = _U * (
+                2.0 * self.total_weight + _BLOCK * self.block_weight_max + self.value_max
+            )
+
+        for i in change_idx.tolist():
+            self.events.append(RacePoint(int(blk[i]), float(avals[i]), self.err, int(filled[i])))
+        if self.first_positive is None:
+            pos = np.flatnonzero(avals > 0.0)
+            if len(pos):
+                self.first_positive = int(blk[pos[0]])
+
+        while self.ci < len(cps) and cps[self.ci] <= blk[-1]:
+            k = int(np.searchsorted(blk, cps[self.ci], side="right"))
+            if k == 0:
+                value, eff = prefix, self.carry
+            else:
+                # integer partial sums below 2^53: cum is exact
+                head = float(cum[k - 1]) if exact else _exact_sum(contrib[:k])
+                value = math.fsum([self.dd_hi, self.dd_lo, head])
+                eff = int(filled[k - 1])
+            self.points.append(RacePoint(cps[self.ci], value, self.err, eff))
+            self.ci += 1
+
+        if len(filled):
+            self.carry = int(filled[-1])
+        self.dd_hi, self.dd_lo = _dd_add(self.dd_hi, self.dd_lo, block_sum)
+
+    def series(self) -> RaceSeries:
+        """The finished race; checkpoints past the last prime take the final value."""
+        final_value = self.dd_hi + self.dd_lo
+        for x in self.checkpoints[self.ci :]:
+            self.points.append(RacePoint(x, final_value, self.err, self.carry))
+        return RaceSeries(
+            points=self.points,
+            sign_events=self.events,
+            final_value=final_value,
+            final_sign=self.carry,
+            first_positive_x=self.first_positive,
+            running_error=self.err,
+        )
+
+
+def race_scan(
+    w: DirichletWeight,
+    sigmas: Sequence[float],
+    x_max: int,
+    checkpoints: Sequence[int] | None = None,
+) -> list[RaceSeries]:
+    """The race at every sigma, from one walk over the primes to x_max.
+
+    Each sigma's series is the one `weighted_race` gives, bit for bit: every
+    sigma is sampled at the same checkpoints and keeps its own state.
+    """
+    states = [_RaceState(s, _validate_race_args(s, x_max, checkpoints)) for s in sigmas]
+    if not states:
+        return []
+    need_logs = any(st.sigma != 0.0 for st in states)
+    for primes in iter_prime_arrays(x_max):
+        weights = w.values_at_primes(primes)
+        logs = _power_log(primes) if need_logs else None
+        for st in states:
+            for block in _prepare_segment(primes, weights, logs, st.sigma):
+                st.add_block(*block)
+    return [st.series() for st in states]
 
 
 def weighted_race(
@@ -171,79 +326,11 @@ def weighted_race(
 
     `running_error` bounds the absolute float error of any reported value:
     2 ulp per term for p^{-sigma} plus the summation-scheme bound. At sigma=0
-    every value is an exact integer and the bound is 0.
+    every value is an exact integer and the bound is 0. This is `race_scan`
+    with one sigma.
     """
-    cps = _validate_race_args(sigma, x_max, checkpoints)
-    exact = sigma == 0.0
-
-    dd_hi = dd_lo = 0.0
-    total_weight = 0.0
-    block_weight_max = 0.0
-    value_max = 0.0
-    err = 0.0
-    carry = 0
-    first_positive: int | None = None
-    events: list[RacePoint] = []
-    points: list[RacePoint] = []
-    ci = 0
-
-    for primes in iter_prime_arrays(x_max):
-        for blk, contrib, cum, block_sum, abs_weight in _prepare_segment(primes, w, sigma):
-            prefix = dd_hi + dd_lo
-            while ci < len(cps) and cps[ci] < blk[0]:
-                points.append(RacePoint(cps[ci], prefix, err, carry))
-                ci += 1
-
-            avals = prefix + cum
-            change_idx, filled = _block_sign_scan(avals, carry)
-
-            if not exact:
-                total_weight += abs_weight
-                block_weight_max = max(block_weight_max, abs_weight)
-                value_max = max(value_max, float(np.max(np.abs(avals))))
-                err = _U * (2.0 * total_weight + _BLOCK * block_weight_max + value_max)
-
-            for i in change_idx.tolist():
-                events.append(RacePoint(int(blk[i]), float(avals[i]), err, int(filled[i])))
-            if first_positive is None:
-                pos = np.flatnonzero(avals > 0.0)
-                if len(pos):
-                    first_positive = int(blk[pos[0]])
-
-            terms = None  # contrib as a list, built once if a checkpoint needs it
-            while ci < len(cps) and cps[ci] <= blk[-1]:
-                k = int(np.searchsorted(blk, cps[ci], side="right"))
-                if k == 0:
-                    value, eff = prefix, carry
-                else:
-                    if exact:  # integer partial sums below 2^53: cum is exact
-                        head = float(cum[k - 1])
-                    else:
-                        if terms is None:
-                            terms = contrib.tolist()
-                        head = math.fsum(terms[:k])
-                    value = math.fsum([dd_hi, dd_lo, head])
-                    eff = int(filled[k - 1])
-                points.append(RacePoint(cps[ci], value, err, eff))
-                ci += 1
-
-            if len(filled):
-                carry = int(filled[-1])
-            dd_hi, dd_lo = _dd_add(dd_hi, dd_lo, block_sum)
-
-    final_value = dd_hi + dd_lo
-    while ci < len(cps):
-        points.append(RacePoint(cps[ci], final_value, err, carry))
-        ci += 1
-
-    return RaceSeries(
-        points=points,
-        sign_events=events,
-        final_value=final_value,
-        final_sign=carry,
-        first_positive_x=first_positive,
-        running_error=err,
-    )
+    (series,) = race_scan(w, [sigma], x_max, checkpoints)
+    return series
 
 
 def detect_sign_changes(series: RaceSeries) -> SignChangeReport:

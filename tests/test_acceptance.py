@@ -177,11 +177,11 @@ def test_criterion_5_exact_race_oracle():
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=[p for p, _ in oracle])
     report = detect_sign_changes(series)
     elapsed = time.perf_counter() - started
-    complete = len(series.values) == len(oracle) == 9592
+    complete = len(series.points) == len(oracle) == 9592
     mismatches = [
-        (x, got, want)
-        for (x, got), (p, want) in zip(series.values, oracle)
-        if x != p or got != float(want)
+        (pt.x, pt.value, want)
+        for pt, (p, want) in zip(series.points, oracle)
+        if pt.x != p or pt.value != float(want)
     ]
     signs_agree = (
         report.change_locations == expected
@@ -198,7 +198,7 @@ def test_criterion_5_exact_race_oracle():
         f"sign changes expected at {expected}, found at {report.change_locations}, "
         f"first positive x={report.first_positive_x}, {elapsed:.2f}s (< 5s)",
     )
-    assert complete, f"{len(series.values)} race values for {len(oracle)} primes"
+    assert complete, f"{len(series.points)} race values for {len(oracle)} primes"
     assert not mismatches, f"first mismatch: {mismatches[:1]}"
     assert elapsed < 5.0
     assert report.change_locations == expected

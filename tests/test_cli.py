@@ -110,7 +110,8 @@ def test_sign_changes_json(capsys):
 # perfbench/reference/signs.json holds the exact sigma = 0 report to 1e9;
 # a positive region starts where a change lies more than 10% past the
 # previous one (the region rule of perfbench/checks.py)
-SIGNS_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "signs.json"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+SIGNS_REFERENCE = REFERENCE / "signs.json"
 
 
 def test_sign_changes_sigma0_matches_stored_reference(tmp_path):
@@ -135,6 +136,15 @@ def test_sign_changes_sigma0_full_reference_1e9(tmp_path):
     locations = json.loads(out.read_text())["change_locations"]
     starts = [x for i, x in enumerate(locations) if i == 0 or x > 1.1 * locations[i - 1]]
     assert starts == [26861, 616841, 12306137, 951784481]  # Bays & Hudson (1978)
+
+
+
+def test_bias_scan_full_reference_1e8(tmp_path):
+    # the whole `bias` workload: nine sigmas share one walk over 24 segments
+    out = tmp_path / "bias.csv"
+    argv = ["bias-scan", "--grid", "0.55:0.95:0.05", "--xmax", "1e8", "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert out.read_bytes() == (REFERENCE / "bias.csv").read_bytes()
 
 
 MALFORMED_FLAGS = [
@@ -380,8 +390,9 @@ def test_count_cap_is_inclusive():
 # lives in the library, so both routes must fail alike, and before computing.
 # The first 22 cases are the range checks the config route used to make on its
 # own, plus the grid cap; the next six used to differ between the routes or
-# to compute before they failed. The last one, --count-only with --emit, used
-# to exit 0 and write nothing to the named file.
+# to compute before they failed. The next one, --count-only with --emit, used
+# to exit 0 and write nothing to the named file. In the last four, argparse
+# used to take a negative number in exponent form for an unknown option.
 BOTH_ROUTES = [
     (["sieve", "--limit", "-1"], "command = sieve; limit = -1", 2),
     (["race", "--sigma", "-0.1", "--xmax", "100"], "command = race; sigma = -0.1; xmax = 100", 2),
@@ -434,6 +445,13 @@ BOTH_ROUTES = [
      "command = conjecture; points = 1e3; out = same.txt; report = same.txt", 2),
     (["sieve", "--limit", "1e3", "--count-only", "--emit", "p.txt"],
      "command = sieve; limit = 1e3; count_only = true; emit = p.txt", 2),
+    # negative numbers in exponent form are values, not unknown options
+    (["race", "--sigma", "-1e3", "--xmax", "10"], "command = race; sigma = -1e3; xmax = 10", 2),
+    (["mellin-check", "--sigma", "-1E-3", "--s", "1", "--X", "10"],
+     "command = mellin-check; sigma = -1E-3; s = 1; x = 10", 3),
+    (["lvalue", "--sigma", "-.5e1", "--ntrunc", "100"],
+     "command = lvalue; sigma = -.5e1; ntrunc = 100", 3),
+    (["race", "--sigma", "-inf", "--xmax", "10"], "command = race; sigma = -inf; xmax = 10", 2),
 ]
 
 

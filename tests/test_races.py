@@ -6,13 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primerace.characters import DirichletWeight, chi4
+from primerace.characters import DirichletWeight, character_from_discriminant, chi4
 from primerace import races
 from primerace.errors import ValidationError
 from primerace.races import (
     _block_sign_scan,
+    _exact_sum,
     default_checkpoints,
     detect_sign_changes,
+    race_scan,
     weighted_race,
 )
 from primerace.sieve import iter_prime_arrays, prime_stream
@@ -29,9 +31,14 @@ def test_race_examples():
     assert weighted_race(c4, 0.5, 1).final_value == 0.0
 
 
+def _values(series):
+    """(x, A(x)) at every checkpoint of a race."""
+    return [(p.x, p.value) for p in series.points]
+
+
 def _values_at(sigma, points):
     """A at exactly the given ascending points."""
-    return weighted_race(chi4(), sigma, max(points), checkpoints=points).values
+    return _values(weighted_race(chi4(), sigma, max(points), checkpoints=points))
 
 
 def test_race_at_points_examples():
@@ -46,7 +53,7 @@ def test_race_at_points_matches_race_checkpoints():
     c4 = chi4()
     pts = [10, 97, 1000, 4999]
     series = weighted_race(c4, 0.5, 5000, checkpoints=pts)
-    assert _values_at(0.5, pts) == [(p.x, p.value) for p in series.points]
+    assert _values_at(0.5, pts) == _values(series)
 
 
 def test_synthetic_sign_convention():
@@ -86,7 +93,7 @@ def test_sigma0_exact_match_to_1e4():
     oracle = race_sigma0_brute(10**4)
     series = weighted_race(c4, 0.0, 10**4, checkpoints=[p for p, _ in oracle])
     assert series.running_error == 0.0
-    for (p, expected), (x, got) in zip(oracle, series.values):
+    for (p, expected), (x, got) in zip(oracle, _values(series)):
         assert x == p
         assert got == float(expected)
     report = detect_sign_changes(series)
@@ -207,7 +214,7 @@ def test_compensated_accuracy_sigma1_1e6():
 
 def test_extended_precision_route_agrees():
     pts = [100, 10_000]
-    ours = weighted_race(chi4(), 0.5, 10_000, checkpoints=pts).values
+    ours = _values(weighted_race(chi4(), 0.5, 10_000, checkpoints=pts))
     theirs = mp_race(0.5, pts, dps=45)
     for (x, v), ref in zip(ours, theirs):
         assert abs(v - ref) < 1e-14
@@ -264,3 +271,70 @@ def test_worker_determinism():
         (p.x, p.value, p.error_bound) for p in b.points
     ]
     assert a.sign_events == b.sign_events
+
+
+# terms of mixed sign over 2^-60 .. 2^60, and terms up to 2^1000: a list with
+# both spans more than 1000 binary orders, which sends it to the fsum fallback
+_MIXED = st.builds(
+    math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-60, max_value=60)
+)
+_WIDE = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_MIXED | _WIDE, max_size=40), st.integers(min_value=0, max_value=40))
+@example([], 0)
+@example([0.0], 0)
+@example([-0.0], 0)
+@example([0.0, -0.0], 0)
+@example([-0.0, -0.0], 0)
+@example([1.5], 0)
+@example([1e16, 1.0, -1e16, 2.0**-60], 0)
+@example([1e16, 1.0, -1e16, 2.0**-60, 1e16, 1.0, -1e16, 2.0**-60], 0)
+@example([1.0, 2.0**-53], 0)  # a tie: rounds half to even
+@example([1.0, 2.0**-53, 2.0**-105], 0)  # just above the tie
+@example([2.0**1000, 2.0**-100], 0)  # grids below 2^-1000: the fallback
+@example([5e-324, -5e-324, 1.0], 1)
+def test_exact_sum_matches_fsum(values, cancel):
+    values = values + [-v for v in values[:cancel]]
+    x = np.array(values, dtype=np.float64)
+    assert _exact_sum(x).hex() == math.fsum(values).hex()
+
+
+def test_exact_sum_matches_fsum_on_race_blocks():
+    c4 = chi4()
+    for primes in iter_prime_arrays(10**6):
+        for sigma in (0.3, 0.55, 0.95):
+            t = c4.values_at_primes(primes) * primes.astype(np.float64) ** -sigma
+            for off in range(0, len(t), 1 << 14):
+                blk = t[off : off + (1 << 14)]
+                for part in (blk, blk[:1], blk[:777], np.abs(blk)):
+                    assert _exact_sum(part).hex() == math.fsum(part.tolist()).hex()
+
+
+@pytest.mark.parametrize("d", [5, -3])
+def test_race_scan_matches_one_sigma_races(d):
+    # the checkpoints straddle the first segment boundary at 2 + 2^22
+    w = character_from_discriminant(d)
+    sigmas = [0.0, 0.5, 0.7]
+    cps = [1000, 4194303, 4194305]
+    scan = race_scan(w, sigmas, 4_200_000, checkpoints=cps)
+    assert len(scan) == len(sigmas)
+    for sigma, series in zip(sigmas, scan):
+        single = weighted_race(w, sigma, 4_200_000, checkpoints=cps)
+        assert [p.x for p in series.points] == cps
+        assert repr(series) == repr(single)  # repr keeps every float's bits
+    assert race_scan(w, [], 4_200_000) == []
+
+
+def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
+    # a segment boundary at 26864 falls inside the first positive run of the
+    # sigma = 0 race (26861 <= x < 26879), where the sigma = 0.5 race is negative
+    monkeypatch.setattr(
+        races, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=26862)
+    )
+    scan = race_scan(chi4(), [0.0, 0.5], 10**5)
+    assert [e.x for e in scan[0].sign_events] == [26861, 26879]
+    assert scan[1].sign_events == []
+    for sigma, series in zip([0.0, 0.5], scan):
+        assert repr(series) == repr(weighted_race(chi4(), sigma, 10**5))
