@@ -11,6 +11,9 @@ where Sbar is the mean of S over one period and g bounds the oscillation of
 the integral of S - Sbar (both exact rationals computed from the period
 table; the remainder bound comes from integrating by parts twice, since the
 integral of S - Sbar over a full period vanishes).
+
+A sigma grid takes one walk over n and one over the primes, whose w and log
+are shared by every sigma; the one-sigma functions are those walks at one sigma.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +30,7 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError
 from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, weighted_race
+from .races import _power_exp, _power_log
 from .sieve import iter_prime_arrays
 
 _EPS = sys.float_info.epsilon
@@ -58,111 +63,109 @@ class BoundedValue:
         return BoundedValue(v, r)
 
 
-def _partial_sum_mean(w: DirichletWeight) -> Fraction:
-    """Mean of S(u) over one period, exact."""
-    q = w.modulus
-    return Fraction(sum(w.partial_sum(r) for r in range(1, q + 1)), q)
-
-
-def _partial_sum_oscillation(w: DirichletWeight) -> float:
-    """Bound g on |integral over [a, u] of (S - Sbar)| for any a <= u.
+def _partial_sum_stats(w: DirichletWeight) -> tuple[float, float]:
+    """Sbar, the mean of S over one period, and g >= |integral over [a, u] of (S - Sbar)|.
 
     With F(k) = sum_{i<k} (S(i) - Sbar) (piecewise-linear antiderivative at
     integer points, periodic since F(q) = 0), g = max F - min F.
     """
     q = w.modulus
-    mean = _partial_sum_mean(w)
-    f = Fraction(0)
-    lo = hi = Fraction(0)
-    for i in range(q):
-        f += w.partial_sum(i) - mean
-        lo = min(lo, f)
-        hi = max(hi, f)
-    return float(hi - lo) * (1.0 + 4.0 * _EPS)
+    mean = Fraction(sum(w.partial_sum(r) for r in range(1, q + 1)), q)
+    f = list(accumulate((w.partial_sum(i) - mean for i in range(q)), initial=Fraction(0)))
+    return float(mean), float(max(f) - min(f)) * (1.0 + 4.0 * _EPS)
 
 
 def l_value(w: DirichletWeight, sigma: float, n_trunc: int) -> BoundedValue:
-    """L(sigma, chi) truncated at n_trunc, with a proven tail radius.
+    """L(sigma, chi) truncated at n_trunc with a proven tail radius: `l_value_scan` at one sigma."""
+    return l_value_scan(w, [sigma], n_trunc)[0]
+
+
+def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> list[BoundedValue]:
+    """L(sigma, chi) truncated at n_trunc at every sigma, from one walk over n.
 
     Valid for every sigma > 0 (the series converges there for non-principal
     characters). The center is the partial sum plus the partial-summation
     correction (Sbar - S(N)) N^-sigma; the radius covers the remaining tail
     plus accumulated rounding.
     """
-    if sigma <= 0.0:
-        raise DomainError(f"l_value requires sigma > 0, got {sigma}")
+    grid = list(sigmas)
+    if not grid:  # no sigma: no walk
+        return []
+    for sigma in grid:
+        if sigma <= 0.0:
+            raise DomainError(f"l_value requires sigma > 0, got {sigma}")
     n_trunc = int(n_trunc)
     if n_trunc < w.modulus:
         raise ValidationError(f"n_trunc must be >= q = {w.modulus}, got {n_trunc}")
 
-    q = w.modulus
     period_f = w.period.astype(np.float64)
-    chunk_sums = []
-    abs_acc = 0.0
+    chunk_sums = [[] for _ in grid]
+    abs_acc = [0.0] * len(grid)
     for lo in range(1, n_trunc + 1, _CHUNK):
         n = np.arange(lo, min(lo + _CHUNK, n_trunc + 1), dtype=np.int64)
-        contrib = period_f[n % q] * _neg_power(n, sigma)
-        chunk_sums.append(_exact_sum(contrib))
-        abs_acc += float(np.sum(np.abs(contrib)))
-    partial = math.fsum(chunk_sums)
+        weights, logs = period_f[n % w.modulus], _power_log(n)
+        del n  # not needed again: freeing it keeps the peak memory 8 MB lower
+        for i, sigma in enumerate(grid):
+            contrib = weights * _power_exp(logs, sigma)
+            chunk_sums[i].append(_exact_sum(contrib))
+            abs_acc[i] += float(np.sum(np.abs(contrib)))
 
-    n_pow = _neg_power(n_trunc, sigma)
-    mean = float(_partial_sum_mean(w))
-    correction = (mean - w.partial_sum(n_trunc)) * n_pow
-    value = partial + correction
+    mean, oscillation = _partial_sum_stats(w)
+    values = []
+    for sigma, sums, abs_sum in zip(grid, chunk_sums, abs_acc):
+        n_pow = _neg_power(n_trunc, sigma)
+        correction = (mean - w.partial_sum(n_trunc)) * n_pow
+        value = math.fsum(sums) + correction
+        tail = sigma * oscillation * n_pow / n_trunc
+        rounding = _EPS * (3.0 * abs_sum + 2.0 * abs(value) + abs(correction))
+        values.append(BoundedValue(value, tail + rounding))
+    return values
 
-    tail = sigma * _partial_sum_oscillation(w) * n_pow / n_trunc
-    rounding = _EPS * (3.0 * abs_acc + 2.0 * abs(value) + abs(correction))
-    return BoundedValue(value, tail + rounding)
 
+def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: int) -> list[tuple]:
+    """One walk over the primes for both series of the log-L lemma, at every sigma.
 
-def _char_prime_sum(
-    w: DirichletWeight, sigma: float, prime_limit: int
-) -> tuple[float, float, float, float, float]:
-    """One walk for both series of the log-L lemma, with t = w(p) p^-sigma.
-
-    With lg = -log1p(-t), returns the exactly rounded sums of t and of lg - t
-    over p <= P, then the sums of |t|, |lg| and |lg - t|. Needs |t| < 1.
+    With t = w(p) p^-sigma and lg = -log1p(-t), each sigma gets the exactly
+    rounded sums of t and of lg - t over p <= P, then the sums of |t|, |lg|
+    and |lg - t|. Needs |t| < 1.
     """
-    t_sums, b_sums = [], []
-    abs_t = abs_lg = abs_b = 0.0
+    grid = list(sigmas)
+    if not grid:  # no sigma: no walk
+        return []
+    walks = [([], [], [0.0, 0.0, 0.0]) for _ in grid]
     for primes in iter_prime_arrays(prime_limit):
-        t = w.values_at_primes(primes) * _neg_power(primes, sigma)
-        lg = -np.log1p(-t)
-        terms = lg - t
-        t_sums.append(_exact_sum(t))
-        b_sums.append(_exact_sum(terms))
-        abs_t += float(np.sum(np.abs(t)))
-        abs_lg += float(np.sum(np.abs(lg)))
-        abs_b += float(np.sum(np.abs(terms)))
-    return math.fsum(t_sums), math.fsum(b_sums), abs_t, abs_lg, abs_b
+        weights, logs = w.values_at_primes(primes), _power_log(primes)
+        for sigma, (t_sums, b_sums, abs_sums) in zip(grid, walks):
+            t = weights * _power_exp(logs, sigma)
+            lg = -np.log1p(-t)
+            terms = lg - t
+            t_sums.append(_exact_sum(t))
+            b_sums.append(_exact_sum(terms))
+            for j, x in enumerate((t, lg, terms)):
+                abs_sums[j] += float(np.sum(np.abs(x)))
+    return [(math.fsum(ts), math.fsum(bs), *abs_sums) for ts, bs, abs_sums in walks]
 
 
-def euler_product_value(
-    w: DirichletWeight, sigma: float, prime_limit: int
-) -> BoundedValue:
+def euler_product_value(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedValue:
     """Truncated Euler product, valid unconditionally only for sigma > 1.
 
     The log-tail obeys |sum_{p>P} log(1 - w(p) p^-sigma)^-1| <= 2 P^(1-sigma)
-    / (sigma - 1), which exponentiates into the radius.
+    / (sigma - 1), which exponentiates into the radius. The log is the fsum of
+    `_char_prime_sum`'s sums of t = w(p) p^-sigma and of lg - t, lg = -log1p(-t).
+    Relative to the value, the radius charges eps |lg| per log1p (see
+    `b_function`; lg - t is exact); 1.5 eps per unit of sum |t| + sum |lg - t|
+    for the two sums' roundings per segment and over segments and for their
+    fsum, each at most eps/2 of a sum that size; and 2 eps for exp.
     """
     if sigma <= 1.0:
-        raise DomainError(
-            f"euler_product_value requires sigma > 1, got {sigma}"
-        )
+        raise DomainError(f"euler_product_value requires sigma > 1, got {sigma}")
     if prime_limit < 2:
         raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
-    log_sums = []
-    abs_acc = 0.0
-    for primes in iter_prime_arrays(prime_limit):
-        t = w.values_at_primes(primes) * _neg_power(primes, sigma)
-        terms = -np.log1p(-t)
-        log_sums.append(_exact_sum(terms))
-        abs_acc += float(np.sum(np.abs(terms)))
-    log_value = math.fsum(log_sums)
-    value = math.exp(log_value)
+    ((sum_t, sum_b, abs_t, abs_lg, abs_b),) = _char_prime_sum(w, [sigma], prime_limit)
+    value = math.exp(math.fsum([sum_t, sum_b]))
     log_tail = 2.0 * _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
-    radius = abs(value) * math.expm1(log_tail) + _EPS * (abs_acc + 2.0) * abs(value)
+    rounding = _EPS * (abs_lg + 1.5 * (abs_t + abs_b) + 2.0)
+    radius = abs(value) * math.expm1(log_tail) + rounding * abs(value)
     return BoundedValue(value, radius)
 
 
@@ -185,7 +188,7 @@ def b_function(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedVal
         raise DomainError(f"b_function requires sigma > 1/2, got {sigma}")
     if prime_limit < 2:
         raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
-    return _b_bounded(_char_prime_sum(w, sigma, prime_limit), sigma, prime_limit)
+    return _b_bounded(_char_prime_sum(w, [sigma], prime_limit)[0], sigma, prime_limit)
 
 
 def _b_bounded(walk: tuple, sigma: float, prime_limit: int) -> BoundedValue:
@@ -239,22 +242,18 @@ def verify_log_decomposition(
 def decomposition_scan(
     w: DirichletWeight, sigma_grid: Sequence[float], prime_limit: int, *, n_trunc: int | None = None
 ) -> list[DecompositionReport]:
-    """verify_log_decomposition at each sigma, with the whole grid checked first.
-
-    Each sigma walks the primes once, for both the prime sum and B.
-    """
+    """verify_log_decomposition at each sigma, with the whole grid checked first."""
     grid = list(sigma_grid)
     for sigma in grid:
         if sigma <= 1.0:
             raise DomainError(f"verify_log_decomposition requires sigma > 1, got {sigma}")
-        if prime_limit < 2:  # b_function's bound, checked before log L is summed
-            raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
+    if prime_limit < 2:  # b_function's bound, checked before log L is summed
+        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
     if n_trunc is None:
         n_trunc = max(_DEFAULT_N_TRUNC, w.modulus)
+    log_ls = [lv.log() for lv in l_value_scan(w, grid, n_trunc)]
     reports = []
-    for sigma in grid:
-        log_l = l_value(w, sigma, n_trunc).log()
-        walk = _char_prime_sum(w, sigma, prime_limit)
+    for sigma, log_l, walk in zip(grid, log_ls, _char_prime_sum(w, grid, prime_limit)):
         center, _, abs_acc, _, _ = walk
         tail = _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
         prime_sum = BoundedValue(center, tail + _EPS * (2.0 * abs_acc + abs(center)))
@@ -326,7 +325,7 @@ def bias_bound_scan(
         raise ValidationError(f"x_max must be >= 1, got {race_x_max}")
     x_max = int(race_x_max)
     # every L-value first, so a bad n_trunc fails before the race
-    l_values = [l_value(w, s, int(n_trunc)) for s in grid]
+    l_values = l_value_scan(w, grid, int(n_trunc))
     races = race_scan(w, grid, x_max, checkpoints=(x_max,))
     return [_bias_point(s, x_max, lv, series) for s, lv, series in zip(grid, l_values, races)]
 

@@ -53,44 +53,45 @@ def _power_exp(log_n: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sigma * log_n)
 
 
-# Bits per limb of `_exact_sum`. A limb is below 2^26 in magnitude, so fewer
-# than 2^26 of them sum to an integer below 2^52, exact in any order.
-_LIMB = 26
+_SUB, _LIMB, _GRID_MIN = 1 << 15, 36, -1000  # _exact_sum: sub-block terms, limb bits, lowest grid
 
 
 def _exact_sum(x: np.ndarray) -> float:
     """math.fsum(x) for a float64 array: the exactly rounded sum, same bits.
 
-    The array is cut into limbs on fixed binary grids (an error-free
-    extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008).
-    With 2^e > max|x| and grid g = e - 26k for k = 1, 2, ..., each limb
-    c = trunc(r / 2^g) is an integer array with |c| < 2^26, and r - c 2^g is
-    the exact residual: scaling by a power of two, trunc and that subtraction
-    all round nothing. The limb sums accumulate in a Python int T, and
-    T / 2^-g is CPython's correctly rounded int division, which rounds half
-    to even as fsum does. Empty, all-zero (fsum's signed zero) and non-finite
-    arrays, arrays of 2^26 or more terms, and grids below 2^-1000 fall back
-    to math.fsum.
+    Each 2^15-term sub-block is cut into limbs on its own binary grids (an
+    error-free extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31, 2008). With 2^e > max|x| over the sub-block, grids g = e - 36k
+    (k = 1, 2, ...) and S = 1.5 * 2^(g + 52), the limb q = (r + S) - S of the
+    residual r is r rounded to a multiple of 2^g, exactly, while
+    |r| < 2^(g + 51): r + S then lies in [2^(g+52), 2^(g+53)), where floats
+    are 2^g apart, and subtracting S is exact (Sterbenz). So |q| <= 2^(g + 36),
+    2^15 limbs sum exactly, to at most 2^(g + 51), and r - q is exact with
+    |r - q| <= 2^(g - 1), inside the next grid's condition. The limb sums add
+    up exactly in one Python int T of units 2^-1000, and T / 2^1000 is
+    CPython's correctly rounded int division, which rounds half to even as
+    fsum does. A zero T (empty, all-zero or cancelling arrays: fsum's signed
+    zero), non-finite values and grids outside [2^-1000, 2^971], where S is a
+    normal float, fall back to math.fsum.
     """
-    if not 0 < len(x) < 1 << _LIMB:
-        return math.fsum(x.tolist())
-    top = float(np.max(np.abs(x)))
-    if top == 0.0 or not math.isfinite(top):
-        return math.fsum(x.tolist())
-    g = math.frexp(top)[1]
-    r = x.copy()
-    c = np.empty_like(r)
     total = 0
-    while r.any():
-        g -= _LIMB
-        if g < -1000:
-            return math.fsum(x.tolist())
-        np.multiply(r, 2.0**-g, out=c)
-        np.trunc(c, out=c)
-        total = (total << _LIMB) + int(c.sum())
-        c *= 2.0**g
-        r -= c
-    return total / (1 << -g) if g < 0 else float(total << g)
+    q, r = np.empty(min(len(x), _SUB)), np.empty(min(len(x), _SUB))
+    for off in range(0, len(x), _SUB):
+        src = x[off : off + _SUB]
+        top = max(float(src.max()), -float(src.min()))
+        g, live = math.frexp(top)[1], top != 0.0
+        qs, rs = q[: len(src)], r[: len(src)]
+        while live:
+            g -= _LIMB
+            if not (math.isfinite(top) and _GRID_MIN <= g <= 971):
+                return math.fsum(x.tolist())
+            s = 1.5 * 2.0 ** (g + 52)
+            np.add(src, s, out=qs)
+            qs -= s
+            src = np.subtract(src, qs, out=rs)
+            total += int(math.ldexp(float(qs.sum()), -g)) << (g - _GRID_MIN)
+            live = rs.any()
+    return total / (1 << -_GRID_MIN) if total else math.fsum(x.tolist())
 
 
 def _dd_add(hi: float, lo: float, x: float) -> tuple[float, float]:

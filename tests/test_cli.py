@@ -270,8 +270,9 @@ def test_io_error_exit_4(tmp_path):
 def no_compute(monkeypatch):
     """Fail the test if any module sieves, walks the primes or sums an L-series.
 
-    `l_value` may still check its arguments: every L-series sum starts with a
-    call to the power kernel, which is the one lfun entry replaced here.
+    `l_value_scan` may still check its arguments: every L-series sum starts
+    with a call to `_power_log`, the log half of the power kernel, which is
+    replaced here with the whole kernel.
     """
     def forbidden(*args, **kwargs):
         pytest.fail("computing started before the inputs were checked")
@@ -280,6 +281,7 @@ def no_compute(monkeypatch):
     for name in ("sieve", "races", "lfun", "cli"):
         monkeypatch.setattr(f"primerace.{name}.iter_prime_arrays", forbidden)
     monkeypatch.setattr("primerace.lfun._neg_power", forbidden)
+    monkeypatch.setattr("primerace.lfun._power_log", forbidden)
 
 
 def test_bad_output_path_fails_before_computing(tmp_path, no_compute, capsys):

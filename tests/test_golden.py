@@ -37,6 +37,7 @@ CASES = {
     "verify-lemma-chi5": LEMMA + ["--character", "kronecker:5"],
     "verify-lemma-chi-3": LEMMA + ["--character", "kronecker:-3"],
     "lvalue": ["lvalue", "--sigma", "0.5", "--ntrunc", "1e6"],
+    "lvalue-chunks": ["lvalue", "--sigma", "0.7", "--ntrunc", "3e6"],  # three 2^20 chunks
     "mellin-check": ["mellin-check", "--sigma", "0.5", "--s", "1.5", "--X", "1e5"],
     "conjecture": ["conjecture", "--points", "1e3,...,1e6",
                    "--out", "{out}/conjecture.csv", "--report", "{out}/conjecture.json"],

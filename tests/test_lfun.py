@@ -17,6 +17,7 @@ from primerace.lfun import (
     decomposition_scan,
     euler_product_value,
     l_value,
+    l_value_scan,
     mellin_identity_check,
     verify_log_decomposition,
 )
@@ -211,8 +212,8 @@ class TestDecomposition:
         with pytest.raises(DomainError):
             verify_log_decomposition(chi4(), 1.0, 1000)
 
-    def test_one_walk_per_sigma(self, monkeypatch):
-        # the prime sum and B come from the same pass over the primes
+    def test_one_walk_per_grid(self, monkeypatch):
+        # every sigma's prime sum and B come from the same pass over the primes
         walks = []
 
         def counting(limit):
@@ -221,10 +222,33 @@ class TestDecomposition:
 
         monkeypatch.setattr(lfun, "iter_prime_arrays", counting)
         decomposition_scan(chi4(), [1.1, 1.5, 2.0], 10**5)
-        assert walks == [10**5] * 3
+        assert walks == [10**5]
         walks.clear()
         b_function(chi4(), 1.5, 10**5)
-        assert walks == [10**5]
+        euler_product_value(chi4(), 1.5, 10**5)
+        assert walks == [10**5] * 2
+        walks.clear()
+        logs = []  # the L-series walk starts with log n
+        monkeypatch.setattr(lfun, "_power_log", lambda n: logs.append(n))
+        assert decomposition_scan(chi4(), [], 10**5) == []  # no sigma: no walk
+        assert walks == [] and logs == []
+
+    @pytest.mark.parametrize("d", [5, -3])
+    def test_grid_walks_match_one_sigma_calls(self, monkeypatch, d):
+        # n_trunc = 2^20 + 17 ends in a 17-term chunk, and 4,096-wide segments
+        # split the primes to 10^5 into 25 segments
+        monkeypatch.setattr(
+            lfun, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=1 << 12)
+        )
+        w = character_from_discriminant(d)
+        sigmas, n_trunc = [1.1, 1.5, 2.0], (1 << 20) + 17
+        grid = l_value_scan(w, sigmas, n_trunc)
+        assert repr(grid) == repr([l_value(w, s, n_trunc) for s in sigmas])  # every bit
+        reports = decomposition_scan(w, sigmas, 10**5, n_trunc=n_trunc)
+        singles = [verify_log_decomposition(w, s, 10**5, n_trunc=n_trunc) for s in sigmas]
+        assert repr(reports) == repr(singles)
+        assert [r.log_l for r in reports] == [lv.log() for lv in grid]
+        assert [r.b_value for r in reports] == [b_function(w, s, 10**5) for s in sigmas]
 
 
 class TestBiasScan:

@@ -279,6 +279,13 @@ _MIXED = st.builds(
     math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-60, max_value=60)
 )
 _WIDE = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
+_TILE = (1 << 15) + 123  # tiles straddle the 2^15-term sub-blocks of _exact_sum
+
+
+def _tiled(*exponents):
+    """Tiles of _TILE mixed-sign terms, tile i scaled by 2^exponents[i] (None: zeros)."""
+    tile = [(-1) ** k * math.ldexp(1.0 + k / _TILE, -(k % 60)) for k in range(_TILE)]
+    return [0.0 if e is None else math.ldexp(v, e) for e in exponents for v in tile]
 
 
 @settings(max_examples=500, deadline=None)
@@ -295,6 +302,12 @@ _WIDE = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
 @example([1.0, 2.0**-53, 2.0**-105], 0)  # just above the tie
 @example([2.0**1000, 2.0**-100], 0)  # grids below 2^-1000: the fallback
 @example([5e-324, -5e-324, 1.0], 1)
+@example(_tiled(0, 40), 0)  # past 2^15 terms, each sub-block on its own grid
+@example(_tiled(-30, 0, 45, -60), 0)  # past 3 * 2^15 terms
+@example(_tiled(-20, 40) + [-v for v in _tiled(40)], 0)  # 2^40 tiles cancel across sub-blocks
+@example(_tiled(3, -20), 2 * _TILE)  # the whole list cancels to exact zero
+@example(_tiled(10, None, None, -10), 0)  # an all-zero sub-block
+@example(_tiled(0, -1000), 0)  # one sub-block below the 2^-1000 grid: the fallback
 def test_exact_sum_matches_fsum(values, cancel):
     values = values + [-v for v in values[:cancel]]
     x = np.array(values, dtype=np.float64)
