@@ -33,7 +33,6 @@ from .config import (
 from .errors import DomainError, ValidationError
 from .lfun import (
     _DEFAULT_N_TRUNC,
-    DEFAULT_CONJECTURE_BUDGET,
     BiasPoint,
     BoundedValue,
     bias_bound_scan,
@@ -226,7 +225,7 @@ def cmd_mellin_check(ns) -> dict:
 
 
 def cmd_conjecture(ns) -> dict:
-    scan = conjecture_scan(ns.points, budget=ns.budget)
+    scan = conjecture_scan(ns.points)
     rows = [(p.x, p.value, p.error_bound) for p in scan.points]
     _write_csv(ns.out, ["x", "A", "error_bound"], rows)
     if ns.report:
@@ -398,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="sample the sqrt-weighted mod-4 race")
     p.add_argument("--points", type=lambda t: parse_points(t, "points"), required=True)
-    p.add_argument("--budget", type=_count("budget"), default=DEFAULT_CONJECTURE_BUDGET)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--report", metavar="PATH", help="write the JSON summary here")
     p.set_defaults(func=cmd_conjecture)

@@ -14,6 +14,8 @@ integral of S - Sbar over a full period vanishes).
 
 A sigma grid takes one walk over n and one over the primes, whose w and log
 are shared by every sigma; the one-sigma functions are those walks at one sigma.
+The Abel-identity check also walks the primes once: both of its sides add up
+as exact integers (`races._exact_units`) and are rounded once.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError
 from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, weighted_race
-from .races import _power_exp, _power_log
+from .races import _UNIT, _exact_units, _power_exp, _power_log
 from .sieve import iter_prime_arrays
 
 _EPS = sys.float_info.epsilon
 _CHUNK = 1 << 20
 
-DEFAULT_CONJECTURE_BUDGET = 10**9
 _DEFAULT_N_TRUNC = 10**6
 
 
@@ -342,11 +343,7 @@ class ConjectureScan:
     all_negative_beyond_1000: bool
 
 
-def conjecture_scan(
-    x_points: Sequence[int],
-    *,
-    budget: int = DEFAULT_CONJECTURE_BUDGET,
-) -> ConjectureScan:
+def conjecture_scan(x_points: Sequence[int]) -> ConjectureScan:
     """Sample A(x) = sum_{p<=x} chi4(p)/sqrt(p) at the given ascending points.
 
     Purely observational: the summary records the minimum, the final value,
@@ -360,10 +357,6 @@ def conjecture_scan(
         raise ValidationError("x_points must be strictly ascending")
     if pts[0] < 1:
         raise ValidationError("x_points must be >= 1")
-    if pts[-1] > budget:
-        raise ValidationError(
-            f"largest point {pts[-1]} exceeds the configured budget {budget}"
-        )
     series = weighted_race(chi4(), 0.5, pts[-1], checkpoints=pts)
     rows = series.points
     min_point = min(rows, key=lambda p: (p.value, p.x))
@@ -387,7 +380,14 @@ def mellin_identity_check(
     constant between consecutive primes, and each piece integrates in closed
     form, so the residual is pure rounding. s = sigma is the allowed
     degenerate case where both sides are A(X) by construction.
+
+    One walk over the primes feeds both sums: each segment's terms and pieces
+    add to exact integers (`_exact_units`), and each is rounded once, so both
+    carry math.fsum's bits. sigma and s must be finite.
     """
+    for name, value in (("sigma", sigma), ("s", s)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name}: expected a finite number, got {value}")
     if sigma < 0.0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     if x_limit < 2:
@@ -399,31 +399,19 @@ def mellin_identity_check(
     if s == sigma:
         return 0.0
 
-    n = int(x_limit)
     c = s - sigma
     x_pow = _neg_power(x_limit, c)
-    lhs = math.fsum(
-        t
-        for primes in iter_prime_arrays(n)
-        for t in (w.values_at_primes(primes) * _neg_power(primes, s)).tolist()
-    )
-
-    last = [0.0, 1.0]  # A and u^-c at the last prime walked
-
-    def pieces():
-        """A(p_i) (p_i^-c - p_{i+1}^-c) for every prime, then A(X) (p^-c - X^-c).
-
-        Each segment's cumsum starts from the carried A, and its powers from
-        the carried p^-c, so every value keeps the bits of one global pass.
-        """
-        for primes in iter_prime_arrays(n):
-            terms = w.values_at_primes(primes) * _neg_power(primes, sigma)
-            a_steps = np.cumsum(np.concatenate(([last[0]], terms)))
-            left_pow = np.concatenate(([last[1]], _neg_power(primes, c)))
-            yield from (a_steps[:-1] * (left_pow[:-1] - left_pow[1:])).tolist()
-            last[:] = float(a_steps[-1]), float(left_pow[-1])
-        yield last[0] * (last[1] - x_pow)
-
-    integral = math.fsum(pieces())
-    rhs = last[0] * x_pow + integral
-    return abs(lhs - rhs)
+    lhs_units = piece_units = 0
+    a, left = 0.0, 1.0  # A and u^-c at the last prime walked
+    for primes in iter_prime_arrays(int(x_limit)):
+        weights, logs = w.values_at_primes(primes), _power_log(primes)
+        lhs_units += _exact_units(weights * _power_exp(logs, s))
+        # the cumsum starts from the carried A and the powers from the carried
+        # p^-c, so every piece keeps the bits of one pass over all primes
+        a_steps = np.cumsum(np.concatenate(([a], weights * _power_exp(logs, sigma))))
+        left_pow = np.concatenate(([left], _power_exp(logs, c)))
+        piece_units += _exact_units(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))
+        a, left = float(a_steps[-1]), float(left_pow[-1])
+    piece_units += _exact_units(np.array([a * (left - x_pow)]))
+    rhs = a * x_pow + piece_units / _UNIT
+    return abs(lhs_units / _UNIT - rhs)

@@ -4,7 +4,8 @@ One walk over the primes serves every sigma of a scan: each segment is sieved
 once, and its weights w(p) and logs log p are shared, so a sigma adds only
 its powers, sums and sign scan. The race is consumed in blocks of primes.
 Block sums are exactly rounded (`_exact_sum`, bit for bit what math.fsum
-returns) and folded into a double-double prefix, so checkpoint values are
+returns; its integer core `_exact_units` sums every float64 array of the
+package) and folded into a double-double prefix, so checkpoint values are
 accurate to a couple of ulps; per-prime values for sign tracking come from a
 block-local cumulative sum whose worst-case float error is folded into
 `running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
@@ -31,15 +32,11 @@ _BLOCK = 1 << 15
 _U = sys.float_info.epsilon / 2  # unit roundoff
 
 
-def _neg_power(n, sigma: float):
-    """n^-sigma as exp(-sigma * log n), the one power kernel of the package.
+def _neg_power(n, sigma: float) -> float:
+    """n^-sigma as exp(-sigma * log n) for an int or float n: the one power kernel.
 
-    An ndarray n gives a float64 array; an int or float n gives a float. For
-    arrays it is `_power_exp(_power_log(n), sigma)`, so a walk that needs many
-    sigma takes each log once.
+    An array walk takes it in halves, `_power_log` once and `_power_exp` per sigma.
     """
-    if isinstance(n, np.ndarray):
-        return _power_exp(_power_log(n), sigma)
     return math.exp(-sigma * math.log(n))
 
 
@@ -53,45 +50,58 @@ def _power_exp(log_n: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sigma * log_n)
 
 
-_SUB, _LIMB, _GRID_MIN = 1 << 15, 36, -1000  # _exact_sum: sub-block terms, limb bits, lowest grid
+_SUB, _LIMB = 1 << 15, 36  # _exact_units: sub-block terms, limb bits
+_UNIT = 1 << 1074  # _exact_units per 1.0: 2^-1074 is the smallest subnormal
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x) for a float64 array: the exactly rounded sum, same bits.
+def _exact_units(x: np.ndarray) -> int | None:
+    """The exact sum of a float64 array as an integer count of 2^-1074.
 
     Each 2^15-term sub-block is cut into limbs on its own binary grids (an
     error-free extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-    31, 2008). With 2^e > max|x| over the sub-block, grids g = e - 36k
-    (k = 1, 2, ...) and S = 1.5 * 2^(g + 52), the limb q = (r + S) - S of the
-    residual r is r rounded to a multiple of 2^g, exactly, while
-    |r| < 2^(g + 51): r + S then lies in [2^(g+52), 2^(g+53)), where floats
-    are 2^g apart, and subtracting S is exact (Sterbenz). So |q| <= 2^(g + 36),
-    2^15 limbs sum exactly, to at most 2^(g + 51), and r - q is exact with
-    |r - q| <= 2^(g - 1), inside the next grid's condition. The limb sums add
-    up exactly in one Python int T of units 2^-1000, and T / 2^1000 is
-    CPython's correctly rounded int division, which rounds half to even as
-    fsum does. A zero T (empty, all-zero or cancelling arrays: fsum's signed
-    zero), non-finite values and grids outside [2^-1000, 2^971], where S is a
-    normal float, fall back to math.fsum.
+    31, 2008). With 2^e > max|x| over the sub-block, grids
+    g = max(e - 36k, -1074) (k = 1, 2, ...) and S = 1.5 * 2^(g + 52), the
+    limb q = (r + S) - S of the residual r is r rounded to a multiple of 2^g,
+    exactly, while |r| < 2^(g + 51): r + S then lies in [2^(g+52), 2^(g+53)),
+    where floats are 2^g apart, and subtracting S is exact (Sterbenz). So
+    |q| <= 2^(g + 36), 2^15 limbs sum exactly, to at most 2^(g + 51), and
+    r - q is exact with |r - q| <= 2^(g - 1), inside the next grid's
+    condition, which the clamp at -1074 only widens. At that floor S is
+    1.5 * 2^-1022, still a normal float, and every finite double is a
+    multiple of 2^-1074, so the limb takes the whole residual and the
+    sub-block ends. None means a non-finite value, or a sub-block top of at
+    least 2^1007, where g would pass 971 and S would overflow.
     """
     total = 0
     q, r = np.empty(min(len(x), _SUB)), np.empty(min(len(x), _SUB))
     for off in range(0, len(x), _SUB):
         src = x[off : off + _SUB]
         top = max(float(src.max()), -float(src.min()))
+        if not top < 2.0**1007:  # also nan and inf
+            return None
         g, live = math.frexp(top)[1], top != 0.0
         qs, rs = q[: len(src)], r[: len(src)]
         while live:
-            g -= _LIMB
-            if not (math.isfinite(top) and _GRID_MIN <= g <= 971):
-                return math.fsum(x.tolist())
+            g = max(g - _LIMB, -1074)
             s = 1.5 * 2.0 ** (g + 52)
             np.add(src, s, out=qs)
             qs -= s
             src = np.subtract(src, qs, out=rs)
-            total += int(math.ldexp(float(qs.sum()), -g)) << (g - _GRID_MIN)
+            total += int(math.ldexp(float(qs.sum()), -g)) << (g + 1074)
             live = rs.any()
-    return total / (1 << -_GRID_MIN) if total else math.fsum(x.tolist())
+    return total
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x) for a float64 array: the exactly rounded sum, same bits.
+
+    `_exact_units(x) / 2^1074` is CPython's correctly rounded int division,
+    which rounds half to even as fsum does, subnormal results included.
+    math.fsum decides only a zero total (empty, all-zero or cancelling
+    arrays: its signed zero) and the arrays `_exact_units` declines.
+    """
+    units = _exact_units(x)
+    return units / _UNIT if units else math.fsum(x.tolist())
 
 
 def _dd_add(hi: float, lo: float, x: float) -> tuple[float, float]:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import primerace
 from primerace import cli
-from primerace.characters import MAX_MODULUS
+from primerace.characters import MAX_MODULUS, chi4
 from primerace.cli import _options, _subcommands, build_parser, main, run_experiment
 from primerace.config import (
     MAX_GRID,
@@ -28,6 +29,7 @@ from primerace.config import (
     validate_config,
 )
 from primerace.errors import ValidationError
+from primerace.lfun import mellin_identity_check
 
 from oracles import trial_division_primes
 
@@ -160,7 +162,6 @@ MALFORMED_FLAGS = [
     ["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "1e3", "--ntrunc", "abc"],
     ["mellin-check", "--sigma", "0", "--s", "1", "--X", "abc"],
     ["conjecture", "--points", "1e3,abc"],
-    ["conjecture", "--points", "1e3", "--budget", "abc"],
 ]
 
 
@@ -334,6 +335,18 @@ def test_removed_mmax_config_key_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_removed_budget_flag_and_key_exit_2(tmp_path, capsys):
+    # conjecture relies on the 10^12 count cap, like every other command
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["conjecture", "--points", "1e3", "--budget", "1e3"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("command = conjecture\npoints = 1e3\nbudget = 1e3\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: budget:")
+
+
 def test_removed_precision_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["race", "--sigma", "0.5", "--xmax", "100", "--precision", "oracle"])
@@ -362,7 +375,6 @@ OVERSIZED_COUNTS = [
     (["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "1e20"], "xmax"),
     (["mellin-check", "--sigma", "0", "--s", "1", "--X", "1e20"], "x"),
     (["conjecture", "--points", "1e3,...,1e13"], "points"),
-    (["conjecture", "--points", "1e3", "--budget", "1e13"], "budget"),
 ]
 
 
@@ -383,6 +395,14 @@ def test_oversized_config_count_exits_2_before_computing(tmp_path, no_compute, c
     assert capsys.readouterr().err.startswith("validation error: xmax:")
 
 
+@pytest.mark.parametrize("sigma, s", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                                      (0.5, math.inf), (-math.inf, 1.0)])
+def test_mellin_non_finite_exponent_fails_before_computing(sigma, s, no_compute):
+    name = "sigma" if not math.isfinite(sigma) else "s"
+    with pytest.raises(ValidationError, match=f"^{name}: expected a finite number"):
+        mellin_identity_check(chi4(), sigma, s, 10**6)
+
+
 def test_count_cap_is_inclusive():
     assert parse_count("1e12", "xmax") == 10**12
 
@@ -390,7 +410,7 @@ def test_count_cap_is_inclusive():
 # (CLI argv, the same run as config text, exit code). The config route reads
 # its keys, types and defaults from the CLI's parser, and every range check
 # lives in the library, so both routes must fail alike, and before computing.
-# The first 22 cases are the range checks the config route used to make on its
+# The first 20 cases are the range checks the config route used to make on its
 # own, plus the grid cap; the next six used to differ between the routes or
 # to compute before they failed. The next one, --count-only with --emit, used
 # to exit 0 and write nothing to the named file. In the last four, argparse
@@ -430,10 +450,6 @@ BOTH_ROUTES = [
     (["mellin-check", "--sigma", "0", "--s", "1", "--X", "2.5"],
      "command = mellin-check; sigma = 0; s = 1; x = 2.5", 2),
     (["conjecture", "--points", "1e3,1e2"], "command = conjecture; points = 1e3,1e2", 2),
-    (["conjecture", "--points", "1e3,1e4", "--budget", "1e3"],
-     "command = conjecture; points = 1e3,1e4; budget = 1e3", 2),
-    (["conjecture", "--points", "1e3", "--budget", "-1"],
-     "command = conjecture; points = 1e3; budget = -1", 2),
     (["lvalue", "--sigma", "-1", "--ntrunc", "100"], "command = lvalue; sigma = -1; ntrunc = 100", 3),
     (["verify-lemma", "--sigma-grid", "2.0,0.5", "--prime-limit", "3e7"],
      "command = verify-lemma; sigma_grid = 2.0,0.5; prime_limit = 3e7", 3),
@@ -508,7 +524,7 @@ OPTION_SAMPLES = {
     "print_period": "true", "character": "kronecker:5", "sigma": "0.5", "xmax": "1e3",
     "checkpoints": "10,100", "out": "o.csv", "ntrunc": "1e3", "sigma_grid": "1.5,2",
     "prime_limit": "1e3", "grid": "0.6:0.7:0.1", "s": "1", "x": "1e3",
-    "points": "1e2,1e3,...,1e5", "budget": "1e6", "report": "r.json",
+    "points": "1e2,1e3,...,1e5", "report": "r.json",
 }
 CONFIG_KEYS = [(command, key) for command, options in config_options().items()
                for key in options]
@@ -551,7 +567,7 @@ FUZZ_PATHS = (["a.csv", "b.json", "c.txt"], ["missing/x.csv", ".", ""])
 FUZZ_BOOLS = (["true", "false"], ["maybe"])
 FUZZ_VALUES = {
     "limit": FUZZ_COUNTS, "xmax": FUZZ_COUNTS, "ntrunc": FUZZ_COUNTS,
-    "prime_limit": FUZZ_COUNTS, "x": FUZZ_COUNTS, "budget": FUZZ_COUNTS,
+    "prime_limit": FUZZ_COUNTS, "x": FUZZ_COUNTS,
     "sigma": FUZZ_REALS, "s": FUZZ_REALS,
     "character": FUZZ_CHARACTERS, "spec": FUZZ_CHARACTERS,
     "checkpoints": (["geometric", "none", "10,100", "1e3", ""],

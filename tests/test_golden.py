@@ -39,6 +39,8 @@ CASES = {
     "lvalue": ["lvalue", "--sigma", "0.5", "--ntrunc", "1e6"],
     "lvalue-chunks": ["lvalue", "--sigma", "0.7", "--ntrunc", "3e6"],  # three 2^20 chunks
     "mellin-check": ["mellin-check", "--sigma", "0.5", "--s", "1.5", "--X", "1e5"],
+    "mellin-check-segments": ["mellin-check", "--character", "kronecker:-4", "--sigma", "0.1",
+                              "--s", "0.35", "--X", "1e7"],  # crosses two 2^22 segment ends
     "conjecture": ["conjecture", "--points", "1e3,...,1e6",
                    "--out", "{out}/conjecture.csv", "--report", "{out}/conjecture.json"],
     "sieve": ["sieve", "--limit", "1e4", "--emit", "{out}/primes.txt"],

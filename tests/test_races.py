@@ -12,6 +12,7 @@ from primerace.errors import ValidationError
 from primerace.races import (
     _block_sign_scan,
     _exact_sum,
+    _exact_units,
     default_checkpoints,
     detect_sign_changes,
     race_scan,
@@ -273,12 +274,13 @@ def test_worker_determinism():
     assert a.sign_events == b.sign_events
 
 
-# terms of mixed sign over 2^-60 .. 2^60, and terms up to 2^1000: a list with
-# both spans more than 1000 binary orders, which sends it to the fsum fallback
+# terms of mixed sign over 2^-60 .. 2^60, terms up to 2^1000, and terms below
+# 2^-1000, subnormals included: a list with all three spans 2,000 binary orders
 _MIXED = st.builds(
     math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-60, max_value=60)
 )
 _WIDE = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
+_TINY = st.floats(min_value=-(2.0**-1000), max_value=2.0**-1000)
 _TILE = (1 << 15) + 123  # tiles straddle the 2^15-term sub-blocks of _exact_sum
 
 
@@ -300,18 +302,41 @@ def _tiled(*exponents):
 @example([1e16, 1.0, -1e16, 2.0**-60, 1e16, 1.0, -1e16, 2.0**-60], 0)
 @example([1.0, 2.0**-53], 0)  # a tie: rounds half to even
 @example([1.0, 2.0**-53, 2.0**-105], 0)  # just above the tie
-@example([2.0**1000, 2.0**-100], 0)  # grids below 2^-1000: the fallback
+@example([2.0**1000, 2.0**-100], 0)  # 31 grids, from 2^965 down to 2^-115
 @example([5e-324, -5e-324, 1.0], 1)
 @example(_tiled(0, 40), 0)  # past 2^15 terms, each sub-block on its own grid
 @example(_tiled(-30, 0, 45, -60), 0)  # past 3 * 2^15 terms
 @example(_tiled(-20, 40) + [-v for v in _tiled(40)], 0)  # 2^40 tiles cancel across sub-blocks
 @example(_tiled(3, -20), 2 * _TILE)  # the whole list cancels to exact zero
 @example(_tiled(10, None, None, -10), 0)  # an all-zero sub-block
-@example(_tiled(0, -1000), 0)  # one sub-block below the 2^-1000 grid: the fallback
+@example(_tiled(0, -1000), 0)  # one sub-block whose grids reach the 2^-1074 floor
+@example(_tiled(-1040), 0)  # a tile at the floor: its first grid is 2^-1074
+@example([5e-324] * 3 + [-(2.0**-1070)], 0)  # all subnormal, and so is the sum
+@example([2.0**1007, 1.0, -(2.0**1007)], 0)  # a top of 2^1007: the fsum fallback
 def test_exact_sum_matches_fsum(values, cancel):
     values = values + [-v for v in values[:cancel]]
     x = np.array(values, dtype=np.float64)
     assert _exact_sum(x).hex() == math.fsum(values).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MIXED | _WIDE | _TINY, max_size=40), st.lists(st.integers(0, 40), max_size=4))
+@example(_tiled(-20, -1040), [_TILE // 2, _TILE + 5])
+def test_exact_units_add_over_cuts(values, cuts):
+    # the units of any cut of a list sum to the units of the whole, which are
+    # its exact rational sum in 2^-1074
+    x = np.array(values, dtype=np.float64)
+    bounds = [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
+    parts = [_exact_units(x[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert sum(parts) == _exact_units(x) == sum(map(Fraction, values)) * 2**1074
+
+
+def test_exact_units_declines_only_non_finite_values_and_huge_tops():
+    for bad in ([2.0**1007, 1.0], [-(2.0**1007)], [1.0, math.inf], [-math.inf], [math.nan, 1.0]):
+        assert _exact_units(np.array(bad)) is None
+    top = math.nextafter(2.0**1007, 0.0)
+    assert _exact_units(np.array([top, 5e-324, -top])) == 1
+    assert _exact_units(np.array([])) == 0
 
 
 def test_exact_sum_matches_fsum_on_race_blocks():
