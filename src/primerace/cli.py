@@ -182,26 +182,17 @@ def cmd_verify_lemma(ns) -> dict:
         "b_value", "b_radius",
         "residual", "radius_budget", "within_radii",
     ]
-    rows = []
-    radii = []
-    for rep in decomposition_scan(w, ns.sigma_grid, ns.prime_limit, n_trunc=ns.ntrunc):
-        rows.append(
-            (
-                rep.sigma,
-                rep.log_l.value, rep.log_l.radius,
-                rep.prime_sum.value, rep.prime_sum.radius,
-                rep.b_value.value, rep.b_value.radius,
-                rep.residual, rep.radius_budget, rep.within_radii,
-            )
-        )
-        radii.append(
-            {
-                "sigma": rep.sigma,
-                "log_l": rep.log_l.radius,
-                "prime_sum": rep.prime_sum.radius,
-                "b_value": rep.b_value.radius,
-            }
-        )
+    reports = decomposition_scan(w, ns.sigma_grid, ns.prime_limit, n_trunc=ns.ntrunc)
+    rows = [
+        (r.sigma, *astuple(r.log_l), *astuple(r.prime_sum), *astuple(r.b_value),
+         r.residual, r.radius_budget, r.within_radii)
+        for r in reports
+    ]
+    radii = [
+        {"sigma": r.sigma, "log_l": r.log_l.radius, "prime_sum": r.prime_sum.radius,
+         "b_value": r.b_value.radius}
+        for r in reports
+    ]
     _write_csv(ns.out, header, rows)
     return {"decomposition": radii}
 

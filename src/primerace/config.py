@@ -36,12 +36,11 @@ def parse_real(text: str, field: str) -> float:
 def parse_count(text: str, field: str) -> int:
     """Integer in [0, MAX_COUNT], accepting scientific notation like 1e8."""
     value = parse_real(text, field)
-    rounded = int(round(value))
-    if abs(value - rounded) > 1e-6 * max(1.0, abs(value)) or rounded < 0:
+    if not value.is_integer() or value < 0:
         raise ValidationError(f"{field}: expected a nonnegative integer, got {text!r}")
-    if rounded > MAX_COUNT:
+    if value > MAX_COUNT:
         raise ValidationError(f"{field}: {text!r} exceeds the largest accepted count, {MAX_COUNT}")
-    return rounded
+    return int(value)
 
 
 def parse_bool(text: str, field: str) -> bool:

@@ -32,7 +32,7 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError
 from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, weighted_race
-from .races import _UNIT, _exact_units, _power_exp, _power_log
+from .races import _UNIT, _exact_units, _float_units, _power_exp, _power_log
 from .sieve import iter_prime_arrays
 
 _EPS = sys.float_info.epsilon
@@ -412,6 +412,6 @@ def mellin_identity_check(
         left_pow = np.concatenate(([left], _power_exp(logs, c)))
         piece_units += _exact_units(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))
         a, left = float(a_steps[-1]), float(left_pow[-1])
-    piece_units += _exact_units(np.array([a * (left - x_pow)]))
+    piece_units += _float_units(a * (left - x_pow))
     rhs = a * x_pow + piece_units / _UNIT
     return abs(lhs_units / _UNIT - rhs)

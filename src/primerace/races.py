@@ -5,8 +5,9 @@ once, and its weights w(p) and logs log p are shared, so a sigma adds only
 its powers, sums and sign scan. The race is consumed in blocks of primes.
 Block sums are exactly rounded (`_exact_sum`, bit for bit what math.fsum
 returns; its integer core `_exact_units` sums every float64 array of the
-package) and folded into a double-double prefix, so checkpoint values are
-accurate to a couple of ulps; per-prime values for sign tracking come from a
+package). The prefix is the exact sum of the rounded block sums, kept as an
+integer count of 2^-1074, and the prefix and every checkpoint value are that
+integer rounded once. Per-prime values for sign tracking come from a
 block-local cumulative sum whose worst-case float error is folded into
 `running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
 the block sum is read exactly from the end of that cumulative sum and the
@@ -104,15 +105,10 @@ def _exact_sum(x: np.ndarray) -> float:
     return units / _UNIT if units else math.fsum(x.tolist())
 
 
-def _dd_add(hi: float, lo: float, x: float) -> tuple[float, float]:
-    """Add x to the double-double value hi + lo (TwoSum + renormalize)."""
-    s = hi + x
-    bv = s - hi
-    err = (hi - (s - bv)) + (x - bv)
-    lo += err
-    new_hi = s + lo
-    new_lo = lo - (new_hi - s)
-    return new_hi, new_lo
+def _float_units(x: float) -> int:
+    """A finite float as its exact integer count of 2^-1074."""
+    n, d = x.as_integer_ratio()
+    return n * (_UNIT // d)
 
 
 @dataclass(frozen=True)
@@ -233,8 +229,7 @@ class _RaceState:
 
     sigma: float
     checkpoints: tuple[int, ...]
-    dd_hi: float = 0.0
-    dd_lo: float = 0.0
+    units: int = 0  # the prefix: the exact sum of the rounded block sums
     total_weight: float = 0.0
     block_weight_max: float = 0.0
     value_max: float = 0.0
@@ -248,7 +243,7 @@ class _RaceState:
     def add_block(self, blk, contrib, cum, block_sum: float, abs_weight: float) -> None:
         """Sample checkpoints, scan signs and fold one block of `_prepare_segment`."""
         cps = self.checkpoints
-        prefix = self.dd_hi + self.dd_lo
+        prefix = self.units / _UNIT
         while self.ci < len(cps) and cps[self.ci] < blk[0]:
             self.points.append(RacePoint(cps[self.ci], prefix, self.err, self.carry))
             self.ci += 1
@@ -272,25 +267,26 @@ class _RaceState:
             if len(pos):
                 self.first_positive = int(blk[pos[0]])
 
+        # the checkpoints left are at or past blk[0], so k >= 1. A head is the
+        # rounded sum of contrib[:k], its units added only since the last one
+        done = head_units = 0
         while self.ci < len(cps) and cps[self.ci] <= blk[-1]:
             k = int(np.searchsorted(blk, cps[self.ci], side="right"))
-            if k == 0:
-                value, eff = prefix, self.carry
+            if exact:  # integer partial sums below 2^53: cum is exact
+                head = float(cum[k - 1])
             else:
-                # integer partial sums below 2^53: cum is exact
-                head = float(cum[k - 1]) if exact else _exact_sum(contrib[:k])
-                value = math.fsum([self.dd_hi, self.dd_lo, head])
-                eff = int(filled[k - 1])
-            self.points.append(RacePoint(cps[self.ci], value, self.err, eff))
+                head_units += _exact_units(contrib[done:k])
+                head, done = head_units / _UNIT, k
+            value = (self.units + _float_units(head)) / _UNIT
+            self.points.append(RacePoint(cps[self.ci], value, self.err, int(filled[k - 1])))
             self.ci += 1
 
-        if len(filled):
-            self.carry = int(filled[-1])
-        self.dd_hi, self.dd_lo = _dd_add(self.dd_hi, self.dd_lo, block_sum)
+        self.carry = int(filled[-1])
+        self.units += _float_units(block_sum)
 
     def series(self) -> RaceSeries:
         """The finished race; checkpoints past the last prime take the final value."""
-        final_value = self.dd_hi + self.dd_lo
+        final_value = self.units / _UNIT
         for x in self.checkpoints[self.ci :]:
             self.points.append(RacePoint(x, final_value, self.err, self.carry))
         return RaceSeries(

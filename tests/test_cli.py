@@ -162,6 +162,9 @@ MALFORMED_FLAGS = [
     ["bias-scan", "--grid", "0.6:0.7:0.1", "--xmax", "1e3", "--ntrunc", "abc"],
     ["mellin-check", "--sigma", "0", "--s", "1", "--X", "abc"],
     ["conjecture", "--points", "1e3,abc"],
+    # counts are exact integers, never rounded to one
+    ["race", "--sigma", "0.5", "--xmax", "1000000.5"],
+    ["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e-7"],
 ]
 
 
@@ -413,8 +416,9 @@ def test_count_cap_is_inclusive():
 # The first 20 cases are the range checks the config route used to make on its
 # own, plus the grid cap; the next six used to differ between the routes or
 # to compute before they failed. The next one, --count-only with --emit, used
-# to exit 0 and write nothing to the named file. In the last four, argparse
-# used to take a negative number in exponent form for an unknown option.
+# to exit 0 and write nothing to the named file. In the next four, argparse
+# used to take a negative number in exponent form for an unknown option. The
+# last one is a count within 10^-6 of an integer, which used to be rounded.
 BOTH_ROUTES = [
     (["sieve", "--limit", "-1"], "command = sieve; limit = -1", 2),
     (["race", "--sigma", "-0.1", "--xmax", "100"], "command = race; sigma = -0.1; xmax = 100", 2),
@@ -470,6 +474,8 @@ BOTH_ROUTES = [
     (["lvalue", "--sigma", "-.5e1", "--ntrunc", "100"],
      "command = lvalue; sigma = -.5e1; ntrunc = 100", 3),
     (["race", "--sigma", "-inf", "--xmax", "10"], "command = race; sigma = -inf; xmax = 10", 2),
+    (["sign-changes", "--sigma", "0", "--xmax", "999999999999.7"],
+     "command = sign-changes; sigma = 0; xmax = 999999999999.7", 2),
 ]
 
 

@@ -132,9 +132,54 @@ def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
     assert [(p.x, p.value) for p in series.points] == [(p, float(a)) for p, a in oracle]
 
 
+def test_checkpoint_heads_are_summed_once_per_block(monkeypatch):
+    # each checkpoint adds only the terms since the last one in its block, so
+    # the elements handed to _exact_units are the block sums' plus one pass
+    primes = list(prime_stream(10**5))
+    summed = []
+    real_units = races._exact_units
+
+    def counting_units(x):
+        summed.append(len(x))
+        return real_units(x)
+
+    monkeypatch.setattr(races, "_exact_units", counting_units)
+    series = weighted_race(chi4(), 0.5, 10**5, checkpoints=primes)
+    monkeypatch.undo()
+    assert sum(summed) <= 2 * len(primes)
+    # a checkpoint's value does not depend on the checkpoints before it
+    assert _values(series)[::97] == _values_at(0.5, primes[::97])
+    assert series.points[-1].value == series.final_value
+
+
+def _fold(blocks, checkpoints):
+    """The sigma = 0.5 race of hand-made (primes, contributions) blocks."""
+    state = races._RaceState(0.5, checkpoints)
+    for blk, contrib in blocks:
+        contrib = np.array(contrib)
+        abs_weight = float(np.sum(np.abs(contrib)))
+        state.add_block(np.array(blk), contrib, np.cumsum(contrib), _exact_sum(contrib), abs_weight)
+    return state.series()
+
+
+def test_fold_is_exact_where_a_double_double_was_not():
+    # 1 + 2^-53 is a tie that rounds to 1, and 2^-110 tips the exact sum above it
+    sums = [1.0, 2.0**-53, 2.0**-110]
+    series = _fold([([2], sums[:1]), ([3], sums[1:2]), ([5], sums[2:])], (5,))
+    assert series.final_value == math.fsum(sums) == 1.0 + 2.0**-52
+    assert [p.value for p in series.points] == [series.final_value]
+
+
+def test_checkpoint_adds_the_rounded_head():
+    # the prefix adds rounded block sums: 2^-53 + 2^-110 rounds to 2^-53 first,
+    # so a checkpoint at the block's last prime reads the final value, 1
+    series = _fold([([2], [1.0]), ([3, 5], [2.0**-53, 2.0**-110])], (5,))
+    assert [p.value for p in series.points] == [series.final_value] == [1.0]
+
+
 def test_sigma0_block_sums_skip_fsum(monkeypatch):
-    # at sigma = 0 a block sum is the last entry of its integer cumsum; the
-    # only fsum left is the 3-term [dd_hi, dd_lo, head] of a checkpoint
+    # at sigma = 0 a block sum is the last entry of its integer cumsum, and a
+    # checkpoint adds the exact head to the integer prefix: nothing calls fsum
     summed = []
     real_fsum = math.fsum
 
@@ -146,7 +191,7 @@ def test_sigma0_block_sums_skip_fsum(monkeypatch):
     monkeypatch.setattr(races.math, "fsum", counting_fsum)
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=[50_000])
     monkeypatch.undo()
-    assert summed == [3]
+    assert summed == []
     oracle = race_sigma0_brute(10**5)
     assert series.points[0].value == float([a for p, a in oracle if p <= 50_000][-1])
     assert series.final_value == float(oracle[-1][1])
