@@ -201,10 +201,11 @@ def cmd_bias_scan(ns) -> dict:
     w = build_character(ns.character)
     points = bias_bound_scan(w, ns.grid, ns.xmax, n_trunc=ns.ntrunc)
     _write_records(ns.out, BiasPoint, points)
-    radii = [
-        {"sigma": p.sigma, "r": p.r_radius, "log_l": p.log_l_radius, "race": p.race_error}
-        for p in points
-    ]
+    radii = []
+    for p in points:
+        ok = p.status == "ok"  # a log-domain-error row has no r or log L radius: null, not NaN
+        radii.append({"sigma": p.sigma, "r": p.r_radius if ok else None,
+                      "log_l": p.log_l_radius if ok else None, "race": p.race_error})
     return {"bias_scan": radii}
 
 
@@ -278,9 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "radii": radii,
         "outputs": outputs,
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest_path, manifest)
     return {"radii": radii, "outputs": outputs, "manifest": manifest_path}
 
 
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", default="kronecker:-4")
     p.add_argument("--sigma-grid", type=lambda t: parse_real_list(t, "sigma_grid"), required=True)
     p.add_argument("--prime-limit", type=_count("prime_limit"), required=True)
-    p.add_argument("--ntrunc", type=_count("ntrunc"), default=None)
+    p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify_lemma)
 

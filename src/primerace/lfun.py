@@ -228,7 +228,7 @@ def verify_log_decomposition(
     sigma: float,
     prime_limit: int,
     *,
-    n_trunc: int | None = None,
+    n_trunc: int = _DEFAULT_N_TRUNC,
 ) -> DecompositionReport:
     """Compute log L, the truncated full prime sum, and B, and their residual.
 
@@ -241,7 +241,11 @@ def verify_log_decomposition(
 
 
 def decomposition_scan(
-    w: DirichletWeight, sigma_grid: Sequence[float], prime_limit: int, *, n_trunc: int | None = None
+    w: DirichletWeight,
+    sigma_grid: Sequence[float],
+    prime_limit: int,
+    *,
+    n_trunc: int = _DEFAULT_N_TRUNC,
 ) -> list[DecompositionReport]:
     """verify_log_decomposition at each sigma, with the whole grid checked first."""
     grid = list(sigma_grid)
@@ -250,8 +254,6 @@ def decomposition_scan(
             raise DomainError(f"verify_log_decomposition requires sigma > 1, got {sigma}")
     if prime_limit < 2:  # b_function's bound, checked before log L is summed
         raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
-    if n_trunc is None:
-        n_trunc = max(_DEFAULT_N_TRUNC, w.modulus)
     log_ls = [lv.log() for lv in l_value_scan(w, grid, n_trunc)]
     reports = []
     for sigma, log_l, walk in zip(grid, log_ls, _char_prime_sum(w, grid, prime_limit)):
@@ -353,10 +355,6 @@ def conjecture_scan(x_points: Sequence[int]) -> ConjectureScan:
     pts = [int(x) for x in x_points]
     if not pts:
         raise ValidationError("x_points must be non-empty")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValidationError("x_points must be strictly ascending")
-    if pts[0] < 1:
-        raise ValidationError("x_points must be >= 1")
     series = weighted_race(chi4(), 0.5, pts[-1], checkpoints=pts)
     rows = series.points
     min_point = min(rows, key=lambda p: (p.value, p.x))

@@ -792,6 +792,27 @@ class TestRunCommand:
         assert run_cli(["run", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.startswith("residual=")
 
+    def test_log_domain_row_writes_null_radii(self, tmp_path):
+        # L(0.501) for kronecker:-1012 at 1012 terms is 0.0534 with radius 0.0556,
+        # so log L has no radius and the manifest must stay strict JSON
+        out, manifest = tmp_path / "bias.csv", tmp_path / "m.json"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "command = bias-scan\ncharacter = kronecker:-1012\ngrid = 0.501:0.501:0.1\n"
+            f"xmax = 1e3\nntrunc = 1012\nout = {out}\nmanifest = {manifest}\n"
+        )
+        assert run_cli(["run", "--config", str(cfg)]) == 0
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert row["status"] == "log-domain-error"
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(manifest.read_text(), parse_constant=reject)
+        (radii,) = doc["radii"]["bias_scan"]
+        assert radii["r"] is None and radii["log_l"] is None
+        assert radii["race"] > 0
+
     def test_run_invalid_config_exit_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("command = race\nsigma = -0.1\nxmax = 100\n")

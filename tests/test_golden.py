@@ -11,6 +11,11 @@ pins.
 
 rewrites every golden file from the code on the path. Run it only for a
 change that moves output bits on purpose, and say so in CHANGES.md.
+
+The bytes repeat on one NumPy version and SIMD dispatch, not across them:
+with AVX-512 turned off (`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"`) on NumPy 2.4.6, five of these cases and the `lemma` workload
+CSV change bytes, while `check_lemma` still accepts that CSV.
 """
 
 import io

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primerace import lfun
+from primerace import lfun, sieve
 from primerace.characters import DirichletWeight, character_from_discriminant, chi4
 from primerace.errors import DomainError, ValidationError
 from primerace.lfun import (
@@ -237,9 +237,7 @@ class TestDecomposition:
     def test_grid_walks_match_one_sigma_calls(self, monkeypatch, d):
         # n_trunc = 2^20 + 17 ends in a 17-term chunk, and 4,096-wide segments
         # split the primes to 10^5 into 25 segments
-        monkeypatch.setattr(
-            lfun, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=1 << 12)
-        )
+        monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 12)
         w = character_from_discriminant(d)
         sigmas, n_trunc = [1.1, 1.5, 2.0], (1 << 20) + 17
         grid = l_value_scan(w, sigmas, n_trunc)
@@ -314,6 +312,10 @@ class TestConjectureScan:
             conjecture_scan([])
         with pytest.raises(ValidationError):
             conjecture_scan([100, 100])
+        with pytest.raises(ValidationError):
+            conjecture_scan([0])
+        with pytest.raises(ValidationError):
+            conjecture_scan([10, 5])
 
 
 class TestMellinIdentity:
@@ -342,7 +344,7 @@ class TestMellinIdentity:
 
         def counting(limit):
             walks.append(limit)
-            for primes in iter_prime_arrays(limit, segment_size=1 << 12):
+            for primes in iter_prime_arrays(limit):
                 segments.append(len(primes))
                 yield primes
 
@@ -350,6 +352,7 @@ class TestMellinIdentity:
             lookups.append(len(primes))
             return lookup(self, primes)
 
+        monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 12)
         monkeypatch.setattr(lfun, "iter_prime_arrays", counting)
         monkeypatch.setattr(DirichletWeight, "values_at_primes", looking_up)
         mellin_identity_check(chi4(), 0.5, 1.5, 10**5)
@@ -379,9 +382,7 @@ class TestMellinIdentity:
         # segments give the residual of one pass over a single array
         w = character_from_discriminant(disc)
         whole = mellin_identity_check(w, sigma, s, x_limit)
-        monkeypatch.setattr(
-            lfun, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=1 << 10)
-        )
+        monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 10)
         assert mellin_identity_check(w, sigma, s, x_limit) == whole
         assert whole == self._one_array_residual(w, sigma, s, x_limit)
         assert whole > 0.0  # a rounding-level residual, so its bits are a real check

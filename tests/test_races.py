@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primerace.characters import DirichletWeight, character_from_discriminant, chi4
-from primerace import races
+from primerace import races, sieve
 from primerace.errors import ValidationError
 from primerace.races import (
     _block_sign_scan,
@@ -200,9 +200,7 @@ def test_sigma0_block_sums_skip_fsum(monkeypatch):
 def test_sigma0_small_segments_match_brute_force(monkeypatch):
     # 1,024-wide segments give about 100 segments and blocks below 1e5, so
     # the sign scan meets many blocks that cannot flip the carried sign
-    monkeypatch.setattr(
-        races, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=1 << 10)
-    )
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 10)
     oracle = race_sigma0_brute(10**5)
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=[p for p, _ in oracle])
     assert [(p.x, p.value) for p in series.points] == [(p, float(a)) for p, a in oracle]
@@ -413,9 +411,7 @@ def test_race_scan_matches_one_sigma_races(d):
 def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
     # a segment boundary at 26864 falls inside the first positive run of the
     # sigma = 0 race (26861 <= x < 26879), where the sigma = 0.5 race is negative
-    monkeypatch.setattr(
-        races, "iter_prime_arrays", lambda limit: iter_prime_arrays(limit, segment_size=26862)
-    )
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 26862)
     scan = race_scan(chi4(), [0.0, 0.5], 10**5)
     assert [e.x for e in scan[0].sign_events] == [26861, 26879]
     assert scan[1].sign_events == []

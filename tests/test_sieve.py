@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primerace import sieve
 from primerace.errors import ValidationError
 from primerace.sieve import (
     prime_count,
@@ -35,9 +36,10 @@ def test_segment_range_errors(lo, hi):
 
 
 def test_segment_width_cap():
+    # the widest segment the walk makes holds 295,947 primes; one more number is refused
+    assert len(sieve_segment(2, 2 + 2**22).primes) == 295_947
     with pytest.raises(ValidationError):
-        sieve_segment(2, 2 + (1 << 23))
-    assert len(sieve_segment(2, 100, max_width=1 << 23).primes) == 25
+        sieve_segment(2, 3 + 2**22)
 
 
 def test_prime_stream_examples():
@@ -56,14 +58,10 @@ def test_count_against_second_sieve_at_1e6():
     assert prime_count(10**6) == len(simple_sieve(10**6)) == 78498
 
 
-def test_small_segment_sizes_agree():
+def test_small_segment_sizes_agree(monkeypatch):
     full = list(prime_stream(50_000))
-    assert list(prime_stream(50_000, segment_size=1 << 10)) == full
-
-
-def test_negative_segment_size_rejected():
-    with pytest.raises(ValidationError):
-        prime_count(100, segment_size=-5)
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 10)
+    assert list(prime_stream(50_000)) == full
 
 
 @settings(max_examples=25, deadline=None)
@@ -72,12 +70,12 @@ def test_segment_concatenation(cuts):
     # sieving [2, N) in one pass equals the concatenation of any partition
     bounds = sorted(set(cuts))
     n = bounds[-1]
-    whole = sieve_segment(2, n, max_width=1 << 23).primes.tolist()
+    whole = sieve_segment(2, n).primes.tolist()
     pieces = []
     lo = 2
     for hi in bounds:
         if hi > lo:
-            pieces.extend(sieve_segment(lo, hi, max_width=1 << 23).primes.tolist())
+            pieces.extend(sieve_segment(lo, hi).primes.tolist())
             lo = hi
     assert pieces == whole
 
