@@ -115,6 +115,11 @@ class DirichletWeight:
         assert abs(s) <= self.modulus
         return s
 
+    def __eq__(self, other) -> bool:
+        """Equal characters have one modulus and one period table, however built."""
+        return (isinstance(other, DirichletWeight) and self.modulus == other.modulus
+                and np.array_equal(self.period, other.period))
+
     def __repr__(self) -> str:
         if self.kind == KRONECKER:
             return f"DirichletWeight(kronecker d={self.discriminant})"
@@ -129,14 +134,12 @@ def _check_modulus(q: int, origin: str) -> None:
 
 
 def _validated_table(q: int, values: np.ndarray, origin: str) -> np.ndarray:
-    """Check every character invariant on the residue table; raise on failure."""
+    """Check every character invariant on a table of -1, 0 and +1; raise on failure."""
     if q < 3:
         raise ValidationError(f"{origin}: modulus must be >= 3, got {q}")
     _check_modulus(q, origin)
     if len(values) != q:
         raise ValidationError(f"{origin}: expected {q} period values, got {len(values)}")
-    if not np.isin(values, (-1, 0, 1)).all():
-        raise ValidationError(f"{origin}: character values must lie in {{-1, 0, +1}}")
     if values[1 % q] != 1:
         raise ValidationError(f"{origin}: w(1) must equal 1")
     for r in range(q):
@@ -166,6 +169,8 @@ def _validated_table(q: int, values: np.ndarray, origin: str) -> np.ndarray:
 
 def character_from_table(q: int, values) -> DirichletWeight:
     """Character of modulus q from its period table (index = n mod q)."""
+    if not all(v in (-1, 0, 1) for v in values):  # int8 would truncate 1.5 and overflow on 300
+        raise ValidationError(f"table mod {q}: character values must lie in {{-1, 0, +1}}")
     table = _validated_table(q, np.asarray(values, dtype=np.int8), f"table mod {q}")
     return DirichletWeight(CHARACTER_TABLE, modulus=q, period=table)
 
@@ -193,9 +198,7 @@ def build_character(spec: str) -> DirichletWeight:
         if parts[0] == "kronecker" and len(parts) == 2:
             return character_from_discriminant(int(parts[1]))
         if parts[0] == "table" and len(parts) == 3:
-            q = int(parts[1])
-            values = [int(v) for v in parts[2].split(",")]
-            return character_from_table(q, values)
+            return character_from_table(int(parts[1]), [int(v) for v in parts[2].split(",")])
     except ValueError as exc:
         raise ValidationError(f"malformed character spec {spec!r}: {exc}") from exc
     raise ValidationError(

@@ -59,12 +59,12 @@ def _fmt(value) -> str:
 _PATH_KEYS = ("emit", "out", "report")
 
 
-def _check_outputs(paths: dict[str, str | None]) -> None:
+def _check_outputs(paths: dict[str, str | None], config: str | None = None) -> None:
     """Check output paths, given by key, before any work; None is unset.
 
-    Two keys that name one path are a ValidationError naming both. Then each
-    path is opened for appending, so a bad path fails at once: a file that
-    did not exist is removed again, and an existing file is left untouched.
+    A key that repeats a path or names the `config` file is a ValidationError.
+    Then each path is opened for appending, so a bad path fails at once: a file
+    that did not exist is removed again, and an existing file is left untouched.
     """
     seen = {}
     for key, path in paths.items():
@@ -73,6 +73,8 @@ def _check_outputs(paths: dict[str, str | None]) -> None:
                 f"{key}: output paths must be distinct, and {path!r} is also the {seen[path]} path"
             )
         if path is not None:
+            if config is not None and os.path.exists(path) and os.path.samefile(path, config):
+                raise ValidationError(f"{key}: output path {path!r} is the config file")
             seen[path] = key
     for path in seen:
         existed = os.path.exists(path)
@@ -131,11 +133,10 @@ def cmd_sieve(ns) -> dict:
 
 
 def cmd_character(ns) -> dict:
-    w = build_character(ns.spec)
     if ns.print_period:
-        print(",".join(str(int(v)) for v in w.period))
+        print(",".join(str(int(v)) for v in ns.spec.period))
     else:
-        print(f"kind={w.kind} modulus={w.modulus} non_principal=true")
+        print(f"kind={ns.spec.kind} modulus={ns.spec.modulus} non_principal=true")
     return {}
 
 
@@ -146,8 +147,8 @@ def _race_rows(series) -> list[tuple]:
 
 
 def cmd_race(ns) -> dict:
-    w = build_character(ns.character)
-    series = weighted_race(w, ns.sigma, ns.xmax, checkpoints=_checkpoint_list(ns.checkpoints, ns.xmax))
+    checkpoints = _checkpoint_list(ns.checkpoints, ns.xmax)
+    series = weighted_race(ns.character, ns.sigma, ns.xmax, checkpoints=checkpoints)
     _write_csv(ns.out, ["x", "A", "error_bound", "effective_sign"], _race_rows(series))
     return {"running_error": series.running_error}
 
@@ -161,20 +162,18 @@ def _checkpoint_list(spec: str, x_max: int):
 
 
 def cmd_sign_changes(ns) -> dict:
-    w = build_character(ns.character)
-    series = weighted_race(w, ns.sigma, ns.xmax, checkpoints=(ns.xmax,))
+    series = weighted_race(ns.character, ns.sigma, ns.xmax, checkpoints=(ns.xmax,))
     _write_json(ns.out, _fields_dict(detect_sign_changes(series)))
     return {"running_error": series.running_error}
 
 
 def cmd_lvalue(ns) -> dict:
-    bv = l_value(build_character(ns.character), ns.sigma, ns.ntrunc)
+    bv = l_value(ns.character, ns.sigma, ns.ntrunc)
     _write_records(ns.out, BoundedValue, [bv])
     return {"l_value": bv.radius}
 
 
 def cmd_verify_lemma(ns) -> dict:
-    w = build_character(ns.character)
     header = [
         "sigma",
         "log_l_value", "log_l_radius",
@@ -182,7 +181,7 @@ def cmd_verify_lemma(ns) -> dict:
         "b_value", "b_radius",
         "residual", "radius_budget", "within_radii",
     ]
-    reports = decomposition_scan(w, ns.sigma_grid, ns.prime_limit, n_trunc=ns.ntrunc)
+    reports = decomposition_scan(ns.character, ns.sigma_grid, ns.prime_limit, n_trunc=ns.ntrunc)
     rows = [
         (r.sigma, *astuple(r.log_l), *astuple(r.prime_sum), *astuple(r.b_value),
          r.residual, r.radius_budget, r.within_radii)
@@ -198,8 +197,7 @@ def cmd_verify_lemma(ns) -> dict:
 
 
 def cmd_bias_scan(ns) -> dict:
-    w = build_character(ns.character)
-    points = bias_bound_scan(w, ns.grid, ns.xmax, n_trunc=ns.ntrunc)
+    points = bias_bound_scan(ns.character, ns.grid, ns.xmax, n_trunc=ns.ntrunc)
     _write_records(ns.out, BiasPoint, points)
     radii = []
     for p in points:
@@ -210,8 +208,7 @@ def cmd_bias_scan(ns) -> dict:
 
 
 def cmd_mellin_check(ns) -> dict:
-    w = build_character(ns.character)
-    residual = mellin_identity_check(w, ns.sigma, ns.s, ns.x)
+    residual = mellin_identity_check(ns.character, ns.sigma, ns.s, ns.x)
     print(f"residual={_fmt(residual)}")
     return {"mellin_residual": residual}
 
@@ -242,7 +239,7 @@ def _options(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     return {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
+def run_experiment(cfg: ExperimentConfig, config_path: str | None = None) -> dict:
     """Validate a config, run its command, write outputs plus a manifest.
 
     The config is checked and parsed against the CLI's own parser, so it
@@ -250,7 +247,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     in the same order as in `main`: parse, distinct and writable output paths,
     then the command. The outputs are the given `emit`, `out` and `report`
     paths; the manifest goes to `manifest`, else to `<first output>.manifest.json`,
-    else to `manifest.json`, and that path is checked with the others.
+    else to `manifest.json`. That path is checked with the others, and none
+    may name `config_path`, the file the config was read from.
 
     The manifest JSON records the config, the package version, the wall time,
     and every radius the run produced. Returns {"radii", "outputs",
@@ -263,7 +261,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     manifest_path = cfg.get("manifest")
     if manifest_path is None:
         manifest_path = (outputs[0] + ".manifest.json") if outputs else "manifest.json"
-    _check_outputs({**paths, "manifest": manifest_path})
+    _check_outputs({**paths, "manifest": manifest_path}, config_path)
     func = subs[cfg.command].get_default("func")
     inner = argparse.Namespace(command=cfg.command, func=func, **values)
     started = time.perf_counter()
@@ -291,7 +289,7 @@ def cmd_run(ns) -> dict:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    result = run_experiment(cfg.with_overrides(overrides))
+    result = run_experiment(cfg.with_overrides(overrides), ns.config)
     print(f"manifest written to {result['manifest']}")
     return result["radii"]
 
@@ -328,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse types the string default too, so every command gets a built character
+    chi = argparse.ArgumentParser(add_help=False)
+    chi.add_argument("--character", type=build_character, default="kronecker:-4")
 
     p = sub.add_parser("sieve", help="stream primes up to a limit")
     p.add_argument("--limit", type=_count("limit"), required=True)
@@ -336,50 +337,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("character", help="build and inspect a character")
-    p.add_argument("--spec", required=True, help="kronecker:<d> or table:<q>:<comma-values>")
+    p.add_argument("--spec", type=build_character, required=True,
+                   help="kronecker:<d> or table:<q>:<comma-values>")
     p.add_argument("--print-period", action="store_true")
     p.set_defaults(func=cmd_character)
 
-    p = sub.add_parser("race", help="stream the weighted race and emit CSV")
-    p.add_argument("--character", default="kronecker:-4")
+    p = sub.add_parser("race", parents=[chi], help="stream the weighted race and emit CSV")
     p.add_argument("--sigma", type=_real("sigma"), required=True)
     p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--checkpoints", default="geometric", help="geometric | none | comma list")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_race)
 
-    p = sub.add_parser("sign-changes", help="JSON sign-change report for a race")
-    p.add_argument("--character", default="kronecker:-4")
+    p = sub.add_parser("sign-changes", parents=[chi], help="JSON sign-change report for a race")
     p.add_argument("--sigma", type=_real("sigma"), required=True)
     p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_sign_changes)
 
-    p = sub.add_parser("lvalue", help="L(sigma, chi) with proven radius")
-    p.add_argument("--character", default="kronecker:-4")
+    p = sub.add_parser("lvalue", parents=[chi], help="L(sigma, chi) with proven radius")
     p.add_argument("--sigma", type=_real("sigma"), required=True)
     p.add_argument("--ntrunc", type=_count("ntrunc"), required=True)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("verify-lemma", help="log L = prime sum + B, numerically")
-    p.add_argument("--character", default="kronecker:-4")
+    p = sub.add_parser("verify-lemma", parents=[chi], help="log L = prime sum + B, numerically")
     p.add_argument("--sigma-grid", type=lambda t: parse_real_list(t, "sigma_grid"), required=True)
     p.add_argument("--prime-limit", type=_count("prime_limit"), required=True)
     p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify_lemma)
 
-    p = sub.add_parser("bias-scan", help="R(sigma) over a grid in (1/2, 1]")
-    p.add_argument("--character", default="kronecker:-4")
+    p = sub.add_parser("bias-scan", parents=[chi], help="R(sigma) over a grid in (1/2, 1]")
     p.add_argument("--grid", type=lambda t: parse_grid(t, "grid"), required=True)
     p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_bias_scan)
 
-    p = sub.add_parser("mellin-check", help="residual of the truncated Abel identity")
-    p.add_argument("--character", default="kronecker:-4")
+    p = sub.add_parser("mellin-check", parents=[chi],
+                       help="residual of the truncated Abel identity")
     p.add_argument("--sigma", type=_real("sigma"), required=True)
     p.add_argument("--s", type=_real("s"), required=True)
     p.add_argument("--X", dest="x", type=_count("x"), required=True)

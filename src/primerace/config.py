@@ -148,8 +148,8 @@ def validate_config(cfg: ExperimentConfig, commands: dict) -> dict[str, object]:
 
     `commands` maps each command to its argparse actions by dest. Every key
     but `manifest` must be one of those dests, and every required one must be
-    given. A store_true option takes true/false, and any other value goes
-    through its option's own `type`, so a config is parsed as its flags are.
+    given. A store_true option takes true/false; any other value, and a string
+    default as in argparse, goes through its option's own `type`.
     Returns each option's value by dest, defaults included. Raises
     ValidationError naming the field.
     """
@@ -168,10 +168,10 @@ def validate_config(cfg: ExperimentConfig, commands: dict) -> dict[str, object]:
 
     values = {}
     for key, action in options.items():
-        if key not in given:
-            values[key] = action.default
-        elif action.nargs == 0:  # a store_true flag
-            values[key] = parse_bool(given[key], key)
-        else:
-            values[key] = given[key] if action.type is None else action.type(given[key])
+        value = given.get(key, action.default)
+        if key in given and action.nargs == 0:  # a store_true flag
+            value = parse_bool(value, key)
+        elif isinstance(value, str) and action.type is not None:  # a string default too
+            value = action.type(value)
+        values[key] = value
     return values

@@ -31,9 +31,8 @@ import numpy as np
 
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError
-from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, weighted_race
+from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, walk, weighted_race
 from .races import _UNIT, _exact_units, _float_units, _power_exp, _power_log
-from .sieve import iter_prime_arrays
 
 _EPS = sys.float_info.epsilon
 _CHUNK = 1 << 20
@@ -130,13 +129,11 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
     rounded sums of t and of lg - t over p <= P, then the sums of |t|, |lg|
     and |lg - t|. Needs |t| < 1.
     """
-    grid = list(sigmas)
-    if not grid:  # no sigma: no walk
-        return []
-    walks = [([], [], [0.0, 0.0, 0.0]) for _ in grid]
-    for primes in iter_prime_arrays(prime_limit):
-        weights, logs = w.values_at_primes(primes), _power_log(primes)
-        for sigma, (t_sums, b_sums, abs_sums) in zip(grid, walks):
+    if prime_limit < 2:
+        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
+    walks = [([], [], [0.0, 0.0, 0.0]) for _ in sigmas]
+    for _, weights, logs in walk(w, prime_limit, sigmas):
+        for sigma, (t_sums, b_sums, abs_sums) in zip(sigmas, walks):
             t = weights * _power_exp(logs, sigma)
             lg = -np.log1p(-t)
             terms = lg - t
@@ -160,8 +157,6 @@ def euler_product_value(w: DirichletWeight, sigma: float, prime_limit: int) -> B
     """
     if sigma <= 1.0:
         raise DomainError(f"euler_product_value requires sigma > 1, got {sigma}")
-    if prime_limit < 2:
-        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
     ((sum_t, sum_b, abs_t, abs_lg, abs_b),) = _char_prime_sum(w, [sigma], prime_limit)
     value = math.exp(math.fsum([sum_t, sum_b]))
     log_tail = 2.0 * _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
@@ -187,8 +182,6 @@ def b_function(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedVal
     """
     if sigma <= 0.5:
         raise DomainError(f"b_function requires sigma > 1/2, got {sigma}")
-    if prime_limit < 2:
-        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
     return _b_bounded(_char_prime_sum(w, [sigma], prime_limit)[0], sigma, prime_limit)
 
 
@@ -401,8 +394,7 @@ def mellin_identity_check(
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
-    for primes in iter_prime_arrays(int(x_limit)):
-        weights, logs = w.values_at_primes(primes), _power_log(primes)
+    for _, weights, logs in walk(w, int(x_limit), [s]):
         lhs_units += _exact_units(weights * _power_exp(logs, s))
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -200,6 +200,17 @@ def _validate_race_args(sigma: float, x_max: int, checkpoints) -> tuple[int, ...
     return cps
 
 
+def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tuple]:
+    """The package's one walk over the primes to limit, for the powers p^-sigma.
+
+    Yields (primes, w(p), log p) per segment of `iter_prime_arrays`; log p is
+    None when every sigma is 0. No sigma yields nothing and sieves nothing.
+    """
+    if sigmas:
+        for primes in iter_prime_arrays(limit):
+            yield primes, w.values_at_primes(primes), _power_log(primes) if any(sigmas) else None
+
+
 def _prepare_segment(
     primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
@@ -311,12 +322,7 @@ def race_scan(
     sigma is sampled at the same checkpoints and keeps its own state.
     """
     states = [_RaceState(s, _validate_race_args(s, x_max, checkpoints)) for s in sigmas]
-    if not states:
-        return []
-    need_logs = any(st.sigma != 0.0 for st in states)
-    for primes in iter_prime_arrays(x_max):
-        weights = w.values_at_primes(primes)
-        logs = _power_log(primes) if need_logs else None
+    for primes, weights, logs in walk(w, x_max, [st.sigma for st in states]):
         for st in states:
             for block in _prepare_segment(primes, weights, logs, st.sigma):
                 st.add_block(*block)

@@ -68,6 +68,32 @@ def test_build_character_specs():
         build_character("table:4:0,1,0")
 
 
+def test_negative_arguments_rejected():
+    with pytest.raises(ValidationError, match=r"^kronecker_symbol requires n >= 0$"):
+        kronecker_symbol(5, -1)
+    with pytest.raises(ValidationError, match=r"^partial_sum requires x >= 0$"):
+        chi4().partial_sum(-1)
+
+
+@pytest.mark.parametrize("values", [[0, 1, 0, 2**70], [0, 1, 0, 300], [0, 1.5, 0, -1]])
+def test_table_values_checked_before_the_int8_cast(values):
+    # an int8 cast overflows on 2^70 and 300, and truncates 1.5 to 1
+    with pytest.raises(ValidationError, match=r"^table mod 4: character values must lie in"):
+        character_from_table(4, values)
+
+
+def test_repr_names_the_construction():
+    assert repr(chi4()) == "DirichletWeight(table mod 4)"
+    assert repr(character_from_discriminant(-4)) == "DirichletWeight(kronecker d=-4)"
+
+
+def test_equality_compares_modulus_and_period():
+    # however it was built: a table and the Kronecker symbol give one character
+    assert chi4() == character_from_discriminant(-4) == build_character("table:4:0,1,0,-1")
+    assert chi4() != character_from_discriminant(-3)
+    assert chi4() != "kronecker:-4"
+
+
 def test_principal_table_rejected():
     with pytest.raises(ValidationError, match="non-principal"):
         character_from_table(4, [0, 1, 0, 1])

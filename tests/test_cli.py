@@ -282,7 +282,7 @@ def no_compute(monkeypatch):
         pytest.fail("computing started before the inputs were checked")
 
     monkeypatch.setattr("primerace.sieve.base_primes", forbidden)
-    for name in ("sieve", "races", "lfun", "cli"):
+    for name in ("sieve", "races", "cli"):
         monkeypatch.setattr(f"primerace.{name}.iter_prime_arrays", forbidden)
     monkeypatch.setattr("primerace.lfun._neg_power", forbidden)
     monkeypatch.setattr("primerace.lfun._power_log", forbidden)
@@ -418,7 +418,9 @@ def test_count_cap_is_inclusive():
 # to compute before they failed. The next one, --count-only with --emit, used
 # to exit 0 and write nothing to the named file. In the next four, argparse
 # used to take a negative number in exponent form for an unknown option. The
-# last one is a count within 10^-6 of an integer, which used to be rounded.
+# next one is a count within 10^-6 of an integer, which used to be rounded.
+# The last two are a descending grid and a table value outside int8, which
+# used to raise OverflowError.
 BOTH_ROUTES = [
     (["sieve", "--limit", "-1"], "command = sieve; limit = -1", 2),
     (["race", "--sigma", "-0.1", "--xmax", "100"], "command = race; sigma = -0.1; xmax = 100", 2),
@@ -476,6 +478,10 @@ BOTH_ROUTES = [
     (["race", "--sigma", "-inf", "--xmax", "10"], "command = race; sigma = -inf; xmax = 10", 2),
     (["sign-changes", "--sigma", "0", "--xmax", "999999999999.7"],
      "command = sign-changes; sigma = 0; xmax = 999999999999.7", 2),
+    (["bias-scan", "--grid", "0.9:0.5:0.1", "--xmax", "1e3"],
+     "command = bias-scan; grid = 0.9:0.5:0.1; xmax = 1e3", 2),
+    (["race", "--character", "table:4:0,1,0,-129", "--sigma", "0", "--xmax", "10"],
+     "command = race; character = table:4:0,1,0,-129; sigma = 0; xmax = 10", 2),
 ]
 
 
@@ -494,6 +500,34 @@ def test_both_routes_fail_alike_before_computing(
     assert cli_err.splitlines()[0] == config_err.splitlines()[0]
     assert cli_err.startswith("validation error:" if code == 2 else "compute error:")
     assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+
+# (argv, message). A character is built while its flag is parsed, so a bad
+# spec exits 2 before the output paths are checked: missing/x.csv is never
+# opened.
+BAD_CHARACTERS = [
+    (["character", "--spec", "kronecker:3"], "non-fundamental discriminant: 3"),  # 3 mod 4
+    (["character", "--spec", "kronecker:abc"],
+     "malformed character spec 'kronecker:abc': invalid literal for int() with base 10: 'abc'"),
+    (["character", "--spec", "table:2:0,1"], "table mod 2: modulus must be >= 3, got 2"),
+    (["character", "--spec", "table:4:0,2,0,-1"],
+     "table mod 4: character values must lie in {-1, 0, +1}"),
+    (["character", "--spec", "table:4:0,-1,0,1"], "table mod 4: w(1) must equal 1"),
+    (["character", "--spec", "table:4:0,1,0,300"],
+     "table mod 4: character values must lie in {-1, 0, +1}"),
+    (["race", "--character", "table:4:0,1,0,-129", "--sigma", "0", "--xmax", "10"],
+     "table mod 4: character values must lie in {-1, 0, +1}"),
+    (["race", "--character", "kronecker:9", "--sigma", "0", "--xmax", "10",
+      "--out", "missing/x.csv"], "non-fundamental discriminant: 9"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_CHARACTERS, ids=[" ".join(argv) for argv, _ in BAD_CHARACTERS]
+)
+def test_bad_character_exits_2_with_its_message(argv, message, no_compute, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def test_grid_cap_is_inclusive():
@@ -740,6 +774,32 @@ class TestConfig:
                 run_experiment(cfg)
             assert str(exc.value) == message
         assert list(tmp_path.iterdir()) == []
+
+    def test_count_only_takes_a_boolean(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.cfg").write_text("command = sieve\nlimit = 10\ncount_only = maybe\n")
+        assert run_cli(["run", "--config", "exp.cfg"]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: count_only: expected true/false, got 'maybe'\n")
+        Path("exp.cfg").write_text("command = sieve\nlimit = 10\ncount_only = false\nemit = p.txt\n")
+        assert run_cli(["run", "--config", "exp.cfg"]) == 0
+        assert Path("p.txt").read_text() == "2\n3\n5\n7\n"
+
+    @pytest.mark.parametrize("name, line, key", [
+        ("exp.cfg", "out = ./exp.cfg", "out"),
+        ("exp.cfg", "manifest = exp.cfg", "manifest"),
+        ("o.csv.manifest.json", "out = o.csv", "manifest"),  # the derived manifest path
+    ])
+    def test_no_output_overwrites_the_config(
+        self, name, line, key, tmp_path, monkeypatch, no_compute, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        text = f"command = race\nsigma = 0.5\nxmax = 1e3\n{line}\n".encode()
+        Path(name).write_bytes(text)
+        assert run_cli(["run", "--config", name]) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: {key}: output path ")
+        assert Path(name).read_bytes() == text
+        assert list(tmp_path.iterdir()) == [tmp_path / name]
 
     def test_unknown_command(self):
         with pytest.raises(ValidationError, match="unknown command"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primerace import lfun, sieve
+from primerace import lfun, races, sieve
 from primerace.characters import DirichletWeight, character_from_discriminant, chi4
 from primerace.errors import DomainError, ValidationError
 from primerace.lfun import (
@@ -220,7 +220,7 @@ class TestDecomposition:
             walks.append(limit)
             return iter_prime_arrays(limit)
 
-        monkeypatch.setattr(lfun, "iter_prime_arrays", counting)
+        monkeypatch.setattr(races, "iter_prime_arrays", counting)
         decomposition_scan(chi4(), [1.1, 1.5, 2.0], 10**5)
         assert walks == [10**5]
         walks.clear()
@@ -353,7 +353,7 @@ class TestMellinIdentity:
             return lookup(self, primes)
 
         monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 12)
-        monkeypatch.setattr(lfun, "iter_prime_arrays", counting)
+        monkeypatch.setattr(races, "iter_prime_arrays", counting)
         monkeypatch.setattr(DirichletWeight, "values_at_primes", looking_up)
         mellin_identity_check(chi4(), 0.5, 1.5, 10**5)
         assert walks == [10**5]

@@ -408,6 +408,11 @@ def test_race_scan_matches_one_sigma_races(d):
     assert race_scan(w, [], 4_200_000) == []
 
 
+def test_race_scan_takes_a_one_shot_sigma_iterable():
+    scan = race_scan(chi4(), iter([0.0, 0.5]), 10**4)
+    assert [repr(s) for s in scan] == [repr(weighted_race(chi4(), s, 10**4)) for s in (0.0, 0.5)]
+
+
 def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
     # a segment boundary at 26864 falls inside the first positive run of the
     # sigma = 0 race (26861 <= x < 26879), where the sigma = 0.5 race is negative

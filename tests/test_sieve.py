@@ -22,6 +22,11 @@ def test_segment_examples():
     assert sieve_segment(90, 97).primes.tolist() == []
 
 
+def test_segment_past_a_base_primes_first_multiple():
+    # 3's first odd multiple at or past 100 is 105, beyond the segment [100, 102)
+    assert sieve_segment(100, 102).primes.tolist() == [101]
+
+
 def test_segment_matches_trial_division_oracle():
     assert sieve_segment(2, 11).primes.tolist() == trial_division_primes(10)
     assert sieve_segment(90, 97).primes.tolist() == [
