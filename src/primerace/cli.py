@@ -62,21 +62,21 @@ _PATH_KEYS = ("emit", "out", "report")
 def _check_outputs(paths: dict[str, str | None], config: str | None = None) -> None:
     """Check output paths, given by key, before any work; None is unset.
 
-    A key that repeats a path or names the `config` file is a ValidationError.
+    A key that repeats a path, however spelt, or names the `config` file is a ValidationError.
     Then each path is opened for appending, so a bad path fails at once: a file
     that did not exist is removed again, and an existing file is left untouched.
     """
-    seen = {}
+    seen = {}  # real path: (key, path as given)
     for key, path in paths.items():
-        if path in seen:
-            raise ValidationError(
-                f"{key}: output paths must be distinct, and {path!r} is also the {seen[path]} path"
-            )
+        real = path and os.path.realpath(path)
+        if real in seen:
+            raise ValidationError(f"{key}: output paths must be distinct, and {path!r} "
+                                  f"is also the {seen[real][0]} path")
         if path is not None:
             if config is not None and os.path.exists(path) and os.path.samefile(path, config):
                 raise ValidationError(f"{key}: output path {path!r} is the config file")
-            seen[path] = key
-    for path in seen:
+            seen[real] = key, path
+    for _, path in seen.values():
         existed = os.path.exists(path)
         with open(path, "a", encoding="utf-8"):
             pass

@@ -2,7 +2,7 @@
 
 One walk over the primes serves every sigma of a scan: each segment is sieved
 once, and its weights w(p) and logs log p are shared, so a sigma adds only
-its powers, sums and sign scan. The race is consumed in blocks of primes.
+its powers (per block), sums and sign scan. The race is consumed in blocks of primes.
 Block sums are exactly rounded (`_exact_sum`, bit for bit what math.fsum
 returns; its integer core `_exact_units` sums every float64 array of the
 package). The prefix is the exact sum of the rounded block sums, kept as an
@@ -29,7 +29,7 @@ from .characters import DirichletWeight
 from .errors import ValidationError
 from .sieve import iter_prime_arrays
 
-_BLOCK = 1 << 15
+_BLOCK = 1 << 15  # a race block; also the tile of log n in lfun.l_value_scan
 _U = sys.float_info.epsilon / 2  # unit roundoff
 
 
@@ -46,9 +46,9 @@ def _power_log(n: np.ndarray) -> np.ndarray:
     return np.log(n.astype(np.float64))
 
 
-def _power_exp(log_n: np.ndarray, sigma: float) -> np.ndarray:
-    """The exp half of `_neg_power`: n^-sigma from log n."""
-    return np.exp(-sigma * log_n)
+def _power_exp(log_n: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The exp half of `_neg_power`: n^-sigma from log n, into `out` if given."""
+    return np.exp(np.multiply(log_n, -sigma, out=out), out=out)
 
 
 _SUB, _LIMB = 1 << 15, 36  # _exact_units: sub-block terms, limb bits
@@ -107,8 +107,8 @@ def _exact_sum(x: np.ndarray) -> float:
 
 def _float_units(x: float) -> int:
     """A finite float as its exact integer count of 2^-1074."""
-    n, d = x.as_integer_ratio()
-    return n * (_UNIT // d)
+    n, d = x.as_integer_ratio()  # d = 2^k with k <= 1074
+    return n << (1075 - d.bit_length())
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,13 @@ def _prepare_segment(
     """Per-block primes, contributions, prefix sums, exact block sums and sum |x|.
 
     `weights` and `logs` are w(p) and log p over the whole segment, shared by
-    every sigma; `logs` may be None at sigma = 0.
+    every sigma; `logs` may be None at sigma = 0. The powers are formed per block.
     """
     exact = sigma == 0.0
-    contribs = weights if exact else weights * _power_exp(logs, sigma)
     blocks = []
     for off in range(0, len(primes), _BLOCK):
-        contrib = contribs[off : off + _BLOCK]
+        part = slice(off, off + _BLOCK)
+        contrib = weights[part] if exact else weights[part] * _power_exp(logs[part], sigma)
         cum = np.cumsum(contrib)
         if exact:  # integer partial sums below 2^53: cum is exact
             block_sum, abs_weight = float(cum[-1]), 0.0  # no error to charge

@@ -8,6 +8,7 @@ Fractions, or mpmath at high precision.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -219,3 +220,58 @@ def kronecker_ref(d: int, n: int) -> int:
     from sympy import kronecker_symbol
 
     return int(kronecker_symbol(d, n))
+
+
+# The package's per-sigma loops as they were before they formed their terms in
+# place: each sigma builds new arrays as long as a 2^20-term chunk of n or a
+# segment of primes, summed by math.fsum and by one np.sum of |x|. Unlike the
+# oracles above they share the package's sieve segments and L-series constants,
+# since what they check is that the in-place loops keep every bit.
+
+
+def l_value_scan_fresh_arrays(w, sigmas, n_trunc: int) -> list:
+    """`lfun.l_value_scan`, with new whole-chunk arrays for every sigma."""
+    import numpy as np
+
+    from primerace.lfun import BoundedValue, _partial_sum_stats
+
+    period_f = w.period.astype(np.float64)
+    chunk_sums = [[] for _ in sigmas]
+    abs_acc = [0.0] * len(sigmas)
+    for lo in range(1, n_trunc + 1, 1 << 20):
+        n = np.arange(lo, min(lo + (1 << 20), n_trunc + 1), dtype=np.int64)
+        weights, logs = period_f[n % w.modulus], np.log(n.astype(np.float64))
+        for i, sigma in enumerate(sigmas):
+            contrib = weights * np.exp(-sigma * logs)
+            chunk_sums[i].append(math.fsum(contrib.tolist()))
+            abs_acc[i] += float(np.sum(np.abs(contrib)))
+    mean, oscillation = _partial_sum_stats(w)
+    values = []
+    for sigma, sums, abs_sum in zip(sigmas, chunk_sums, abs_acc):
+        n_pow = math.exp(-sigma * math.log(n_trunc))
+        correction = (mean - w.partial_sum(n_trunc)) * n_pow
+        value = math.fsum(sums) + correction
+        tail = sigma * oscillation * n_pow / n_trunc
+        rounding = sys.float_info.epsilon * (3.0 * abs_sum + 2.0 * abs(value) + abs(correction))
+        values.append(BoundedValue(value, tail + rounding))
+    return values
+
+
+def char_prime_sum_fresh_arrays(w, sigmas, prime_limit: int) -> list[tuple]:
+    """`lfun._char_prime_sum`, with new t, lg and lg - t arrays for every sigma."""
+    import numpy as np
+
+    from primerace.sieve import iter_prime_arrays
+
+    walks = [([], [], [0.0, 0.0, 0.0]) for _ in sigmas]
+    for primes in iter_prime_arrays(prime_limit):
+        weights, logs = w.values_at_primes(primes), np.log(primes.astype(np.float64))
+        for sigma, (t_sums, b_sums, abs_sums) in zip(sigmas, walks):
+            t = weights * np.exp(-sigma * logs)
+            lg = -np.log1p(-t)
+            terms = lg - t
+            t_sums.append(math.fsum(t.tolist()))
+            b_sums.append(math.fsum(terms.tolist()))
+            for j, x in enumerate((t, lg, terms)):
+                abs_sums[j] += float(np.sum(np.abs(x)))
+    return [(math.fsum(ts), math.fsum(bs), *abs_sums) for ts, bs, abs_sums in walks]

@@ -308,6 +308,18 @@ def test_output_path_check_leaves_existing_file(tmp_path):
     assert out.read_text() == "old\n"
 
 
+def test_two_spellings_of_one_output_exit_2(tmp_path, monkeypatch, no_compute, capsys):
+    # a.csv and ./a.csv are one file, which the report would overwrite
+    monkeypatch.chdir(tmp_path)
+    argv = ["conjecture", "--points", "1e2,1e3", "--out", "a.csv", "--report", "./a.csv"]
+    assert run_cli(argv) == 2
+    Path("exp.cfg").write_text("command = conjecture\npoints = 1e2,1e3\nout = a.csv\nreport = ./a.csv\n")
+    assert run_cli(["run", "--config", "exp.cfg"]) == 2
+    message = "report: output paths must be distinct, and './a.csv' is also the out path"
+    assert capsys.readouterr().err == f"validation error: {message}\n" * 2
+    assert os.listdir() == ["exp.cfg"]
+
+
 def test_python_dash_m_primerace():
     src = str(Path(primerace.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from primerace import lfun, races, sieve
 from primerace.characters import DirichletWeight, character_from_discriminant, chi4
+from primerace.config import parse_grid
 from primerace.errors import DomainError, ValidationError
 from primerace.lfun import (
     BoundedValue,
@@ -25,7 +27,9 @@ from primerace.sieve import iter_prime_arrays
 
 from oracles import (
     catalan_alternating,
+    char_prime_sum_fresh_arrays,
     chi4_value,
+    l_value_scan_fresh_arrays,
     machin_pi_over_4,
     mp_b_double_sum,
     prime_power_sum,
@@ -247,6 +251,38 @@ class TestDecomposition:
         assert repr(reports) == repr(singles)
         assert [r.log_l for r in reports] == [lv.log() for lv in grid]
         assert [r.b_value for r in reports] == [b_function(w, s, 10**5) for s in sigmas]
+
+
+class TestInPlace:
+    """Every per-sigma term is formed in place, with the bits of fresh arrays."""
+
+    @pytest.mark.parametrize("d", [-4, 5])
+    @pytest.mark.parametrize("n_trunc", [(1 << 15) - 1, (1 << 15) + 1, (1 << 20) + (1 << 15) + 7])
+    def test_l_value_keeps_every_bit(self, d, n_trunc):
+        # one short log-n tile; a full one and one term; a short second chunk in the buffers
+        w = character_from_discriminant(d)
+        assert repr(l_value_scan(w, [0.55, 1.5], n_trunc)) == repr(
+            l_value_scan_fresh_arrays(w, [0.55, 1.5], n_trunc))
+
+    def test_prime_sum_keeps_every_bit(self):
+        # two segments, each with buffers of its own length; the second is short
+        limit = (1 << 22) + 3 * (1 << 15) + 5
+        assert len(list(iter_prime_arrays(limit))) == 2
+        assert repr(lfun._char_prime_sum(chi4(), [0.55, 1.5], limit)) == repr(
+            char_prime_sum_fresh_arrays(chi4(), [0.55, 1.5], limit))
+
+    def test_l_value_memory_is_bounded(self):
+        # the bias-scan grid at n = 10^6 needs one chunk of log n and one of
+        # terms (7.6 MiB each) and the chunk's int8 weights: 20 MiB leaves no
+        # room for a whole-chunk temporary per sigma
+        grid = parse_grid("0.55:0.95:0.05")
+        tracemalloc.start()
+        try:
+            l_value_scan(chi4(), grid, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 class TestBiasScan:
