@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import DirichletWeight, chi4
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_count, check_reals
 from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, walk, weighted_race
 from .races import _BLOCK, _UNIT, _exact_units, _float_units, _power_exp, _power_log
 
@@ -90,15 +90,12 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
     correction (Sbar - S(N)) N^-sigma; the radius covers the remaining tail
     plus accumulated rounding.
     """
-    grid = list(sigmas)
+    grid = check_reals(sigmas, "sigma", "l_value requires sigma > 0", lambda s: s > 0.0)
+    n_trunc = check_count(n_trunc, "n_trunc", 0)
+    if n_trunc < w.modulus:  # the least count is the character's, so the message names q
+        raise ValidationError(f"n_trunc must be >= q = {w.modulus}, got {n_trunc}")
     if not grid:  # no sigma: no walk
         return []
-    for sigma in grid:
-        if sigma <= 0.0:
-            raise DomainError(f"l_value requires sigma > 0, got {sigma}")
-    n_trunc = int(n_trunc)
-    if n_trunc < w.modulus:
-        raise ValidationError(f"n_trunc must be >= q = {w.modulus}, got {n_trunc}")
 
     chunk_sums = [[] for _ in grid]
     abs_acc = [0.0] * len(grid)
@@ -133,10 +130,10 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
 
     With t = w(p) p^-sigma and lg = -log1p(-t), each sigma gets the exactly
     rounded sums of t and of lg - t over p <= P, then the sums of |t|, |lg|
-    and |lg - t|. Needs |t| < 1.
+    and |lg - t|. Needs |t| < 1, so sigma > 0.
     """
-    if prime_limit < 2:
-        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
+    sigmas = check_reals(sigmas, "sigma", "_char_prime_sum requires sigma > 0", lambda s: s > 0.0)
+    prime_limit = check_count(prime_limit, "prime_limit", 2)
     walks = [([], [], [0.0, 0.0, 0.0]) for _ in sigmas]
     for _, weights, logs in walk(w, prime_limit, sigmas):
         t, lg, terms = (np.empty(len(weights)) for _ in range(3))  # reused by every sigma
@@ -163,8 +160,8 @@ def euler_product_value(w: DirichletWeight, sigma: float, prime_limit: int) -> B
     for the two sums' roundings per segment and over segments and for their
     fsum, each at most eps/2 of a sum that size; and 2 eps for exp.
     """
-    if sigma <= 1.0:
-        raise DomainError(f"euler_product_value requires sigma > 1, got {sigma}")
+    domain = "euler_product_value requires sigma > 1"
+    (sigma,) = check_reals([sigma], "sigma", domain, lambda s: s > 1.0)
     ((sum_t, sum_b, abs_t, abs_lg, abs_b),) = _char_prime_sum(w, [sigma], prime_limit)
     value = math.exp(math.fsum([sum_t, sum_b]))
     log_tail = 2.0 * _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
@@ -188,8 +185,7 @@ def b_function(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedVal
     4 eps per unit of |term|, and the exactly rounded per-segment and total
     sums eps (sum |term| + |B|).
     """
-    if sigma <= 0.5:
-        raise DomainError(f"b_function requires sigma > 1/2, got {sigma}")
+    (sigma,) = check_reals([sigma], "sigma", "b_function requires sigma > 1/2", lambda s: s > 0.5)
     return _b_bounded(_char_prime_sum(w, [sigma], prime_limit)[0], sigma, prime_limit)
 
 
@@ -249,12 +245,9 @@ def decomposition_scan(
     n_trunc: int = _DEFAULT_N_TRUNC,
 ) -> list[DecompositionReport]:
     """verify_log_decomposition at each sigma, with the whole grid checked first."""
-    grid = list(sigma_grid)
-    for sigma in grid:
-        if sigma <= 1.0:
-            raise DomainError(f"verify_log_decomposition requires sigma > 1, got {sigma}")
-    if prime_limit < 2:  # b_function's bound, checked before log L is summed
-        raise ValidationError(f"prime_limit must be >= 2, got {prime_limit}")
+    domain = "verify_log_decomposition requires sigma > 1"
+    grid = check_reals(sigma_grid, "sigma", domain, lambda s: s > 1.0)
+    prime_limit = check_count(prime_limit, "prime_limit", 2)  # before log L is summed
     log_ls = [lv.log() for lv in l_value_scan(w, grid, n_trunc)]
     reports = []
     for sigma, log_l, walk in zip(grid, log_ls, _char_prime_sum(w, grid, prime_limit)):
@@ -319,17 +312,11 @@ def bias_bound_scan(
     x_max; its tail has no unconditional bound for sigma < 1). No pass/fail
     judgement is attached. One walk over the primes serves the whole grid.
     """
-    grid = [float(s) for s in sigma_grid]
-    for s in grid:
-        if not 0.5 < s <= 1.0:
-            raise DomainError(
-                f"bias_bound_scan requires sigma in (1/2, 1], got {s}"
-            )
-    if race_x_max < 1:
-        raise ValidationError(f"x_max must be >= 1, got {race_x_max}")
-    x_max = int(race_x_max)
+    domain = "bias_bound_scan requires sigma in (1/2, 1]"
+    grid = check_reals(sigma_grid, "sigma", domain, lambda s: 0.5 < s <= 1.0)
+    x_max = check_count(race_x_max, "x_max", 1)
     # every L-value first, so a bad n_trunc fails before the race
-    l_values = l_value_scan(w, grid, int(n_trunc))
+    l_values = l_value_scan(w, grid, n_trunc)
     races = race_scan(w, grid, x_max, checkpoints=(x_max,))
     return [_bias_point(s, x_max, lv, series) for s, lv, series in zip(grid, l_values, races)]
 
@@ -353,7 +340,7 @@ def conjecture_scan(x_points: Sequence[int]) -> ConjectureScan:
     and whether every sampled value beyond 10^3 is negative. No statement
     about the x -> infinity limit is made or implied.
     """
-    pts = [int(x) for x in x_points]
+    pts = [check_count(x, "x_points", 1) for x in x_points]
     if not pts:
         raise ValidationError("x_points must be non-empty")
     series = weighted_race(chi4(), 0.5, pts[-1], checkpoints=pts)
@@ -382,19 +369,13 @@ def mellin_identity_check(
 
     One walk over the primes feeds both sums: each segment's terms and pieces
     add to exact integers (`_exact_units`), and each is rounded once, so both
-    carry math.fsum's bits. sigma and s must be finite.
+    carry math.fsum's bits.
     """
-    for name, value in (("sigma", sigma), ("s", s)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name}: expected a finite number, got {value}")
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if x_limit < 2:
-        raise ValidationError(f"X must be >= 2, got {x_limit}")
+    (sigma,) = check_reals([sigma], "sigma", "sigma must be >= 0", lambda v: v >= 0.0)
+    x_limit = check_count(x_limit, "X", 2)
+    (s,) = check_reals([s], "s", "", lambda v: True)  # s >= sigma next, with both named
     if s < sigma:
-        raise DomainError(
-            f"degenerate exponent: need s >= sigma, got s={s} < sigma={sigma}"
-        )
+        raise DomainError(f"degenerate exponent: need s >= sigma, got s={s} < sigma={sigma}")
     if s == sigma:
         return 0.0
 
@@ -402,7 +383,7 @@ def mellin_identity_check(
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
-    for _, weights, logs in walk(w, int(x_limit), [s]):
+    for _, weights, logs in walk(w, x_limit, [s]):
         lhs_units += _exact_units(weights * _power_exp(logs, s))
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes

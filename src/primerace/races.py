@@ -4,16 +4,16 @@ One walk over the primes serves every sigma of a scan: each segment is sieved
 once, and its weights w(p) and logs log p are shared, so a sigma adds only
 its powers (per block), sums and sign scan. The race is consumed in blocks of primes.
 Block sums are exactly rounded (`_exact_sum`, bit for bit what math.fsum
-returns; its integer core `_exact_units` sums every float64 array of the
-package). The prefix is the exact sum of the rounded block sums, kept as an
-integer count of 2^-1074, and the prefix and every checkpoint value are that
-integer rounded once. Per-prime values for sign tracking come from a
-block-local cumulative sum whose worst-case float error is folded into
-`running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
-the block sum is read exactly from the end of that cumulative sum and the
-error stays 0. The sign scan skips any block that cannot flip the carried
-sign. Everything runs in one thread, in a fixed order, so the output bytes
-repeat exactly from run to run.
+returns; its integer core `_exact_units` makes every exactly rounded sum of
+the package, while the sums of |x| behind the radii are plain `np.sum`). The
+prefix is the exact sum of the rounded block sums, kept as an integer count
+of 2^-1074, and the prefix and every checkpoint value are that integer rounded
+once. Per-prime values for sign tracking come from a block-local cumulative
+sum whose worst-case float error is folded into `running_error`. At sigma = 0
+every partial sum is an integer below 2^53, so the block sum is read exactly
+from the end of that cumulative sum and the error stays 0. The sign scan
+skips any block that cannot flip the carried sign. Everything runs in one
+thread, in a fixed order, so the output bytes repeat exactly from run to run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .characters import DirichletWeight
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_reals
 from .sieve import iter_prime_arrays
 
 _BLOCK = 1 << 15  # a race block; also the tile of log n in lfun.l_value_scan
@@ -182,24 +182,6 @@ def default_checkpoints(x_max: int) -> tuple[int, ...]:
     return tuple(sorted(pts))
 
 
-def _validate_race_args(sigma: float, x_max: int, checkpoints) -> tuple[int, ...]:
-    if not 0.0 <= sigma <= 1.0:
-        raise ValidationError(f"sigma must lie in [0, 1], got {sigma}")
-    if x_max < 1:
-        raise ValidationError(f"x_max must be >= 1, got {x_max}")
-    if checkpoints is None:
-        return default_checkpoints(x_max)
-    cps = tuple(int(c) for c in checkpoints)
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValidationError("checkpoints must be strictly ascending")
-    if cps and (cps[0] < 1 or cps[-1] > x_max):
-        raise ValidationError(
-            f"checkpoints must lie in [1, x_max={x_max}], got range "
-            f"[{cps[0]}, {cps[-1]}]"
-        )
-    return cps
-
-
 def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tuple]:
     """The package's one walk over the primes to limit, for the powers p^-sigma.
 
@@ -318,11 +300,22 @@ def race_scan(
 ) -> list[RaceSeries]:
     """The race at every sigma, from one walk over the primes to x_max.
 
-    Each sigma's series is the one `weighted_race` gives, bit for bit: every
-    sigma is sampled at the same checkpoints and keeps its own state.
+    Every sigma is sampled at the same checkpoints and keeps its own state, so
+    its series does not depend on the other sigmas of the grid.
     """
-    states = [_RaceState(s, _validate_race_args(s, x_max, checkpoints)) for s in sigmas]
-    for primes, weights, logs in walk(w, x_max, [st.sigma for st in states]):
+    grid = check_reals(sigmas, "sigma", "sigma must lie in [0, 1]", lambda s: 0.0 <= s <= 1.0,
+                       ValidationError)
+    x_max = check_count(x_max, "x_max", 1)
+    if checkpoints is None:
+        checkpoints = default_checkpoints(x_max)
+    cps = tuple(check_count(c, "checkpoints", 1) for c in checkpoints)
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValidationError("checkpoints must be strictly ascending")
+    if cps and cps[-1] > x_max:
+        raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
+                              f"got range [{cps[0]}, {cps[-1]}]")
+    states = [_RaceState(s, cps) for s in grid]
+    for primes, weights, logs in walk(w, x_max, grid):
         for st in states:
             for block in _prepare_segment(primes, weights, logs, st.sigma):
                 st.add_block(*block)

@@ -431,3 +431,59 @@ class TestMellinIdentity:
     )
     def test_residual_is_rounding_level(self, sigma, gap, x_limit):
         assert mellin_identity_check(chi4(), sigma, sigma + gap, x_limit) < 1e-10
+
+
+# The library's input contract over every public entry point. Each entry is
+# (call(sigmas, count), an accepted sigma, an accepted count, a refused count
+# to try with an empty grid, for the grid entries). A one-sigma entry unpacks
+# its sigma from the list. After "/" is the count the entry varies, of two.
+ENTRY_POINTS = {
+    "race_scan": (lambda ss, n: races.race_scan(chi4(), ss, n), 0.5, 100, 0),
+    "weighted_race": (lambda ss, n: races.weighted_race(chi4(), *ss, n), 0.5, 100, None),
+    "l_value_scan": (lambda ss, n: l_value_scan(chi4(), ss, n), 0.5, 100, 2),
+    "l_value": (lambda ss, n: l_value(chi4(), *ss, n), 0.5, 100, None),
+    "_char_prime_sum": (lambda ss, n: lfun._char_prime_sum(chi4(), ss, n), 0.5, 100, 1),
+    "euler_product_value": (lambda ss, n: euler_product_value(chi4(), *ss, n), 1.5, 100, None),
+    "b_function": (lambda ss, n: b_function(chi4(), *ss, n), 1.5, 100, None),
+    "decomposition_scan": (
+        lambda ss, n: decomposition_scan(chi4(), ss, n, n_trunc=100), 1.5, 100, 1),
+    "decomposition_scan/n_trunc": (
+        lambda ss, n: decomposition_scan(chi4(), ss, 100, n_trunc=n), 1.5, 100, 2),
+    "verify_log_decomposition": (
+        lambda ss, n: verify_log_decomposition(chi4(), *ss, n, n_trunc=100), 1.5, 100, None),
+    "bias_bound_scan": (lambda ss, n: bias_bound_scan(chi4(), ss, n, n_trunc=100), 0.7, 100, 0),
+    "bias_bound_scan/n_trunc": (
+        lambda ss, n: bias_bound_scan(chi4(), ss, 100, n_trunc=n), 0.7, 100, 2),
+    "conjecture_scan": (lambda ss, n: conjecture_scan([n]), None, 100, None),
+    "mellin_identity_check": (
+        lambda ss, n: mellin_identity_check(chi4(), *ss, 1.5, n), 0.5, 100, None),
+}
+REFUSED = [
+    *((name, [bad], count) for name, (_, sigma, count, _) in ENTRY_POINTS.items()
+      if sigma is not None for bad in (math.nan, math.inf, -math.inf)),
+    *((name, [sigma] if sigma is not None else [], bad) for name, (_, sigma, _, _)
+      in ENTRY_POINTS.items() for bad in (100.5, 1e3)),
+    *((name, [], below) for name, (*_, below) in ENTRY_POINTS.items() if below is not None),
+]
+
+
+@pytest.mark.parametrize("name, sigmas, count", REFUSED,
+                         ids=[f"{n}-{s}-{c}" for n, s, c in REFUSED])
+def test_refused_input_stops_before_any_walk(monkeypatch, name, sigmas, count):
+    # NaN, +-inf, a float count and a count below the least all raise a
+    # ValidationError naming the field, and no prime and no n is walked
+    def forbidden(*args):
+        pytest.fail("a walk started before the inputs were checked")
+
+    monkeypatch.setattr(races, "iter_prime_arrays", forbidden)
+    monkeypatch.setattr(lfun, "_power_log", forbidden)
+    call = ENTRY_POINTS[name][0]
+    with pytest.raises(ValidationError, match=r"^(sigma|n_trunc|prime_limit|x_max|x_points|X)\b"):
+        call(sigmas, count)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_numpy_inputs_give_python_input_bits(name):
+    call, sigma, count, _ = ENTRY_POINTS[name]
+    sigmas = [sigma] if sigma is not None else []
+    assert repr(call([np.float64(s) for s in sigmas], np.int64(count))) == repr(call(sigmas, count))
