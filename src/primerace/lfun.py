@@ -14,8 +14,8 @@ integral of S - Sbar over a full period vanishes).
 
 A sigma grid takes one walk over n and one over the primes, whose w and log
 are shared by every sigma; the one-sigma functions are those walks at one sigma.
-A sigma forms its terms in place, in buffers of one chunk or segment that every
-sigma reuses, so it makes no new array as long as the chunk.
+Each walk forms its terms in buffers made once and reused by every chunk or
+segment and every sigma; the prime walk drops a segment before the next one.
 The Abel-identity check also walks the primes once: both of its sides add up
 as exact integers (`races._exact_units`) and are rounded once.
 """
@@ -34,7 +34,7 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError, check_count, check_reals
 from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, walk, weighted_race
-from .races import _BLOCK, _UNIT, _exact_units, _float_units, _power_exp, _power_log
+from .races import _BLOCK, _SUB, _UNIT, _exact_units, _float_units, _power_exp, _power_log, _take
 
 _EPS = sys.float_info.epsilon
 _CHUNK = 1 << 20
@@ -135,17 +135,19 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
     sigmas = check_reals(sigmas, "sigma", "_char_prime_sum requires sigma > 0", lambda s: s > 0.0)
     prime_limit = check_count(prime_limit, "prime_limit", 2)
     walks = [([], [], [0.0, 0.0, 0.0]) for _ in sigmas]
-    for _, weights, logs in walk(w, prime_limit, sigmas):
-        t, lg, terms = (np.empty(len(weights)) for _ in range(3))  # reused by every sigma
+    work = {}  # the walk's buffers
+    for primes, weights, logs in walk(w, prime_limit, sigmas):
+        (t, lg, terms), scratch = _take(work, "t", len(primes), 3), _take(work, "qr", _SUB, 2)
         for sigma, (t_sums, b_sums, abs_sums) in zip(sigmas, walks):
             _power_exp(logs, sigma, out=t)
             t *= weights
             np.negative(np.log1p(np.negative(t, out=lg), out=lg), out=lg)
             np.subtract(lg, t, out=terms)
-            t_sums.append(_exact_sum(t))
-            b_sums.append(_exact_sum(terms))
+            t_sums.append(_exact_sum(t, scratch))
+            b_sums.append(_exact_sum(terms, scratch))
             for j, x in enumerate((t, lg, terms)):
                 abs_sums[j] += float(np.sum(np.abs(x, out=x)))
+        del primes, weights, logs  # before the next segment is sieved
     return [(math.fsum(ts), math.fsum(bs), *abs_sums) for ts, bs, abs_sums in walks]
 
 

@@ -1,19 +1,20 @@
 """Streaming weighted prime races A(x) = sum_{p<=x} w(p) p^{-sigma}.
 
 One walk over the primes serves every sigma of a scan: each segment is sieved
-once, and its weights w(p) and logs log p are shared, so a sigma adds only
-its powers (per block), sums and sign scan. The race is consumed in blocks of primes.
-Block sums are exactly rounded (`_exact_sum`, bit for bit what math.fsum
-returns; its integer core `_exact_units` makes every exactly rounded sum of
-the package, while the sums of |x| behind the radii are plain `np.sum`). The
-prefix is the exact sum of the rounded block sums, kept as an integer count
-of 2^-1074, and the prefix and every checkpoint value are that integer rounded
-once. Per-prime values for sign tracking come from a block-local cumulative
-sum whose worst-case float error is folded into `running_error`. At sigma = 0
-every partial sum is an integer below 2^53, so the block sum is read exactly
-from the end of that cumulative sum and the error stays 0. The sign scan
-skips any block that cannot flip the carried sign. Everything runs in one
-thread, in a fixed order, so the output bytes repeat exactly from run to run.
+once, and its w(p) and log p are shared, so a sigma adds only its powers, sums
+and sign scan, per block of primes, in buffers that every segment and sigma
+reuses; no segment is held while the next is sieved. Block sums are exactly
+rounded (`_exact_sum`, math.fsum's bits; its integer core `_exact_units` makes
+every exactly rounded sum of the package, while the sums of |x| behind the
+radii are plain `np.sum`). The prefix is the exact sum of the rounded block
+sums, kept as an integer count of 2^-1074, and the prefix and every checkpoint
+value are that integer rounded once. Per-prime values for sign tracking come
+from a block-local cumulative sum whose worst-case float error is folded into
+`running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
+the block sum is read exactly from the end of that cumulative sum and the
+error stays 0. A block's values are formed only if it may flip the carried
+sign or hold the first positive one. Everything runs in one thread, in a fixed
+order, so the output bytes repeat from run to run.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def _neg_power(n, sigma: float) -> float:
 
 
 def _power_log(n: np.ndarray) -> np.ndarray:
-    """The log half of `_neg_power`: log n as float64."""
-    return np.log(n.astype(np.float64))
+    """The log half of `_neg_power`: log n as float64, formed in place."""
+    return np.log(x := n.astype(np.float64), out=x)
 
 
 def _power_exp(log_n: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -55,7 +56,7 @@ _SUB, _LIMB = 1 << 15, 36  # _exact_units: sub-block terms, limb bits
 _UNIT = 1 << 1074  # _exact_units per 1.0: 2^-1074 is the smallest subnormal
 
 
-def _exact_units(x: np.ndarray) -> int | None:
+def _exact_units(x: np.ndarray, scratch: np.ndarray | None = None) -> int | None:
     """The exact sum of a float64 array as an integer count of 2^-1074.
 
     Each 2^15-term sub-block is cut into limbs on its own binary grids (an
@@ -71,10 +72,11 @@ def _exact_units(x: np.ndarray) -> int | None:
     1.5 * 2^-1022, still a normal float, and every finite double is a
     multiple of 2^-1074, so the limb takes the whole residual and the
     sub-block ends. None means a non-finite value, or a sub-block top of at
-    least 2^1007, where g would pass 971 and S would overflow.
+    least 2^1007, where g would pass 971 and S would overflow. A walk passes
+    `scratch`, two rows of at least min(len(x), 2^15) floats, for q and r.
     """
     total = 0
-    q, r = np.empty(min(len(x), _SUB)), np.empty(min(len(x), _SUB))
+    q, r = np.empty((2, min(len(x), _SUB))) if scratch is None else scratch
     for off in range(0, len(x), _SUB):
         src = x[off : off + _SUB]
         top = max(float(src.max()), -float(src.min()))
@@ -93,7 +95,7 @@ def _exact_units(x: np.ndarray) -> int | None:
     return total
 
 
-def _exact_sum(x: np.ndarray) -> float:
+def _exact_sum(x: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """math.fsum(x) for a float64 array: the exactly rounded sum, same bits.
 
     `_exact_units(x) / 2^1074` is CPython's correctly rounded int division,
@@ -101,8 +103,15 @@ def _exact_sum(x: np.ndarray) -> float:
     math.fsum decides only a zero total (empty, all-zero or cancelling
     arrays: its signed zero) and the arrays `_exact_units` declines.
     """
-    units = _exact_units(x)
+    units = _exact_units(x, scratch)
     return units / _UNIT if units else math.fsum(x.tolist())
+
+
+def _take(work: dict, key: str, n: int, rows: int = 1) -> np.ndarray:
+    """`rows` rows of n floats from a walk's buffer, made again only for a longer segment."""
+    if key not in work or work[key].shape[1] < n:
+        work[key] = np.empty((rows, n))
+    return work[key][:, :n]
 
 
 def _float_units(x: float) -> int:
@@ -150,18 +159,11 @@ def _block_sign_scan(avals: np.ndarray, carry: int) -> tuple[np.ndarray, np.ndar
     Returns (indices where the effective sign flips, effective sign at every
     position). `carry` is the effective sign entering the block.
     """
-    if (carry < 0 and avals.max() <= 0) or (carry > 0 and avals.min() >= 0):
-        return np.empty(0, dtype=np.intp), np.full(len(avals), float(carry))
     s = np.sign(avals)
-    n = len(s)
-    marker = np.where(s != 0, np.arange(1, n + 1), 0)
-    last_nz = np.maximum.accumulate(marker)
+    last_nz = np.maximum.accumulate(np.where(s != 0, np.arange(1, len(s) + 1), 0))
     filled = np.where(last_nz > 0, s[np.maximum(last_nz - 1, 0)], float(carry))
-    prev = np.empty_like(filled)
-    prev[0] = carry
-    prev[1:] = filled[:-1]
-    changes = np.flatnonzero((prev != 0) & (filled != prev))
-    return changes, filled
+    prev = np.concatenate(([carry], filled[:-1]))
+    return np.flatnonzero((prev != 0) & (filled != prev)), filled
 
 
 def default_checkpoints(x_max: int) -> tuple[int, ...]:
@@ -191,28 +193,35 @@ def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tu
     if sigmas:
         for primes in iter_prime_arrays(limit):
             yield primes, w.values_at_primes(primes), _power_log(primes) if any(sigmas) else None
+            del primes  # as the consumer drops its segment, before the next one is sieved
 
 
 def _prepare_segment(
-    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float
+    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float, work: dict
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
     """Per-block primes, contributions, prefix sums, exact block sums and sum |x|.
 
     `weights` and `logs` are w(p) and log p over the whole segment, shared by
-    every sigma; `logs` may be None at sigma = 0. The powers are formed per block.
+    every sigma; `logs` may be None at sigma = 0. The powers, prefix sums and
+    |x| go into the walk's buffers `work`: the arrays returned last until the next call.
     """
     exact = sigma == 0.0
+    (cums,) = _take(work, "cum", len(primes))
+    if not exact:
+        (terms,), scratch = _take(work, "terms", len(primes)), _take(work, "scratch", _BLOCK, 2)
     blocks = []
     for off in range(0, len(primes), _BLOCK):
         part = slice(off, off + _BLOCK)
-        contrib = weights[part] if exact else weights[part] * _power_exp(logs[part], sigma)
-        cum = np.cumsum(contrib)
+        contrib = weights[part] if exact else _power_exp(logs[part], sigma, out=terms[part])
+        if not exact:
+            contrib *= weights[part]
+        cum = np.cumsum(contrib, out=cums[part])
         if exact:  # integer partial sums below 2^53: cum is exact
             block_sum, abs_weight = float(cum[-1]), 0.0  # no error to charge
         else:
-            block_sum = _exact_sum(contrib)
-            abs_weight = float(np.sum(np.abs(contrib)))
-        blocks.append((primes[off : off + _BLOCK], contrib, cum, block_sum, abs_weight))
+            block_sum = _exact_sum(contrib, scratch)
+            abs_weight = float(np.sum(np.abs(contrib, out=scratch[0, : len(contrib)])))
+        blocks.append((primes[part], contrib, cum, block_sum, abs_weight))
     return blocks
 
 
@@ -241,21 +250,27 @@ class _RaceState:
             self.points.append(RacePoint(cps[self.ci], prefix, self.err, self.carry))
             self.ci += 1
 
-        avals = prefix + cum
-        change_idx, filled = _block_sign_scan(avals, self.carry)
+        # fl(prefix + c) is monotone in c, so lo and hi are the block's least and largest values
+        lo, hi = prefix + float(cum.min()), prefix + float(cum.max())
+        c = self.carry  # the block is scanned where it may leave it or hold the first value > 0
+        scan = c == 0 or (lo < 0 if c > 0 else hi > 0) or (hi > 0 and self.first_positive is None)
 
         exact = self.sigma == 0.0
         if not exact:
             self.total_weight += abs_weight
             self.block_weight_max = max(self.block_weight_max, abs_weight)
-            self.value_max = max(self.value_max, float(np.max(np.abs(avals))))
+            self.value_max = max(self.value_max, -lo, hi)
             self.err = _U * (
                 2.0 * self.total_weight + _BLOCK * self.block_weight_max + self.value_max
             )
 
+        change_idx, filled = np.arange(0), np.broadcast_to(float(c), cum.shape)  # c at every prime
+        if scan:
+            avals = prefix + cum
+            change_idx, filled = _block_sign_scan(avals, c)
         for i in change_idx.tolist():
             self.events.append(RacePoint(int(blk[i]), float(avals[i]), self.err, int(filled[i])))
-        if self.first_positive is None:
+        if scan and self.first_positive is None:
             pos = np.flatnonzero(avals > 0.0)
             if len(pos):
                 self.first_positive = int(blk[pos[0]])
@@ -315,10 +330,12 @@ def race_scan(
         raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
                               f"got range [{cps[0]}, {cps[-1]}]")
     states = [_RaceState(s, cps) for s in grid]
-    for primes, weights, logs in walk(w, x_max, grid):
+    work = {}  # the walk's buffers
+    for segment in walk(w, x_max, grid):
         for st in states:
-            for block in _prepare_segment(primes, weights, logs, st.sigma):
+            for block in _prepare_segment(*segment, st.sigma, work):
                 st.add_block(*block)
+        del segment, block  # before the next segment is sieved
     return [st.series() for st in states]
 
 

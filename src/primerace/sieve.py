@@ -92,6 +92,7 @@ def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
         primes = sieve_segment(lo, hi, base=shared).primes
         if len(primes):
             yield primes
+        del primes  # so no segment is held while the next one is sieved
         lo = hi
 
 

@@ -275,3 +275,117 @@ def char_prime_sum_fresh_arrays(w, sigmas, prime_limit: int) -> list[tuple]:
             for j, x in enumerate((t, lg, terms)):
                 abs_sums[j] += float(np.sum(np.abs(x)))
     return [(math.fsum(ts), math.fsum(bs), *abs_sums) for ts, bs, abs_sums in walks]
+
+
+# The race loop as it was before each walk kept one working set: every block
+# and sigma gets new contribution, prefix-sum and |x| arrays, and every block's
+# running values are formed and sign-scanned, flip or no flip. Block sums are
+# math.fsum, whose bits races._exact_sum keeps; the rest shares the package's
+# sieve segments, prefix units and checkpoint heads, unchanged by that change.
+
+
+def _block_sign_scan_fresh_arrays(avals, carry: int):
+    """`races._block_sign_scan`, with its shortcut for blocks that cannot flip."""
+    import numpy as np
+
+    if (carry < 0 and avals.max() <= 0) or (carry > 0 and avals.min() >= 0):
+        return np.empty(0, dtype=np.intp), np.full(len(avals), float(carry))
+    s = np.sign(avals)
+    n = len(s)
+    marker = np.where(s != 0, np.arange(1, n + 1), 0)
+    last_nz = np.maximum.accumulate(marker)
+    filled = np.where(last_nz > 0, s[np.maximum(last_nz - 1, 0)], float(carry))
+    prev = np.empty_like(filled)
+    prev[0] = carry
+    prev[1:] = filled[:-1]
+    changes = np.flatnonzero((prev != 0) & (filled != prev))
+    return changes, filled
+
+
+def _prepare_segment_fresh_arrays(primes, weights, logs, sigma: float) -> list[tuple]:
+    """`races._prepare_segment`, with new arrays for every block and sigma."""
+    import numpy as np
+
+    from primerace.races import _BLOCK
+
+    exact = sigma == 0.0
+    blocks = []
+    for off in range(0, len(primes), _BLOCK):
+        part = slice(off, off + _BLOCK)
+        contrib = weights[part] if exact else weights[part] * np.exp(-sigma * logs[part])
+        cum = np.cumsum(contrib)
+        if exact:  # integer partial sums below 2^53: cum is exact
+            block_sum, abs_weight = float(cum[-1]), 0.0  # no error to charge
+        else:
+            block_sum = math.fsum(contrib.tolist())
+            abs_weight = float(np.sum(np.abs(contrib)))
+        blocks.append((primes[off : off + _BLOCK], contrib, cum, block_sum, abs_weight))
+    return blocks
+
+
+def fresh_arrays_race_state(sigma: float, checkpoints: tuple[int, ...]):
+    """A `races._RaceState` whose add_block forms and scans every block's values."""
+    import numpy as np
+
+    from primerace import races
+    from primerace.races import _BLOCK, _U, _UNIT, RacePoint, _exact_units, _float_units
+
+    class FreshArraysRaceState(races._RaceState):
+        def add_block(self, blk, contrib, cum, block_sum: float, abs_weight: float) -> None:
+            cps = self.checkpoints
+            prefix = self.units / _UNIT
+            while self.ci < len(cps) and cps[self.ci] < blk[0]:
+                self.points.append(RacePoint(cps[self.ci], prefix, self.err, self.carry))
+                self.ci += 1
+
+            avals = prefix + cum
+            change_idx, filled = _block_sign_scan_fresh_arrays(avals, self.carry)
+
+            exact = self.sigma == 0.0
+            if not exact:
+                self.total_weight += abs_weight
+                self.block_weight_max = max(self.block_weight_max, abs_weight)
+                self.value_max = max(self.value_max, float(np.max(np.abs(avals))))
+                self.err = _U * (
+                    2.0 * self.total_weight + _BLOCK * self.block_weight_max + self.value_max
+                )
+
+            for i in change_idx.tolist():
+                self.events.append(
+                    RacePoint(int(blk[i]), float(avals[i]), self.err, int(filled[i])))
+            if self.first_positive is None:
+                pos = np.flatnonzero(avals > 0.0)
+                if len(pos):
+                    self.first_positive = int(blk[pos[0]])
+
+            done = head_units = 0
+            while self.ci < len(cps) and cps[self.ci] <= blk[-1]:
+                k = int(np.searchsorted(blk, cps[self.ci], side="right"))
+                if exact:  # integer partial sums below 2^53: cum is exact
+                    head = float(cum[k - 1])
+                else:
+                    head_units += _exact_units(contrib[done:k])
+                    head, done = head_units / _UNIT, k
+                value = (self.units + _float_units(head)) / _UNIT
+                self.points.append(RacePoint(cps[self.ci], value, self.err, int(filled[k - 1])))
+                self.ci += 1
+
+            self.carry = int(filled[-1])
+            self.units += _float_units(block_sum)
+
+    return FreshArraysRaceState(sigma, tuple(checkpoints))
+
+
+def race_scan_fresh_arrays(w, sigmas, x_max: int, checkpoints) -> list:
+    """`races.race_scan`, with new arrays for every segment, block and sigma."""
+    import numpy as np
+
+    from primerace.sieve import iter_prime_arrays
+
+    states = [fresh_arrays_race_state(s, checkpoints) for s in sigmas]
+    for primes in iter_prime_arrays(x_max):
+        weights, logs = w.values_at_primes(primes), np.log(primes.astype(np.float64))
+        for st in states:
+            for block in _prepare_segment_fresh_arrays(primes, weights, logs, st.sigma):
+                st.add_block(*block)
+    return [st.series() for st in states]

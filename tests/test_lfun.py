@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -270,6 +271,47 @@ class TestInPlace:
         assert len(list(iter_prime_arrays(limit))) == 2
         assert repr(lfun._char_prime_sum(chi4(), [0.55, 1.5], limit)) == repr(
             char_prime_sum_fresh_arrays(chi4(), [0.55, 1.5], limit))
+
+    @pytest.mark.parametrize("name", ["race_scan", "_char_prime_sum"])
+    def test_no_segment_outlives_the_next_sieve(self, monkeypatch, name):
+        # on entry to each sieve, the primes, w(p) and log p made for the
+        # previous segment must all be gone, with no view of them left
+        w, made, sieved = chi4(), [], []
+        real_sieve, real_values, real_log = sieve.sieve_segment, w.values_at_primes, races._power_log
+
+        def watched(real):
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                made.append(weakref.ref(out.primes if real is real_sieve else out))
+                return out
+            return call
+
+        def checked_sieve(lo, hi, **kwargs):
+            assert [ref() for ref in made] == [None] * len(made), f"alive at lo = {lo}"
+            sieved.append(lo)
+            return watched(real_sieve)(lo, hi, **kwargs)
+
+        monkeypatch.setattr(sieve, "sieve_segment", checked_sieve)
+        monkeypatch.setattr(w, "values_at_primes", watched(real_values))
+        monkeypatch.setattr(races, "_power_log", watched(real_log))
+        limit = 2 * sieve.SEGMENT_WIDTH + 1000  # three segments, the last one short
+        if name == "race_scan":
+            races.race_scan(w, [0.0, 0.5], limit, checkpoints=(10**6, limit))
+        else:
+            lfun._char_prime_sum(w, [0.55, 1.5], limit)
+        assert len(sieved) == 3 and len(made) == 9
+
+    def test_prime_sum_memory_is_bounded(self):
+        # the lemma walk: each segment's primes, w(p) and log p, and one set of
+        # t, lg, lg - t and exact-sum buffers for the whole walk. 14.1 MiB;
+        # 21.7 MiB with new buffers per segment, each alive across the next sieve
+        tracemalloc.start()
+        try:
+            lfun._char_prime_sum(chi4(), [1.1, 1.5, 2.0], 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_l_value_memory_is_bounded(self):
         # the bias-scan grid at n = 10^6 needs one chunk of log n and one of

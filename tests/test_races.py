@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,14 @@ from primerace.races import (
 )
 from primerace.sieve import iter_prime_arrays, prime_stream
 
-from oracles import mp_race, race_sigma0_brute, race_sigma1_fraction, sign_change_walk
+from oracles import (
+    fresh_arrays_race_state,
+    mp_race,
+    race_scan_fresh_arrays,
+    race_sigma0_brute,
+    race_sigma1_fraction,
+    sign_change_walk,
+)
 
 
 def test_race_examples():
@@ -139,9 +147,9 @@ def test_checkpoint_heads_are_summed_once_per_block(monkeypatch):
     summed = []
     real_units = races._exact_units
 
-    def counting_units(x):
+    def counting_units(x, *scratch):
         summed.append(len(x))
-        return real_units(x)
+        return real_units(x, *scratch)
 
     monkeypatch.setattr(races, "_exact_units", counting_units)
     series = weighted_race(chi4(), 0.5, 10**5, checkpoints=primes)
@@ -422,3 +430,97 @@ def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
     assert scan[1].sign_events == []
     for sigma, series in zip([0.0, 0.5], scan):
         assert repr(series) == repr(weighted_race(chi4(), sigma, 10**5))
+
+
+def _assert_same_repr(got, want) -> None:
+    """repr(got) == repr(want), failing with the first difference: pytest's own
+    diff of two megabyte-long reprs runs for minutes."""
+    got, want = repr(got), repr(want)
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got + "$", want + "#")) if a != b)
+        pytest.fail(f"reprs differ at {i}: {got[max(i - 60, 0) : i + 60]!r} "
+                    f"!= {want[max(i - 60, 0) : i + 60]!r}")
+
+
+class TestWorkingSet:
+    """One set of buffers per walk, and values formed only where the sign may flip."""
+
+    SIGMAS = [0.0, 0.02, 0.1, 0.55, 1.0]
+
+    @staticmethod
+    def _character(d):
+        return chi4() if d == -4 else character_from_discriminant(d)
+
+    @pytest.mark.parametrize("d", [-4, -3, 5, 8, -7])
+    def test_checkpoint_at_every_prime_keeps_every_bit(self, d):
+        # chi_4 and d = 8 vanish at 2, so the race enters its first prime with carry 0;
+        # d = -7 changes sign at x = 5 at every sigma (events with error bounds)
+        w, cps = self._character(d), list(prime_stream(10**5))
+        scan = race_scan(w, self.SIGMAS, 10**5, checkpoints=cps)
+        _assert_same_repr(scan, race_scan_fresh_arrays(w, self.SIGMAS, 10**5, cps))
+        if d == -7:
+            assert all(s.sign_events[0].x == 5 for s in scan)
+
+    def test_sign_changes_at_small_sigma_keep_every_bit(self):
+        # d = 8 first changes sign past 11.1e6, in the third segment: 206, 608 and
+        # 22 times at sigma = 0, 0.02 and 0.1, with error bounds at sigma > 0
+        w = character_from_discriminant(8)
+        scan = race_scan(w, self.SIGMAS, 12_000_000)
+        _assert_same_repr(
+            scan, race_scan_fresh_arrays(w, self.SIGMAS, 12_000_000, default_checkpoints(12_000_000)))
+        assert [len(s.sign_events) > 0 for s in scan] == [True, True, True, False, False]
+
+    @pytest.mark.parametrize("d", [-4, -3, 5, 8, -7])
+    def test_segment_boundary_keeps_every_bit(self, d):
+        # the first segment is [2, 2 + 2^22): checkpoints on both sides of its end,
+        # past about nine blocks that mostly cannot flip the carried sign
+        w = self._character(d)
+        cps = [1000, 4194300, 4194304, 4194305, 4194306, 4194307, 4194311, 4_200_000]
+        _assert_same_repr(race_scan(w, self.SIGMAS, 4_200_000, checkpoints=cps),
+                          race_scan_fresh_arrays(w, self.SIGMAS, 4_200_000, cps))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_zero_carry_blocks_keep_every_bit(self, sigma):
+        # whole blocks at 0 keep the carry at 0; then blocks that cross 0, that
+        # return to it, that stay below it and that are the first to pass it
+        blocks = [([2, 3, 5], [0.0, 0.0, 0.0]), ([7, 11], [0.0, 0.0]),
+                  ([13, 17, 19], [0.0, -0.5, 0.5]), ([23, 29], [-1.0, 0.25]),
+                  ([31, 37], [0.25, 0.25]), ([41, 43, 47], [0.0, 1.0, -3.0])]
+        cps = (2, 3, 7, 11, 13, 17, 19, 29, 31, 37, 43, 47)
+        new, fresh = races._RaceState(sigma, cps), fresh_arrays_race_state(sigma, cps)
+        for blk, contrib in blocks:
+            contrib = np.array(contrib)
+            for state in (new, fresh):
+                state.add_block(np.array(blk), contrib, np.cumsum(contrib), _exact_sum(contrib),
+                                float(np.sum(np.abs(contrib))))
+        series = new.series()
+        assert repr(series) == repr(fresh.series())
+        signs = [0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 1, -1]
+        assert [p.effective_sign for p in series.points] == signs
+        assert series.first_positive_x == 43
+
+    def test_sign_scan_runs_only_where_the_sign_may_flip(self, monkeypatch):
+        # chi_4 at sigma = 0.5 is negative past 3 to 10^7 (Chebyshev's bias), so only
+        # the first of its 23 blocks, entered with carry 0, is scanned
+        scanned = []
+        real_scan = races._block_sign_scan
+
+        def counting_scan(avals, carry):
+            scanned.append(len(avals))
+            return real_scan(avals, carry)
+
+        monkeypatch.setattr(races, "_block_sign_scan", counting_scan)
+        (series,) = race_scan(chi4(), [0.5], 10**7, checkpoints=(10**7,))
+        assert scanned == [1 << 15] and series.sign_events == [] and series.final_sign == -1
+
+    def test_sigma0_race_memory_does_not_grow(self):
+        # a sigma = 0 race needs the segment's primes, w(p) and one prefix-sum
+        # buffer, and no power, |x| or exact-sum rows: 8.1 MiB, against 10.7 with
+        # new arrays per segment and 10.9 with those unused rows
+        tracemalloc.start()
+        try:
+            race_scan(chi4(), [0.0], 10**7, checkpoints=(10**7,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
