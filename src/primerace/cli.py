@@ -68,6 +68,8 @@ def _check_outputs(paths: dict[str, str | None], config: str | None = None) -> N
     """
     seen = {}  # real path: (key, path as given)
     for key, path in paths.items():
+        if path is not None and "\0" in path:
+            raise ValidationError(f"{key}: output path {path!r} contains a NUL byte")
         real = path and os.path.realpath(path)
         if real in seen:
             raise ValidationError(f"{key}: output paths must be distinct, and {path!r} "
@@ -121,8 +123,6 @@ def _fields_dict(record, skip: tuple[str, ...] = ()) -> dict:
 
 def cmd_sieve(ns) -> dict:
     if ns.count_only:
-        if ns.emit is not None:
-            raise ValidationError("emit: --count-only writes no file, so it excludes --emit")
         print(prime_count(ns.limit))
         return {}
     with _output(ns.emit) as fh:
@@ -147,18 +147,10 @@ def _race_rows(series) -> list[tuple]:
 
 
 def cmd_race(ns) -> dict:
-    checkpoints = _checkpoint_list(ns.checkpoints, ns.xmax)
+    checkpoints = (ns.xmax,) if ns.checkpoints == "none" else ns.checkpoints
     series = weighted_race(ns.character, ns.sigma, ns.xmax, checkpoints=checkpoints)
     _write_csv(ns.out, ["x", "A", "error_bound", "effective_sign"], _race_rows(series))
     return {"running_error": series.running_error}
-
-
-def _checkpoint_list(spec: str, x_max: int):
-    if spec is None or spec == "geometric":
-        return None  # race default
-    if spec == "none":
-        return (x_max,)
-    return [parse_count(tok, "checkpoints") for tok in spec.split(",") if tok.strip()]
 
 
 def cmd_sign_changes(ns) -> dict:
@@ -228,44 +220,37 @@ def cmd_conjecture(ns) -> dict:
     return {"error_bounds": [p.error_bound for p in scan.points]}
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """The parser of every subcommand a config may name: all but `run`."""
+def _config_options(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand a config may name (all but `run`): its options by dest, the config keys."""
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: sub for name, sub in action.choices.items() if name != "run"}
-
-
-def _options(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """A subcommand's options by dest, which are its config keys."""
-    return {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    return {name: {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+            for name, sub in action.choices.items() if name != "run"}
 
 
 def run_experiment(cfg: ExperimentConfig, config_path: str | None = None) -> dict:
     """Validate a config, run its command, write outputs plus a manifest.
 
-    The config is checked and parsed against the CLI's own parser, so it
-    gives the Namespace that the matching flags give, and the same checks run
-    in the same order as in `main`: parse, distinct and writable output paths,
-    then the command. The outputs are the given `emit`, `out` and `report`
-    paths; the manifest goes to `manifest`, else to `<first output>.manifest.json`,
-    else to `manifest.json`. That path is checked with the others, and none
-    may name `config_path`, the file the config was read from.
+    The config becomes the command line it stands for, read by the CLI's own
+    parser, so it gives the Namespace the matching flags give, and the same
+    checks run in the same order as in `main`: parse, distinct and writable
+    output paths, then the command. The outputs are the given `emit`, `out`
+    and `report` paths; the manifest goes to `manifest`, else to `<first
+    output>.manifest.json`, else to `manifest.json`. That path is checked with
+    the others, and none may name `config_path`, the config's own file.
 
     The manifest JSON records the config, the package version, the wall time,
     and every radius the run produced. Returns {"radii", "outputs",
     "manifest"}.
     """
-    subs = _subcommands(build_parser())
-    values = validate_config(cfg, {name: _options(sub) for name, sub in subs.items()})
-    paths = {key: values.get(key) for key in _PATH_KEYS}
+    parser = build_parser()
+    ns = parser.parse_args(validate_config(cfg, _config_options(parser)))
+    paths = {key: getattr(ns, key, None) for key in _PATH_KEYS}
     outputs = [path for path in paths.values() if path is not None]
-    manifest_path = cfg.get("manifest")
-    if manifest_path is None:
-        manifest_path = (outputs[0] + ".manifest.json") if outputs else "manifest.json"
+    default_manifest = (outputs[0] + ".manifest.json") if outputs else "manifest.json"
+    manifest_path = cfg.get("manifest", default_manifest)
     _check_outputs({**paths, "manifest": manifest_path}, config_path)
-    func = subs[cfg.command].get_default("func")
-    inner = argparse.Namespace(command=cfg.command, func=func, **values)
     started = time.perf_counter()
-    radii = inner.func(inner)
+    radii = ns.func(ns)
     elapsed = time.perf_counter() - started
 
     manifest = {
@@ -304,12 +289,20 @@ def _real(field: str):
     return lambda text: parse_real(text, field)
 
 
+def _checkpoints(text: str):
+    """argparse type for --checkpoints: None (geometric), "none" (x_max alone) or counts."""
+    if text in ("geometric", "none"):
+        return None if text == "geometric" else text
+    return [parse_count(tok, "checkpoints") for tok in text.split(",") if tok.strip()]
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every negative float literal as a value.
 
     argparse counts only -<digits> and -<digits>.<digits> as numbers, so
     `--sigma -1e3` would fail with a missing argument instead of reaching the
-    range check that a config's `sigma = -1e3` reaches. Subparsers inherit it.
+    range check that a config's `sigma = -1e3` reaches. A parse error is a
+    ValidationError, with no usage text. Subparsers inherit both.
     """
 
     def __init__(self, *args, **kwargs):
@@ -317,6 +310,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
         )
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="stream primes up to a limit")
     p.add_argument("--limit", type=_count("limit"), required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--emit", metavar="PATH", help="write one prime per line")
+    writes = p.add_mutually_exclusive_group()  # --count-only writes no file
+    writes.add_argument("--count-only", action="store_true")
+    writes.add_argument("--emit", metavar="PATH", help="write one prime per line")
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("character", help="build and inspect a character")
@@ -345,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("race", parents=[chi], help="stream the weighted race and emit CSV")
     p.add_argument("--sigma", type=_real("sigma"), required=True)
     p.add_argument("--xmax", type=_count("xmax"), required=True)
-    p.add_argument("--checkpoints", default="geometric", help="geometric | none | comma list")
+    p.add_argument("--checkpoints", type=_checkpoints, default="geometric",
+                   help="geometric | none | comma list")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_race)
 

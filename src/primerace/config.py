@@ -2,9 +2,9 @@
 
 A config names one subcommand plus its options. Each key is the dest of one
 of that subcommand's CLI flags (underscores for dashes, `x` for `--X`), and
-the CLI's argparse parser is the only schema: `validate_config` reads the
-keys, defaults and value types from it. Values stay strings until then, so a
-config round-trips through serialization unchanged.
+`validate_config` turns a config into the command line it stands for, which
+the CLI's argparse parser types, defaults and checks as it does the flags.
+Values stay strings until then, so a config round-trips unchanged.
 """
 
 from __future__ import annotations
@@ -139,39 +139,36 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except ValueError as exc:  # a NUL byte in the path, or text that is not UTF-8
+        raise ValidationError(f"config {path!r}: {exc}") from exc
 
 
-def validate_config(cfg: ExperimentConfig, commands: dict) -> dict[str, object]:
-    """Check a config against the CLI's options and parse its values.
+def validate_config(cfg: ExperimentConfig, commands: dict) -> list[str]:
+    """The command line a config stands for: [command, "--flag=value", ...].
 
     `commands` maps each command to its argparse actions by dest. Every key
-    but `manifest` must be one of those dests, and every required one must be
-    given. A store_true option takes true/false; any other value, and a string
-    default as in argparse, goes through its option's own `type`.
-    Returns each option's value by dest, defaults included. Raises
-    ValidationError naming the field.
+    but `manifest` must be one of those dests, and `manifest` is left out. A
+    store_true option takes true/false and is present only when true. Typing,
+    defaults and required options are left to the parser that reads the list.
+    Raises ValidationError naming the command or the key.
     """
     if cfg.command not in commands:
         raise ValidationError(
             f"command: unknown command {cfg.command!r}; expected one of {', '.join(commands)}"
         )
     options = commands[cfg.command]
-    given = dict(cfg.options)
-    for key in given:
-        if key not in options and key != "manifest":
+    argv = [cfg.command]
+    for key, value in cfg.options:
+        if key == "manifest":
+            continue
+        if key not in options:
             raise ValidationError(f"{key}: not a valid option for command {cfg.command!r}")
-    for key, action in options.items():
-        if action.required and key not in given:
-            raise ValidationError(f"{key}: required for command {cfg.command!r}")
-
-    values = {}
-    for key, action in options.items():
-        value = given.get(key, action.default)
-        if key in given and action.nargs == 0:  # a store_true flag
-            value = parse_bool(value, key)
-        elif isinstance(value, str) and action.type is not None:  # a string default too
-            value = action.type(value)
-        values[key] = value
-    return values
+        flag = options[key].option_strings[0]
+        if options[key].nargs != 0:
+            argv.append(f"{flag}={value}")
+        elif parse_bool(value, key):  # a store_true flag
+            argv.append(flag)
+    return argv

@@ -393,6 +393,7 @@ def mellin_identity_check(
         left_pow = np.concatenate(([left], _power_exp(logs, c)))
         piece_units += _exact_units(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))
         a, left = float(a_steps[-1]), float(left_pow[-1])
+        del _, weights, logs, a_steps, left_pow  # before the next segment is sieved
     piece_units += _float_units(a * (left - x_pow))
     rhs = a * x_pow + piece_units / _UNIT
     return abs(lhs_units / _UNIT - rhs)

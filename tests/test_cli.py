@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import primerace
 from primerace import cli
 from primerace.characters import MAX_MODULUS, chi4
-from primerace.cli import _options, _subcommands, build_parser, main, run_experiment
+from primerace.cli import _config_options, build_parser, main, run_experiment
 from primerace.config import (
     MAX_GRID,
     ExperimentConfig,
@@ -40,7 +41,7 @@ def run_cli(args):
 
 def config_options():
     """Each config-runnable command's options by dest, read from the parser."""
-    return {name: _options(sub) for name, sub in _subcommands(build_parser()).items()}
+    return _config_options(build_parser())
 
 
 def test_sieve_count_only(capsys):
@@ -334,9 +335,8 @@ def test_python_dash_m_primerace():
 
 
 def test_removed_mmax_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3", "--mmax", "64"])
-    assert exc.value.code == 2
+    assert run_cli(["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3",
+                    "--mmax", "64"]) == 2
     err = capsys.readouterr().err
     assert "--mmax" in err and "Traceback" not in err
 
@@ -352,9 +352,7 @@ def test_removed_mmax_config_key_exits_2(tmp_path, capsys):
 
 def test_removed_budget_flag_and_key_exit_2(tmp_path, capsys):
     # conjecture relies on the 10^12 count cap, like every other command
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["conjecture", "--points", "1e3", "--budget", "1e3"])
-    assert exc.value.code == 2
+    assert run_cli(["conjecture", "--points", "1e3", "--budget", "1e3"]) == 2
     assert "--budget" in capsys.readouterr().err
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("command = conjecture\npoints = 1e3\nbudget = 1e3\n")
@@ -363,9 +361,7 @@ def test_removed_budget_flag_and_key_exit_2(tmp_path, capsys):
 
 
 def test_removed_precision_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["race", "--sigma", "0.5", "--xmax", "100", "--precision", "oracle"])
-    assert exc.value.code == 2
+    assert run_cli(["race", "--sigma", "0.5", "--xmax", "100", "--precision", "oracle"]) == 2
     err = capsys.readouterr().err
     assert "--precision" in err and "Traceback" not in err
 
@@ -422,9 +418,10 @@ def test_count_cap_is_inclusive():
     assert parse_count("1e12", "xmax") == 10**12
 
 
-# (CLI argv, the same run as config text, exit code). The config route reads
-# its keys, types and defaults from the CLI's parser, and every range check
-# lives in the library, so both routes must fail alike, and before computing.
+# (CLI argv, the same run as config text, exit code). A config becomes the
+# command line it stands for, which the CLI's parser reads, and every range
+# check lives in the library, so both routes must fail alike, and before
+# computing.
 # The first 20 cases are the range checks the config route used to make on its
 # own, plus the grid cap; the next six used to differ between the routes or
 # to compute before they failed. The next one, --count-only with --emit, used
@@ -432,7 +429,9 @@ def test_count_cap_is_inclusive():
 # used to take a negative number in exponent form for an unknown option. The
 # next one is a count within 10^-6 of an integer, which used to be rounded.
 # The last two are a descending grid and a table value outside int8, which
-# used to raise OverflowError.
+# used to raise OverflowError. In the last three, a missing option was worded
+# apart on the two routes, and a bad --checkpoints or --count-only with --emit
+# was found only after the output paths were opened, so they exited 4.
 BOTH_ROUTES = [
     (["sieve", "--limit", "-1"], "command = sieve; limit = -1", 2),
     (["race", "--sigma", "-0.1", "--xmax", "100"], "command = race; sigma = -0.1; xmax = 100", 2),
@@ -494,6 +493,11 @@ BOTH_ROUTES = [
      "command = bias-scan; grid = 0.9:0.5:0.1; xmax = 1e3", 2),
     (["race", "--character", "table:4:0,1,0,-129", "--sigma", "0", "--xmax", "10"],
      "command = race; character = table:4:0,1,0,-129; sigma = 0; xmax = 10", 2),
+    (["race", "--sigma", "0.5"], "command = race; sigma = 0.5", 2),
+    (["race", "--sigma", "0.5", "--xmax", "100", "--checkpoints", "abc", "--out", "missing/x.csv"],
+     "command = race; sigma = 0.5; xmax = 100; checkpoints = abc; out = missing/x.csv", 2),
+    (["sieve", "--limit", "1e3", "--count-only", "--emit", "missing/p.txt"],
+     "command = sieve; limit = 1e3; count_only = true; emit = missing/p.txt", 2),
 ]
 
 
@@ -685,14 +689,35 @@ def test_fuzzed_inputs_exit_cleanly(case):
             if config_text is not None:
                 Path("exp.cfg").write_text(config_text)
             with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = run_cli(argv)
-                except SystemExit as exc:  # argparse usage errors, --help
-                    code = 0 if exc.code is None else exc.code
+                code = run_cli(argv)
         finally:
             os.chdir(cwd)
     assert code in (0, 2, 3, 4), (argv, config_text, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `primerace ...` command in README's CLI block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    cli_section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = cli_section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "primerace", line
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch, no_compute):
+    # a flag renamed or removed without a README edit fails here; nothing runs
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    for argv in commands:
+        build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == {*config_options(), "run"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_imports_neither_mpmath_nor_sympy(tmp_path):
@@ -765,8 +790,8 @@ class TestConfig:
         assert run_cli(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("validation error: sigma must lie in [0, 1]")
         cfg = parse_config("command = race\nxmax = 100\n")
-        with pytest.raises(ValidationError, match="sigma"):
-            validate_config(cfg, config_options())
+        with pytest.raises(ValidationError, match="^the following arguments are required: --sigma"):
+            run_experiment(cfg)
         cfg = parse_config("command = race\nsigma = 0.5\nxmax = 100\nbogus = 1\n")
         with pytest.raises(ValidationError, match="bogus"):
             validate_config(cfg, config_options())
@@ -924,6 +949,26 @@ class TestRunCommand:
 
     def test_run_missing_config_exit_4(self, tmp_path):
         assert run_cli(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
+
+    def test_config_not_utf8_exits_2(self, tmp_path, monkeypatch, no_compute, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.cfg").write_bytes(b"command = race\nsigma = 0.5\xff\nxmax = 100\nout = r.csv\n")
+        assert run_cli(["run", "--config", "exp.cfg"]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: config 'exp.cfg': 'utf-8' codec can't decode byte 0xff "
+            "in position 26: invalid start byte\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+    def test_nul_byte_in_a_path_exits_2(self, tmp_path, monkeypatch, no_compute, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.cfg").write_text("command = race\nsigma = 0.5\nxmax = 100\nout = a\0b.csv\n")
+        assert run_cli(["run", "--config", "exp.cfg"]) == 2
+        assert run_cli(["race", "--sigma", "0.5", "--xmax", "100", "--out", "a\0b.csv"]) == 2
+        assert run_cli(["run", "--config", "exp\0.cfg"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "validation error: out: output path 'a\\x00b.csv' contains a NUL byte"] * 2 + [
+            "validation error: config 'exp\\x00.cfg': embedded null byte"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
     def test_run_experiment_python_api(self, tmp_path):
         from primerace import ExperimentConfig, run_experiment

@@ -272,7 +272,8 @@ class TestInPlace:
         assert repr(lfun._char_prime_sum(chi4(), [0.55, 1.5], limit)) == repr(
             char_prime_sum_fresh_arrays(chi4(), [0.55, 1.5], limit))
 
-    @pytest.mark.parametrize("name", ["race_scan", "_char_prime_sum"])
+    @pytest.mark.parametrize("name", ["race_scan", "_char_prime_sum",
+                                      "mellin_identity_check"])
     def test_no_segment_outlives_the_next_sieve(self, monkeypatch, name):
         # on entry to each sieve, the primes, w(p) and log p made for the
         # previous segment must all be gone, with no view of them left
@@ -297,8 +298,10 @@ class TestInPlace:
         limit = 2 * sieve.SEGMENT_WIDTH + 1000  # three segments, the last one short
         if name == "race_scan":
             races.race_scan(w, [0.0, 0.5], limit, checkpoints=(10**6, limit))
-        else:
+        elif name == "_char_prime_sum":
             lfun._char_prime_sum(w, [0.55, 1.5], limit)
+        else:
+            lfun.mellin_identity_check(w, 0.5, 1.5, limit)
         assert len(sieved) == 3 and len(made) == 9
 
     def test_prime_sum_memory_is_bounded(self):
@@ -312,6 +315,17 @@ class TestInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_abel_check_memory_is_bounded(self):
+        # the Abel check to 10^7: one segment's terms and pieces at a time.
+        # 14.1 MiB; 17.4 MiB with segment k still alive while k + 1 is sieved
+        tracemalloc.start()
+        try:
+            lfun.mellin_identity_check(chi4(), 0.5, 1.5, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 2**20
 
     def test_l_value_memory_is_bounded(self):
         # the bias-scan grid at n = 10^6 needs one chunk of log n and one of
