@@ -12,10 +12,12 @@ the integral of S - Sbar (both exact rationals computed from the period
 table; the remainder bound comes from integrating by parts twice, since the
 integral of S - Sbar over a full period vanishes).
 
-A sigma grid takes one walk over n and one over the primes, whose w and log
-are shared by every sigma; the one-sigma functions are those walks at one sigma.
-Each walk forms its terms in buffers made once and reused by every chunk or
-segment and every sigma; the prime walk drops a segment before the next one.
+A sigma grid takes one walk over n and one over the primes; the one-sigma
+functions are those walks at one sigma. The prime walk shares w(p) and log p
+with every sigma and drops a segment before the next one. The walk over n
+shares w(n); each sigma forms its own log n in 2^15-term tiles, so no
+chunk-long array of n or log n is kept. Each walk forms its terms in buffers
+made once and reused by every chunk or segment and every sigma.
 The Abel-identity check also walks the primes once: both of its sides add up
 as exact integers (`races._exact_units`) and are rounded once.
 """
@@ -99,17 +101,16 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
 
     chunk_sums = [[] for _ in grid]
     abs_acc = [0.0] * len(grid)
-    logs, contrib = np.empty(min(_CHUNK, n_trunc)), np.empty(min(_CHUNK, n_trunc))
+    contrib = np.empty(min(_CHUNK, n_trunc))
     for lo in range(1, n_trunc + 1, _CHUNK):
         m = min(_CHUNK, n_trunc + 1 - lo)
         weights = np.tile(np.roll(w.period, -lo), m // w.modulus + 1)[:m]  # w(lo), w(lo + 1), ...
-        for a in range(0, m, _BLOCK):  # log n by tiles: no whole-chunk array of n
-            n = np.arange(lo + a, lo + min(a + _BLOCK, m), dtype=np.int64)
-            logs[a : a + len(n)] = _power_log(n)
         terms = contrib[:m]
         for i, sigma in enumerate(grid):
-            _power_exp(logs[:m], sigma, out=terms)  # w(n) n^-sigma, in place
-            terms *= weights
+            for a in range(0, m, _BLOCK):  # n and log n by tiles: no whole-chunk array of either
+                n = np.arange(lo + a, lo + min(a + _BLOCK, m), dtype=np.int64)
+                _power_exp(_power_log(n), sigma, out=terms[a : a + len(n)])
+            terms *= weights  # w(n) n^-sigma, in place
             chunk_sums[i].append(_exact_sum(terms))
             abs_acc[i] += float(np.sum(np.abs(terms, out=terms)))
 
@@ -370,8 +371,8 @@ def mellin_identity_check(
     degenerate case where both sides are A(X) by construction.
 
     One walk over the primes feeds both sums: each segment's terms and pieces
-    add to exact integers (`_exact_units`), and each is rounded once, so both
-    carry math.fsum's bits.
+    are formed in the walk's buffers and add to exact integers
+    (`_exact_units`), and each is rounded once, so both carry math.fsum's bits.
     """
     (sigma,) = check_reals([sigma], "sigma", "sigma must be >= 0", lambda v: v >= 0.0)
     x_limit = check_count(x_limit, "X", 2)
@@ -385,15 +386,24 @@ def mellin_identity_check(
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
+    work = {}  # the walk's buffers
     for _, weights, logs in walk(w, x_limit, [s]):
-        lhs_units += _exact_units(weights * _power_exp(logs, s))
+        x, steps, terms = _take(work, "abel", len(logs) + 1, 3)  # a carried value, then one per p
+        terms, scratch = terms[1:], _take(work, "qr", _SUB, 2)
+        np.multiply(_power_exp(logs, s, out=terms), weights, out=terms)
+        lhs_units += _exact_units(terms, scratch)
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
-        a_steps = np.cumsum(np.concatenate(([a], weights * _power_exp(logs, sigma))))
-        left_pow = np.concatenate(([left], _power_exp(logs, c)))
-        piece_units += _exact_units(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))
-        a, left = float(a_steps[-1]), float(left_pow[-1])
-        del _, weights, logs, a_steps, left_pow  # before the next segment is sieved
+        x[0] = a
+        np.multiply(_power_exp(logs, sigma, out=x[1:]), weights, out=x[1:])
+        np.cumsum(x, out=steps)
+        x[0] = left
+        _power_exp(logs, c, out=x[1:])
+        np.subtract(x[:-1], x[1:], out=terms)
+        terms *= steps[:-1]
+        piece_units += _exact_units(terms, scratch)
+        a, left = float(steps[-1]), float(x[-1])
+        del _, weights, logs  # before the next segment is sieved
     piece_units += _float_units(a * (left - x_pow))
     rhs = a * x_pow + piece_units / _UNIT
     return abs(lhs_units / _UNIT - rhs)

@@ -1,9 +1,10 @@
 """Streaming weighted prime races A(x) = sum_{p<=x} w(p) p^{-sigma}.
 
 One walk over the primes serves every sigma of a scan: each segment is sieved
-once, and its w(p) and log p are shared, so a sigma adds only its powers, sums
-and sign scan, per block of primes, in buffers that every segment and sigma
-reuses; no segment is held while the next is sieved. Block sums are exactly
+once, and its w(p) and log p are shared. The walk takes every sigma through a
+2^15-prime block before the next block, so a sigma adds only its powers, sums
+and sign scan in block-long buffers that every block and sigma reuses; no
+segment is held while the next is sieved. Block sums are exactly
 rounded (`_exact_sum`, math.fsum's bits; its integer core `_exact_units` makes
 every exactly rounded sum of the package, while the sums of |x| behind the
 radii are plain `np.sum`). The prefix is the exact sum of the rounded block
@@ -199,30 +200,24 @@ def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tu
 def _prepare_segment(
     primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float, work: dict
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
-    """Per-block primes, contributions, prefix sums, exact block sums and sum |x|.
+    """[(primes, contributions, prefix sums, exact sum, sum |x|)] over one block.
 
-    `weights` and `logs` are w(p) and log p over the whole segment, shared by
-    every sigma; `logs` may be None at sigma = 0. The powers, prefix sums and
-    |x| go into the walk's buffers `work`: the arrays returned last until the next call.
+    `race_scan` passes one block of at most 2^15 primes, with the w(p) and
+    log p that every sigma shares; `logs` may be None at sigma = 0. The powers,
+    prefix sums and |x| go into the walk's block-long buffers `work`: the
+    arrays returned last until the next call.
     """
-    exact = sigma == 0.0
-    (cums,) = _take(work, "cum", len(primes))
-    if not exact:
-        (terms,), scratch = _take(work, "terms", len(primes)), _take(work, "scratch", _BLOCK, 2)
-    blocks = []
-    for off in range(0, len(primes), _BLOCK):
-        part = slice(off, off + _BLOCK)
-        contrib = weights[part] if exact else _power_exp(logs[part], sigma, out=terms[part])
-        if not exact:
-            contrib *= weights[part]
-        cum = np.cumsum(contrib, out=cums[part])
-        if exact:  # integer partial sums below 2^53: cum is exact
-            block_sum, abs_weight = float(cum[-1]), 0.0  # no error to charge
-        else:
-            block_sum = _exact_sum(contrib, scratch)
-            abs_weight = float(np.sum(np.abs(contrib, out=scratch[0, : len(contrib)])))
-        blocks.append((primes[part], contrib, cum, block_sum, abs_weight))
-    return blocks
+    (cum,) = _take(work, "cum", len(primes))
+    if sigma == 0.0:  # integer partial sums below 2^53: cum is exact, with no error to charge
+        cum = np.cumsum(weights, out=cum)
+        return [(primes, weights, cum, float(cum[-1]), 0.0)]
+    (terms,), scratch = _take(work, "terms", len(primes)), _take(work, "scratch", _BLOCK, 2)
+    contrib = _power_exp(logs, sigma, out=terms)
+    contrib *= weights
+    cum = np.cumsum(contrib, out=cum)
+    block_sum = _exact_sum(contrib, scratch)
+    abs_weight = float(np.sum(np.abs(contrib, out=scratch[0, : len(contrib)])))
+    return [(primes, contrib, cum, block_sum, abs_weight)]
 
 
 @dataclass
@@ -330,12 +325,15 @@ def race_scan(
         raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
                               f"got range [{cps[0]}, {cps[-1]}]")
     states = [_RaceState(s, cps) for s in grid]
-    work = {}  # the walk's buffers
-    for segment in walk(w, x_max, grid):
-        for st in states:
-            for block in _prepare_segment(*segment, st.sigma, work):
-                st.add_block(*block)
-        del segment, block  # before the next segment is sieved
+    work = {}  # the walk's buffers, one block long
+    for primes, weights, logs in walk(w, x_max, grid):
+        for off in range(0, len(primes), _BLOCK):  # every sigma through a block before the next
+            part = slice(off, off + _BLOCK)
+            block = primes[part], weights[part], None if logs is None else logs[part]
+            for st in states:
+                for prepared in _prepare_segment(*block, st.sigma, work):
+                    st.add_block(*prepared)
+        del primes, weights, logs, block, prepared  # before the next segment is sieved
     return [st.series() for st in states]
 
 

@@ -389,3 +389,27 @@ def race_scan_fresh_arrays(w, sigmas, x_max: int, checkpoints) -> list:
             for block in _prepare_segment_fresh_arrays(primes, weights, logs, st.sigma):
                 st.add_block(*block)
     return [st.series() for st in states]
+
+
+def mellin_identity_check_fresh_arrays(w, sigma: float, s: float, x_limit: int) -> float:
+    """`lfun.mellin_identity_check` for s > sigma, with new arrays for every segment."""
+    import numpy as np
+
+    from primerace.races import _UNIT, _exact_units, _float_units, _neg_power, _power_exp, walk
+
+    c = s - sigma
+    x_pow = _neg_power(x_limit, c)
+    lhs_units = piece_units = 0
+    a, left = 0.0, 1.0  # A and u^-c at the last prime walked
+    for _, weights, logs in walk(w, x_limit, [s]):
+        lhs_units += _exact_units(weights * _power_exp(logs, s))
+        # the cumsum starts from the carried A and the powers from the carried
+        # p^-c, so every piece keeps the bits of one pass over all primes
+        a_steps = np.cumsum(np.concatenate(([a], weights * _power_exp(logs, sigma))))
+        left_pow = np.concatenate(([left], _power_exp(logs, c)))
+        piece_units += _exact_units(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))
+        a, left = float(a_steps[-1]), float(left_pow[-1])
+        del _, weights, logs, a_steps, left_pow  # before the next segment is sieved
+    piece_units += _float_units(a * (left - x_pow))
+    rhs = a * x_pow + piece_units / _UNIT
+    return abs(lhs_units / _UNIT - rhs)

@@ -32,6 +32,7 @@ from oracles import (
     chi4_value,
     l_value_scan_fresh_arrays,
     machin_pi_over_4,
+    mellin_identity_check_fresh_arrays,
     mp_b_double_sum,
     prime_power_sum,
     trial_division_primes,
@@ -272,6 +273,14 @@ class TestInPlace:
         assert repr(lfun._char_prime_sum(chi4(), [0.55, 1.5], limit)) == repr(
             char_prime_sum_fresh_arrays(chi4(), [0.55, 1.5], limit))
 
+    @pytest.mark.parametrize("d, sigma, s", [(-4, 0.5, 1.5), (-3, 0.0, 0.7), (5, 0.9, 0.95),
+                                             (8, 0.25, 0.5)])
+    def test_abel_check_keeps_every_bit(self, d, sigma, s):
+        # three segments, the last one short, through buffers made for the first
+        w, limit = character_from_discriminant(d), 2 * sieve.SEGMENT_WIDTH + 1000
+        assert repr(mellin_identity_check(w, sigma, s, limit)) == repr(
+            mellin_identity_check_fresh_arrays(w, sigma, s, limit))
+
     @pytest.mark.parametrize("name", ["race_scan", "_char_prime_sum",
                                       "mellin_identity_check"])
     def test_no_segment_outlives_the_next_sieve(self, monkeypatch, name):
@@ -328,9 +337,9 @@ class TestInPlace:
         assert peak <= 15 * 2**20
 
     def test_l_value_memory_is_bounded(self):
-        # the bias-scan grid at n = 10^6 needs one chunk of log n and one of
-        # terms (7.6 MiB each) and the chunk's int8 weights: 20 MiB leaves no
-        # room for a whole-chunk temporary per sigma
+        # the bias-scan grid at n = 10^6 needs one chunk of terms (7.6 MiB), the
+        # chunk's int8 weights and one tile of n and of log n: 9.2 MiB. 10.5 MiB
+        # leaves no room for a chunk of log n (16.9 MiB with one)
         grid = parse_grid("0.55:0.95:0.05")
         tracemalloc.start()
         try:
@@ -338,7 +347,7 @@ class TestInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2**20
+        assert peak <= 10.5 * 2**20
 
 
 class TestBiasScan:

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primerace.characters import DirichletWeight, character_from_discriminant, chi4
+from primerace.config import parse_grid
 from primerace import races, sieve
 from primerace.errors import ValidationError
 from primerace.races import (
+    _BLOCK,
     _block_sign_scan,
     _exact_sum,
     _exact_units,
@@ -513,14 +515,45 @@ class TestWorkingSet:
         (series,) = race_scan(chi4(), [0.5], 10**7, checkpoints=(10**7,))
         assert scanned == [1 << 15] and series.sign_events == [] and series.final_sign == -1
 
+    def test_block_major_walk_keeps_every_bit(self):
+        # every sigma through a block before the next: the second segment is one
+        # short block, and checkpoints sit inside blocks, on both sides of block
+        # edges and of the segment seam (the first segment is [2, 2 + 2^22))
+        limit = (1 << 22) + 3 * _BLOCK + 5
+        first, second = (a.tolist() for a in iter_prime_arrays(limit))
+        assert len(second) % _BLOCK and first[-1] < (1 << 22) + 2 <= second[0]
+        cps = {1000, 4194305, 4194306, second[0] - 1, second[0], second[1], second[-1] + 1, limit}
+        for primes in (first, second):
+            for edge in range(_BLOCK, len(primes), _BLOCK):
+                cps |= {primes[edge - 1], primes[edge] - 1, primes[edge], primes[edge + 100] + 1}
+        for primes in (first[-3:], second[-3:]):
+            cps |= set(primes)
+        sigmas, cps = [0.0, 0.02, 0.55, 1.0], sorted(cps)
+        for d in (-4, 8):
+            w = self._character(d)
+            _assert_same_repr(race_scan(w, sigmas, limit, checkpoints=cps),
+                              race_scan_fresh_arrays(w, sigmas, limit, cps))
+
     def test_sigma0_race_memory_does_not_grow(self):
-        # a sigma = 0 race needs the segment's primes, w(p) and one prefix-sum
-        # buffer, and no power, |x| or exact-sum rows: 8.1 MiB, against 10.7 with
-        # new arrays per segment and 10.9 with those unused rows
+        # a sigma = 0 race needs the segment's primes and w(p), and one block-long
+        # prefix-sum buffer: 6.5 MiB, against 8.1 with a segment-long buffer, 10.7
+        # with new arrays per segment and 10.9 with unused power and |x| rows
         tracemalloc.start()
         try:
             race_scan(chi4(), [0.0], 10**7, checkpoints=(10**7,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 2**20
+        assert peak <= 7 * 2**20
+
+    def test_sigma_grid_race_memory_is_bounded(self):
+        # the bias-scan grid: one segment's primes, w(p) and log p, and block-long
+        # power, prefix-sum and exact-sum buffers shared by the nine sigmas: 9.1 MiB,
+        # against 13.2 with segment-long power and prefix-sum buffers
+        tracemalloc.start()
+        try:
+            race_scan(chi4(), parse_grid("0.55:0.95:0.05"), 10**7, checkpoints=(10**7,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 2**20
