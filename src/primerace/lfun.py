@@ -12,14 +12,12 @@ the integral of S - Sbar (both exact rationals computed from the period
 table; the remainder bound comes from integrating by parts twice, since the
 integral of S - Sbar over a full period vanishes).
 
-A sigma grid takes one walk over n and one over the primes; the one-sigma
-functions are those walks at one sigma. The prime walk shares w(p) and log p
-with every sigma and drops a segment before the next one. The walk over n
-shares w(n); each sigma forms its own log n in 2^15-term tiles, so no
-chunk-long array of n or log n is kept. Each walk forms its terms in buffers
-made once and reused by every chunk or segment and every sigma.
-The Abel-identity check also walks the primes once: both of its sides add up
-as exact integers (`races._exact_units`) and are rounded once.
+A sigma grid takes one walk over n and one over the primes (`races.walk`, in
+2^15-prime blocks); the one-sigma functions are those walks at one sigma. The
+walk over n shares w(n); each sigma forms its own log n in 2^15-term tiles.
+Each walk forms its terms in one buffer reused by every chunk or block and
+every sigma. The prime sums of t and lg - t and both sides of the Abel-identity
+check add up as exact integers (`races._exact_units`) and are rounded once.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError, check_count, check_reals
 from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, walk, weighted_race
-from .races import _BLOCK, _SUB, _UNIT, _exact_units, _float_units, _power_exp, _power_log, _take
+from .races import _BLOCK, _UNIT, _exact_units, _float_units, _power_exp, _power_log
 
 _EPS = sys.float_info.epsilon
 _CHUNK = 1 << 20
@@ -135,21 +133,20 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
     """
     sigmas = check_reals(sigmas, "sigma", "_char_prime_sum requires sigma > 0", lambda s: s > 0.0)
     prime_limit = check_count(prime_limit, "prime_limit", 2)
-    walks = [([], [], [0.0, 0.0, 0.0]) for _ in sigmas]
-    work = {}  # the walk's buffers
-    for primes, weights, logs in walk(w, prime_limit, sigmas):
-        (t, lg, terms), scratch = _take(work, "t", len(primes), 3), _take(work, "qr", _SUB, 2)
-        for sigma, (t_sums, b_sums, abs_sums) in zip(sigmas, walks):
+    walks = [[0, 0, 0.0, 0.0, 0.0] for _ in sigmas]  # units of t and lg - t, sums of |x|
+    buf = np.empty((5, _BLOCK))  # t, lg, lg - t and the exact-sum scratch
+    for _, weights, logs in walk(w, prime_limit, sigmas):
+        t, lg, terms = buf[:3, : len(logs)]
+        for sigma, sums in zip(sigmas, walks):
             _power_exp(logs, sigma, out=t)
             t *= weights
             np.negative(np.log1p(np.negative(t, out=lg), out=lg), out=lg)
             np.subtract(lg, t, out=terms)
-            t_sums.append(_exact_sum(t, scratch))
-            b_sums.append(_exact_sum(terms, scratch))
-            for j, x in enumerate((t, lg, terms)):
-                abs_sums[j] += float(np.sum(np.abs(x, out=x)))
-        del primes, weights, logs  # before the next segment is sieved
-    return [(math.fsum(ts), math.fsum(bs), *abs_sums) for ts, bs, abs_sums in walks]
+            sums[0] += _exact_units(t, buf[3:])
+            sums[1] += _exact_units(terms, buf[3:])
+            for j, x in enumerate((t, lg, terms), 2):
+                sums[j] += float(np.sum(np.abs(x, out=x)))
+    return [(ts / _UNIT, bs / _UNIT, *abs_sums) for ts, bs, *abs_sums in walks]
 
 
 def euler_product_value(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedValue:
@@ -160,8 +157,8 @@ def euler_product_value(w: DirichletWeight, sigma: float, prime_limit: int) -> B
     `_char_prime_sum`'s sums of t = w(p) p^-sigma and of lg - t, lg = -log1p(-t).
     Relative to the value, the radius charges eps |lg| per log1p (see
     `b_function`; lg - t is exact); 1.5 eps per unit of sum |t| + sum |lg - t|
-    for the two sums' roundings per segment and over segments and for their
-    fsum, each at most eps/2 of a sum that size; and 2 eps for exp.
+    for the two sums' roundings and their fsum, each at most eps/2 of a sum
+    that size; and 2 eps for exp.
     """
     domain = "euler_product_value requires sigma > 1"
     (sigma,) = check_reals([sigma], "sigma", domain, lambda s: s > 1.0)
@@ -185,8 +182,7 @@ def b_function(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedVal
     log1p erred by at most 0.54 eps |log1p| against mpmath on x86-64 with
     AVX-512. The subtraction of t is exact by Sterbenz's lemma, since
     |t| <= 2^(-1/2) for sigma > 1/2. The power kernel's error in t is charged
-    4 eps per unit of |term|, and the exactly rounded per-segment and total
-    sums eps (sum |term| + |B|).
+    4 eps per unit of |term|, and the exactly rounded sum eps (sum |term| + |B|).
     """
     (sigma,) = check_reals([sigma], "sigma", "b_function requires sigma > 1/2", lambda s: s > 0.5)
     return _b_bounded(_char_prime_sum(w, [sigma], prime_limit)[0], sigma, prime_limit)
@@ -370,8 +366,8 @@ def mellin_identity_check(
     form, so the residual is pure rounding. s = sigma is the allowed
     degenerate case where both sides are A(X) by construction.
 
-    One walk over the primes feeds both sums: each segment's terms and pieces
-    are formed in the walk's buffers and add to exact integers
+    One walk over the primes feeds both sums: each block's terms and pieces
+    are formed in one block-long buffer and add to exact integers
     (`_exact_units`), and each is rounded once, so both carry math.fsum's bits.
     """
     (sigma,) = check_reals([sigma], "sigma", "sigma must be >= 0", lambda v: v >= 0.0)
@@ -386,10 +382,10 @@ def mellin_identity_check(
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
-    work = {}  # the walk's buffers
+    buf = np.empty((5, _BLOCK + 1))  # three rows of a carried value, then one per p; scratch
     for _, weights, logs in walk(w, x_limit, [s]):
-        x, steps, terms = _take(work, "abel", len(logs) + 1, 3)  # a carried value, then one per p
-        terms, scratch = terms[1:], _take(work, "qr", _SUB, 2)
+        x, steps, terms = buf[:3, : len(logs) + 1]
+        terms, scratch = terms[1:], buf[3:]
         np.multiply(_power_exp(logs, s, out=terms), weights, out=terms)
         lhs_units += _exact_units(terms, scratch)
         # the cumsum starts from the carried A and the powers from the carried
@@ -403,7 +399,6 @@ def mellin_identity_check(
         terms *= steps[:-1]
         piece_units += _exact_units(terms, scratch)
         a, left = float(steps[-1]), float(x[-1])
-        del _, weights, logs  # before the next segment is sieved
     piece_units += _float_units(a * (left - x_pow))
     rhs = a * x_pow + piece_units / _UNIT
     return abs(lhs_units / _UNIT - rhs)

@@ -1,10 +1,9 @@
 """Streaming weighted prime races A(x) = sum_{p<=x} w(p) p^{-sigma}.
 
-One walk over the primes serves every sigma of a scan: each segment is sieved
-once, and its w(p) and log p are shared. The walk takes every sigma through a
-2^15-prime block before the next block, so a sigma adds only its powers, sums
-and sign scan in block-long buffers that every block and sigma reuses; no
-segment is held while the next is sieved. Block sums are exactly
+One walk over the primes (`walk`) serves every sigma of a scan and every
+prime sum of the package: each segment is sieved once and handed out in
+2^15-prime blocks whose w(p) and log p every sigma shares, so a sigma adds only
+its powers, sums and sign scan, in one block-long buffer. Block sums are exactly
 rounded (`_exact_sum`, math.fsum's bits; its integer core `_exact_units` makes
 every exactly rounded sum of the package, while the sums of |x| behind the
 radii are plain `np.sum`). The prefix is the exact sum of the rounded block
@@ -31,7 +30,7 @@ from .characters import DirichletWeight
 from .errors import ValidationError, check_count, check_reals
 from .sieve import iter_prime_arrays
 
-_BLOCK = 1 << 15  # a race block; also the tile of log n in lfun.l_value_scan
+_BLOCK = 1 << 15  # a block of the prime walk; also the tile of log n in lfun.l_value_scan
 _U = sys.float_info.epsilon / 2  # unit roundoff
 
 
@@ -108,13 +107,6 @@ def _exact_sum(x: np.ndarray, scratch: np.ndarray | None = None) -> float:
     return units / _UNIT if units else math.fsum(x.tolist())
 
 
-def _take(work: dict, key: str, n: int, rows: int = 1) -> np.ndarray:
-    """`rows` rows of n floats from a walk's buffer, made again only for a longer segment."""
-    if key not in work or work[key].shape[1] < n:
-        work[key] = np.empty((rows, n))
-    return work[key][:, :n]
-
-
 def _float_units(x: float) -> int:
     """A finite float as its exact integer count of 2^-1074."""
     n, d = x.as_integer_ratio()  # d = 2^k with k <= 1074
@@ -188,30 +180,36 @@ def default_checkpoints(x_max: int) -> tuple[int, ...]:
 def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tuple]:
     """The package's one walk over the primes to limit, for the powers p^-sigma.
 
-    Yields (primes, w(p), log p) per segment of `iter_prime_arrays`; log p is
-    None when every sigma is 0. No sigma yields nothing and sieves nothing.
+    Yields (primes, w(p), log p) per block of at most 2^15 primes, at offsets
+    0, 2^15, ... of each segment; log p is None when every sigma is 0. Each
+    block's primes are copied into one reused buffer, so no view of a segment
+    outlives the next sieve. No sigma yields nothing and sieves nothing.
     """
     if sigmas:
+        buf = np.empty(_BLOCK, dtype=np.int64)
         for primes in iter_prime_arrays(limit):
-            yield primes, w.values_at_primes(primes), _power_log(primes) if any(sigmas) else None
-            del primes  # as the consumer drops its segment, before the next one is sieved
+            for off in range(0, len(primes), _BLOCK):
+                blk = buf[: min(_BLOCK, len(primes) - off)]
+                blk[:] = primes[off : off + _BLOCK]
+                yield blk, w.values_at_primes(blk), _power_log(blk) if any(sigmas) else None
+            del primes  # before the next segment is sieved
 
 
 def _prepare_segment(
-    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float, work: dict
+    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float, buf: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
     """[(primes, contributions, prefix sums, exact sum, sum |x|)] over one block.
 
-    `race_scan` passes one block of at most 2^15 primes, with the w(p) and
-    log p that every sigma shares; `logs` may be None at sigma = 0. The powers,
-    prefix sums and |x| go into the walk's block-long buffers `work`: the
-    arrays returned last until the next call.
+    `race_scan` passes a block of `walk` (`logs` may be None at sigma = 0) and
+    `buf`, whose rows take the prefix sums, then the powers, |x| and exact-sum
+    scratch: the arrays returned last until the next call. The name and the
+    list of one tuple are kept for the benchmark tracer, which hooks them.
     """
-    (cum,) = _take(work, "cum", len(primes))
+    cum = buf[0, : len(primes)]
     if sigma == 0.0:  # integer partial sums below 2^53: cum is exact, with no error to charge
         cum = np.cumsum(weights, out=cum)
         return [(primes, weights, cum, float(cum[-1]), 0.0)]
-    (terms,), scratch = _take(work, "terms", len(primes)), _take(work, "scratch", _BLOCK, 2)
+    terms, scratch = buf[1, : len(primes)], buf[2:]
     contrib = _power_exp(logs, sigma, out=terms)
     contrib *= weights
     cum = np.cumsum(contrib, out=cum)
@@ -325,15 +323,11 @@ def race_scan(
         raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
                               f"got range [{cps[0]}, {cps[-1]}]")
     states = [_RaceState(s, cps) for s in grid]
-    work = {}  # the walk's buffers, one block long
-    for primes, weights, logs in walk(w, x_max, grid):
-        for off in range(0, len(primes), _BLOCK):  # every sigma through a block before the next
-            part = slice(off, off + _BLOCK)
-            block = primes[part], weights[part], None if logs is None else logs[part]
-            for st in states:
-                for prepared in _prepare_segment(*block, st.sigma, work):
-                    st.add_block(*prepared)
-        del primes, weights, logs, block, prepared  # before the next segment is sieved
+    buf = np.empty((4 if any(grid) else 1, _BLOCK))  # prefix sums; powers, |x| and scratch
+    for block in walk(w, x_max, grid):  # every sigma through a block before the next
+        for st in states:
+            for prepared in _prepare_segment(*block, st.sigma, buf):
+                st.add_block(*prepared)
     return [st.series() for st in states]
 
 

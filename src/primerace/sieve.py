@@ -54,7 +54,7 @@ def sieve_segment(lo: int, hi: int, *, base: np.ndarray | None = None) -> Segmen
     if base is None:
         base = base_primes(math.isqrt(hi - 1))
 
-    first_odd = lo | 1
+    first_odd = 1 if lo == 2 else lo | 1  # at lo = 2 the slot of 1, never crossed off, holds 2
     n_odd = (hi - first_odd + 1) // 2 if first_odd < hi else 0
     mask = np.ones(n_odd, dtype=bool)
     if n_odd:
@@ -72,16 +72,16 @@ def sieve_segment(lo: int, hi: int, *, base: np.ndarray | None = None) -> Segmen
     primes = np.flatnonzero(mask)  # int64; scaled in place, with no temporaries
     primes *= 2
     primes += first_odd
-    if lo <= 2 < hi:
-        primes = np.concatenate((np.array([2], dtype=np.int64), primes))
+    if lo == 2:
+        primes[0] = 2
     return Segment(lo, hi, primes)
 
 
 def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays of primes, jointly covering all p <= limit.
 
-    This is the package's one walk over the primes: every segment is sieved
-    against one shared base.
+    Every segment is sieved against one shared base; `races.walk` hands the
+    segments out in blocks for every sum over primes.
     """
     if limit < 2:
         return

@@ -224,9 +224,11 @@ def kronecker_ref(d: int, n: int) -> int:
 
 # The package's per-sigma loops as they were before they formed their terms in
 # place: each sigma builds new arrays as long as a 2^20-term chunk of n or a
-# segment of primes, summed by math.fsum and by one np.sum of |x|. Unlike the
-# oracles above they share the package's sieve segments and L-series constants,
-# since what they check is that the in-place loops keep every bit.
+# 2^15-prime block, summed by math.fsum (the prime sums over the whole walk)
+# and by one np.sum of |x| per array.
+# Unlike the oracles above they share the package's sieve segments and
+# L-series constants, since what they check is that the in-place loops keep
+# every bit.
 
 
 def l_value_scan_fresh_arrays(w, sigmas, n_trunc: int) -> list:
@@ -258,22 +260,25 @@ def l_value_scan_fresh_arrays(w, sigmas, n_trunc: int) -> list:
 
 
 def char_prime_sum_fresh_arrays(w, sigmas, prime_limit: int) -> list[tuple]:
-    """`lfun._char_prime_sum`, with new t, lg and lg - t arrays for every sigma."""
+    """`lfun._char_prime_sum`, with new t, lg and lg - t arrays for every block and sigma."""
     import numpy as np
 
+    from primerace.races import _BLOCK
     from primerace.sieve import iter_prime_arrays
 
     walks = [([], [], [0.0, 0.0, 0.0]) for _ in sigmas]
     for primes in iter_prime_arrays(prime_limit):
-        weights, logs = w.values_at_primes(primes), np.log(primes.astype(np.float64))
-        for sigma, (t_sums, b_sums, abs_sums) in zip(sigmas, walks):
-            t = weights * np.exp(-sigma * logs)
-            lg = -np.log1p(-t)
-            terms = lg - t
-            t_sums.append(math.fsum(t.tolist()))
-            b_sums.append(math.fsum(terms.tolist()))
-            for j, x in enumerate((t, lg, terms)):
-                abs_sums[j] += float(np.sum(np.abs(x)))
+        for off in range(0, len(primes), _BLOCK):
+            blk = primes[off : off + _BLOCK]
+            weights, logs = w.values_at_primes(blk), np.log(blk.astype(np.float64))
+            for sigma, (t_terms, b_terms, abs_sums) in zip(sigmas, walks):
+                t = weights * np.exp(-sigma * logs)
+                lg = -np.log1p(-t)
+                terms = lg - t
+                t_terms.extend(t.tolist())
+                b_terms.extend(terms.tolist())
+                for j, x in enumerate((t, lg, terms)):
+                    abs_sums[j] += float(np.sum(np.abs(x)))
     return [(math.fsum(ts), math.fsum(bs), *abs_sums) for ts, bs, abs_sums in walks]
 
 

@@ -35,6 +35,7 @@ from oracles import (
     mellin_identity_check_fresh_arrays,
     mp_b_double_sum,
     prime_power_sum,
+    simple_sieve,
     trial_division_primes,
 )
 
@@ -267,16 +268,29 @@ class TestInPlace:
             l_value_scan_fresh_arrays(w, [0.55, 1.5], n_trunc))
 
     def test_prime_sum_keeps_every_bit(self):
-        # two segments, each with buffers of its own length; the second is short
+        # two segments, each ending in a short block; the second is one short block
         limit = (1 << 22) + 3 * (1 << 15) + 5
         assert len(list(iter_prime_arrays(limit))) == 2
         assert repr(lfun._char_prime_sum(chi4(), [0.55, 1.5], limit)) == repr(
             char_prime_sum_fresh_arrays(chi4(), [0.55, 1.5], limit))
 
+    @pytest.mark.parametrize("width", [1 << 12, sieve.SEGMENT_WIDTH])
+    def test_prime_sum_centers_are_fsum_of_every_term(self, monkeypatch, width):
+        # the sums of t and of lg - t are each rounded once over the whole walk,
+        # so they are math.fsum of all its terms, however the walk is cut
+        monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+        w, sigmas, limit = character_from_discriminant(5), [0.55, 1.1, 2.0], 10**6
+        primes = np.array(simple_sieve(limit), dtype=np.int64)
+        weights, logs = w.values_at_primes(primes), np.log(primes.astype(np.float64))
+        for sigma, (sum_t, sum_b, *_) in zip(sigmas, lfun._char_prime_sum(w, sigmas, limit)):
+            t = weights * np.exp(-sigma * logs)
+            assert repr((sum_t, sum_b)) == repr(
+                (math.fsum(t.tolist()), math.fsum((-np.log1p(-t) - t).tolist())))
+
     @pytest.mark.parametrize("d, sigma, s", [(-4, 0.5, 1.5), (-3, 0.0, 0.7), (5, 0.9, 0.95),
                                              (8, 0.25, 0.5)])
     def test_abel_check_keeps_every_bit(self, d, sigma, s):
-        # three segments, the last one short, through buffers made for the first
+        # three segments, the last one short, through one buffer for the whole walk
         w, limit = character_from_discriminant(d), 2 * sieve.SEGMENT_WIDTH + 1000
         assert repr(mellin_identity_check(w, sigma, s, limit)) == repr(
             mellin_identity_check_fresh_arrays(w, sigma, s, limit))
@@ -284,57 +298,61 @@ class TestInPlace:
     @pytest.mark.parametrize("name", ["race_scan", "_char_prime_sum",
                                       "mellin_identity_check"])
     def test_no_segment_outlives_the_next_sieve(self, monkeypatch, name):
-        # on entry to each sieve, the primes, w(p) and log p made for the
-        # previous segment must all be gone, with no view of them left
-        w, made, sieved = chi4(), [], []
+        # on entry to each sieve, the primes of the previous segment must be
+        # gone, with no view of them left, and every w(p) and log p array is
+        # one block of at most 2^15 primes
+        w, segments, sieved, lengths = chi4(), [], [], []
+        limit = 2 * sieve.SEGMENT_WIDTH + 1000  # three segments, the last one short
+        count = sieve.prime_count(limit)
         real_sieve, real_values, real_log = sieve.sieve_segment, w.values_at_primes, races._power_log
 
-        def watched(real):
-            def call(*args, **kwargs):
-                out = real(*args, **kwargs)
-                made.append(weakref.ref(out.primes if real is real_sieve else out))
+        def checked_sieve(lo, hi, **kwargs):
+            assert [ref() for ref in segments] == [None] * len(segments), f"alive at lo = {lo}"
+            sieved.append(lo)
+            out = real_sieve(lo, hi, **kwargs)
+            segments.append(weakref.ref(out.primes))
+            return out
+
+        def sized(real):
+            def call(primes):
+                lengths.append(len(out := real(primes)))
                 return out
             return call
 
-        def checked_sieve(lo, hi, **kwargs):
-            assert [ref() for ref in made] == [None] * len(made), f"alive at lo = {lo}"
-            sieved.append(lo)
-            return watched(real_sieve)(lo, hi, **kwargs)
-
         monkeypatch.setattr(sieve, "sieve_segment", checked_sieve)
-        monkeypatch.setattr(w, "values_at_primes", watched(real_values))
-        monkeypatch.setattr(races, "_power_log", watched(real_log))
-        limit = 2 * sieve.SEGMENT_WIDTH + 1000  # three segments, the last one short
+        monkeypatch.setattr(w, "values_at_primes", sized(real_values))
+        monkeypatch.setattr(races, "_power_log", sized(real_log))
         if name == "race_scan":
             races.race_scan(w, [0.0, 0.5], limit, checkpoints=(10**6, limit))
         elif name == "_char_prime_sum":
             lfun._char_prime_sum(w, [0.55, 1.5], limit)
         else:
             lfun.mellin_identity_check(w, 0.5, 1.5, limit)
-        assert len(sieved) == 3 and len(made) == 9
+        assert len(sieved) == 3 and max(lengths) <= races._BLOCK
+        assert sum(lengths) == 2 * count  # w(p) and log p at every prime once
 
     def test_prime_sum_memory_is_bounded(self):
-        # the lemma walk: each segment's primes, w(p) and log p, and one set of
-        # t, lg, lg - t and exact-sum buffers for the whole walk. 14.1 MiB;
-        # 21.7 MiB with new buffers per segment, each alive across the next sieve
+        # the lemma walk: one block's primes, w(p) and log p beside one segment's
+        # primes, and one (5, 2^15) buffer of t, lg, lg - t and exact-sum scratch
+        # for the whole walk. 5.8 MiB; 14.1 MiB with segment-long rows
         tracemalloc.start()
         try:
             lfun._char_prime_sum(chi4(), [1.1, 1.5, 2.0], 10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 9 * 2**20
 
     def test_abel_check_memory_is_bounded(self):
-        # the Abel check to 10^7: one segment's terms and pieces at a time.
-        # 14.1 MiB; 17.4 MiB with segment k still alive while k + 1 is sieved
+        # the Abel check to 10^7: one block's terms and pieces at a time.
+        # 5.8 MiB; 14.1 MiB with segment-long rows
         tracemalloc.start()
         try:
             lfun.mellin_identity_check(chi4(), 0.5, 1.5, 10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15 * 2**20
+        assert peak <= 9 * 2**20
 
     def test_l_value_memory_is_bounded(self):
         # the bias-scan grid at n = 10^6 needs one chunk of terms (7.6 MiB), the

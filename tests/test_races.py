@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +436,27 @@ def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
         assert repr(series) == repr(weighted_race(chi4(), sigma, 10**5))
 
 
+def test_one_walk_over_the_primes():
+    # the package sieves for a sum over primes and looks up w(p) in races.walk
+    # only, so a second prime walk added anywhere in the package fails here
+    allowed = {
+        "values_at_primes": {"races.walk"},
+        "iter_prime_arrays": {"races.walk", "sieve.prime_stream", "sieve.prime_count",
+                              "cli.cmd_sieve"},
+    }
+    found = {name: set() for name in allowed}
+    for path in Path(races.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = path.stem + (f".{top.name}" if isinstance(top, ast.FunctionDef) else "")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name in found:
+                        found[name].add(owner)
+    assert found == allowed
+
+
 def _assert_same_repr(got, want) -> None:
     """repr(got) == repr(want), failing with the first difference: pytest's own
     diff of two megabyte-long reprs runs for minutes."""
@@ -535,9 +558,10 @@ class TestWorkingSet:
                               race_scan_fresh_arrays(w, sigmas, limit, cps))
 
     def test_sigma0_race_memory_does_not_grow(self):
-        # a sigma = 0 race needs the segment's primes and w(p), and one block-long
-        # prefix-sum buffer: 6.5 MiB, against 8.1 with a segment-long buffer, 10.7
-        # with new arrays per segment and 10.9 with unused power and |x| rows
+        # a sigma = 0 race needs one segment's primes, one block's primes and w(p),
+        # and one block-long prefix-sum buffer: 4.8 MiB, against 6.5 with a
+        # segment's w(p) and the first segment copied to prepend 2, 8.1 with a
+        # segment-long buffer and 10.7 with new arrays per segment
         tracemalloc.start()
         try:
             race_scan(chi4(), [0.0], 10**7, checkpoints=(10**7,))
@@ -547,9 +571,10 @@ class TestWorkingSet:
         assert peak <= 7 * 2**20
 
     def test_sigma_grid_race_memory_is_bounded(self):
-        # the bias-scan grid: one segment's primes, w(p) and log p, and block-long
-        # power, prefix-sum and exact-sum buffers shared by the nine sigmas: 9.1 MiB,
-        # against 13.2 with segment-long power and prefix-sum buffers
+        # the bias-scan grid: one segment's primes, one block's primes, w(p) and
+        # log p, and one block-long buffer shared by the nine sigmas: 5.5 MiB,
+        # against 9.1 with a segment's w(p) and log p and 13.2 with segment-long
+        # power and prefix-sum buffers
         tracemalloc.start()
         try:
             race_scan(chi4(), parse_grid("0.55:0.95:0.05"), 10**7, checkpoints=(10**7,))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,20 @@ def test_segment_examples():
     assert sieve_segment(90, 110).primes.dtype == np.int64
     assert sieve_segment(2, 3).primes.tolist() == [2]
     assert sieve_segment(90, 97).primes.tolist() == []
+
+
+def test_segment_holding_two_is_not_copied():
+    # 2 takes the slot of 1 in the odd grid, so the primes of [2, 2 + 2^22)
+    # (2.3 MiB) are formed once beside the 2 MiB mask: 4.3 MiB, against 6.5
+    # with a second array to prepend 2
+    assert [sieve_segment(2, hi).primes.tolist() for hi in (3, 4, 5)] == [[2], [2, 3], [2, 3]]
+    tracemalloc.start()
+    try:
+        sieve_segment(2, 2 + 2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_segment_past_a_base_primes_first_multiple():
