@@ -225,10 +225,9 @@ def kronecker_ref(d: int, n: int) -> int:
 # The package's per-sigma loops as they were before they formed their terms in
 # place: each sigma builds new arrays as long as a 2^20-term chunk of n or a
 # 2^15-prime block, summed by math.fsum (the prime sums over the whole walk)
-# and by one np.sum of |x| per array.
-# Unlike the oracles above they share the package's sieve segments and
-# L-series constants, since what they check is that the in-place loops keep
-# every bit.
+# and by one np.sum of |x| per array. Unlike the oracles above they share the
+# package's sieve segments and L-series constants, since what they check is
+# that the in-place loops keep every bit.
 
 
 def l_value_scan_fresh_arrays(w, sigmas, n_trunc: int) -> list:
