@@ -129,6 +129,7 @@ def cmd_sieve(ns) -> dict:
         for primes in iter_prime_arrays(ns.limit):
             fh.write("\n".join(map(str, primes.tolist())))
             fh.write("\n")
+            del primes  # before the next segment is sieved
     return {}
 
 

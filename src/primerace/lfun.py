@@ -12,12 +12,14 @@ the integral of S - Sbar (both exact rationals computed from the period
 table; the remainder bound comes from integrating by parts twice, since the
 integral of S - Sbar over a full period vanishes).
 
-A sigma grid takes one walk over n and one over the primes (`races.walk`, in
-2^15-prime blocks); the one-sigma functions are those walks at one sigma. The
-walk over n shares w(n); each sigma forms its own log n in 2^15-term tiles.
-Each walk forms its terms in one buffer reused by every chunk or block and
-every sigma. The prime sums of t and lg - t and both sides of the Abel-identity
-check add up as exact integers (`races._exact_units`) and are rounded once.
+A sigma grid takes one walk over n, in 2^15-term tiles, and one over the
+primes (`races.walk`, in 2^15-prime blocks); the one-sigma functions are those
+walks at one sigma. Every sigma shares a tile's n, w(n) and log n, or a block's
+w(p) and log p, and forms its terms in one buffer reused by every tile or
+block and every sigma. The L-series sums, the prime sums of t and lg - t and
+both sides of the Abel-identity check add up as exact integers
+(`races._exact_units`) and are rounded once; the sums of |x| behind the radii
+are one `np.sum` per tile or block.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ import numpy as np
 
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError, check_count, check_reals
-from .races import RacePoint, RaceSeries, _exact_sum, _neg_power, race_scan, walk, weighted_race
+from .races import RacePoint, RaceSeries, _neg_power, race_scan, walk, weighted_race
 from .races import _BLOCK, _UNIT, _exact_units, _float_units, _power_exp, _power_log
 
 _EPS = sys.float_info.epsilon
-_CHUNK = 1 << 20
 
 _DEFAULT_N_TRUNC = 10**6
 
@@ -97,27 +98,25 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
     if not grid:  # no sigma: no walk
         return []
 
-    chunk_sums = [[] for _ in grid]
-    abs_acc = [0.0] * len(grid)
-    contrib = np.empty(min(_CHUNK, n_trunc))
-    for lo in range(1, n_trunc + 1, _CHUNK):
-        m = min(_CHUNK, n_trunc + 1 - lo)
-        weights = np.tile(np.roll(w.period, -lo), m // w.modulus + 1)[:m]  # w(lo), w(lo + 1), ...
-        terms = contrib[:m]
-        for i, sigma in enumerate(grid):
-            for a in range(0, m, _BLOCK):  # n and log n by tiles: no whole-chunk array of either
-                n = np.arange(lo + a, lo + min(a + _BLOCK, m), dtype=np.int64)
-                _power_exp(_power_log(n), sigma, out=terms[a : a + len(n)])
+    q = w.modulus
+    row = np.tile(w.period, _BLOCK // q + 2)  # row[k] = w(k), so a tile's w(n) is one slice
+    walks = [[0, 0.0] for _ in grid]  # units of the terms, sum of |terms|
+    buf = np.empty((3, min(_BLOCK, n_trunc)))  # the terms and the exact-sum scratch
+    for lo in range(1, n_trunc + 1, _BLOCK):  # every sigma through a tile before the next
+        n = np.arange(lo, min(lo + _BLOCK, n_trunc + 1), dtype=np.int64)
+        logs, weights, terms = _power_log(n), row[lo % q :][: len(n)], buf[0, : len(n)]
+        for sigma, sums in zip(grid, walks):
+            _power_exp(logs, sigma, out=terms)
             terms *= weights  # w(n) n^-sigma, in place
-            chunk_sums[i].append(_exact_sum(terms))
-            abs_acc[i] += float(np.sum(np.abs(terms, out=terms)))
+            sums[0] += _exact_units(terms, buf[1:])
+            sums[1] += float(np.sum(np.abs(terms, out=terms)))
 
     mean, oscillation = _partial_sum_stats(w)
     values = []
-    for sigma, sums, abs_sum in zip(grid, chunk_sums, abs_acc):
+    for sigma, (units, abs_sum) in zip(grid, walks):
         n_pow = _neg_power(n_trunc, sigma)
         correction = (mean - w.partial_sum(n_trunc)) * n_pow
-        value = math.fsum(sums) + correction
+        value = units / _UNIT + correction
         tail = sigma * oscillation * n_pow / n_trunc
         rounding = _EPS * (3.0 * abs_sum + 2.0 * abs(value) + abs(correction))
         values.append(BoundedValue(value, tail + rounding))
@@ -129,9 +128,11 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
 
     With t = w(p) p^-sigma and lg = -log1p(-t), each sigma gets the exactly
     rounded sums of t and of lg - t over p <= P, then the sums of |t|, |lg|
-    and |lg - t|. Needs |t| < 1, so sigma > 0.
+    and |lg - t|. Needs sigma > 1/2, as every caller does: then
+    |t| < 2^(-1/2) < 1, which log1p and `b_function`'s Sterbenz argument need.
     """
-    sigmas = check_reals(sigmas, "sigma", "_char_prime_sum requires sigma > 0", lambda s: s > 0.0)
+    domain = "_char_prime_sum requires sigma > 1/2"
+    sigmas = check_reals(sigmas, "sigma", domain, lambda s: s > 0.5)
     prime_limit = check_count(prime_limit, "prime_limit", 2)
     walks = [[0, 0, 0.0, 0.0, 0.0] for _ in sigmas]  # units of t and lg - t, sums of |x|
     buf = np.empty((5, _BLOCK))  # t, lg, lg - t and the exact-sum scratch

@@ -4,12 +4,12 @@ One walk over the primes (`walk`) serves every sigma of a scan and every
 prime sum of the package: each segment is sieved once and handed out in
 2^15-prime blocks whose w(p) and log p every sigma shares, so a sigma adds only
 its powers, sums and sign scan, in one block-long buffer. Block sums are exactly
-rounded (`_exact_sum`, math.fsum's bits; its integer core `_exact_units` makes
-every exactly rounded sum of the package, while the sums of |x| behind the
-radii are plain `np.sum`). The prefix is the exact sum of the rounded block
-sums, kept as an integer count of 2^-1074, and the prefix and every checkpoint
-value are that integer rounded once. Per-prime values for sign tracking come
-from a block-local cumulative sum whose worst-case float error is folded into
+rounded, with math.fsum's bits: `_exact_units` makes every exactly rounded sum
+of the package, while the sums of |x| behind the radii are one `np.sum` per
+block. The prefix is the exact sum of the rounded block sums, kept as an
+integer count of 2^-1074, and the prefix and every checkpoint value are that
+integer rounded once. Per-prime values for sign tracking come from a
+block-local cumulative sum whose worst-case float error is folded into
 `running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
 the block sum is read exactly from the end of that cumulative sum and the
 error stays 0. A block's values are formed only if it may flip the carried
@@ -30,7 +30,7 @@ from .characters import DirichletWeight
 from .errors import ValidationError, check_count, check_reals
 from .sieve import iter_prime_arrays
 
-_BLOCK = 1 << 15  # a block of the prime walk; also the tile of log n in lfun.l_value_scan
+_BLOCK = 1 << 15  # a block of the prime walk; also a tile of lfun.l_value_scan's walk over n
 _U = sys.float_info.epsilon / 2  # unit roundoff
 
 
@@ -93,18 +93,6 @@ def _exact_units(x: np.ndarray, scratch: np.ndarray | None = None) -> int | None
             total += int(math.ldexp(float(qs.sum()), -g)) << (g + 1074)
             live = rs.any()
     return total
-
-
-def _exact_sum(x: np.ndarray, scratch: np.ndarray | None = None) -> float:
-    """math.fsum(x) for a float64 array: the exactly rounded sum, same bits.
-
-    `_exact_units(x) / 2^1074` is CPython's correctly rounded int division,
-    which rounds half to even as fsum does, subnormal results included.
-    math.fsum decides only a zero total (empty, all-zero or cancelling
-    arrays: its signed zero) and the arrays `_exact_units` declines.
-    """
-    units = _exact_units(x, scratch)
-    return units / _UNIT if units else math.fsum(x.tolist())
 
 
 def _float_units(x: float) -> int:
@@ -213,7 +201,7 @@ def _prepare_segment(
     contrib = _power_exp(logs, sigma, out=terms)
     contrib *= weights
     cum = np.cumsum(contrib, out=cum)
-    block_sum = _exact_sum(contrib, scratch)
+    block_sum = _exact_units(contrib, scratch) / _UNIT
     abs_weight = float(np.sum(np.abs(contrib, out=scratch[0, : len(contrib)])))
     return [(primes, contrib, cum, block_sum, abs_weight)]
 

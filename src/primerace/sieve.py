@@ -100,8 +100,9 @@ def prime_stream(limit: int) -> Iterator[int]:
     """Every prime <= limit exactly once, ascending. Empty for limit < 2."""
     for primes in iter_prime_arrays(limit):
         yield from primes.tolist()
+        del primes  # before the next segment is sieved
 
 
 def prime_count(limit: int) -> int:
-    """pi(limit), counted segment by segment."""
-    return sum(len(a) for a in iter_prime_arrays(limit))
+    """pi(limit), counted segment by segment, none held while the next is sieved."""
+    return sum(map(len, iter_prime_arrays(limit)))

@@ -223,35 +223,35 @@ def kronecker_ref(d: int, n: int) -> int:
 
 
 # The package's per-sigma loops as they were before they formed their terms in
-# place: each sigma builds new arrays as long as a 2^20-term chunk of n or a
-# 2^15-prime block, summed by math.fsum (the prime sums over the whole walk)
-# and by one np.sum of |x| per array. Unlike the oracles above they share the
-# package's sieve segments and L-series constants, since what they check is
-# that the in-place loops keep every bit.
+# place: each sigma builds new arrays as long as a 2^15-term tile of n or a
+# 2^15-prime block, summed by math.fsum over every term of the walk and by one
+# np.sum of |x| per array. Unlike the oracles above they share the package's
+# sieve segments and L-series constants, since what they check is that the
+# in-place loops keep every bit.
 
 
 def l_value_scan_fresh_arrays(w, sigmas, n_trunc: int) -> list:
-    """`lfun.l_value_scan`, with new whole-chunk arrays for every sigma."""
+    """`lfun.l_value_scan`, with new arrays for every tile and sigma."""
     import numpy as np
 
     from primerace.lfun import BoundedValue, _partial_sum_stats
+    from primerace.races import _BLOCK
 
     period_f = w.period.astype(np.float64)
-    chunk_sums = [[] for _ in sigmas]
-    abs_acc = [0.0] * len(sigmas)
-    for lo in range(1, n_trunc + 1, 1 << 20):
-        n = np.arange(lo, min(lo + (1 << 20), n_trunc + 1), dtype=np.int64)
+    walks = [([], [0.0]) for _ in sigmas]
+    for lo in range(1, n_trunc + 1, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, n_trunc + 1), dtype=np.int64)
         weights, logs = period_f[n % w.modulus], np.log(n.astype(np.float64))
-        for i, sigma in enumerate(sigmas):
+        for sigma, (terms, abs_sum) in zip(sigmas, walks):
             contrib = weights * np.exp(-sigma * logs)
-            chunk_sums[i].append(math.fsum(contrib.tolist()))
-            abs_acc[i] += float(np.sum(np.abs(contrib)))
+            terms.extend(contrib.tolist())
+            abs_sum[0] += float(np.sum(np.abs(contrib)))
     mean, oscillation = _partial_sum_stats(w)
     values = []
-    for sigma, sums, abs_sum in zip(sigmas, chunk_sums, abs_acc):
+    for sigma, (terms, (abs_sum,)) in zip(sigmas, walks):
         n_pow = math.exp(-sigma * math.log(n_trunc))
         correction = (mean - w.partial_sum(n_trunc)) * n_pow
-        value = math.fsum(sums) + correction
+        value = math.fsum(terms) + correction
         tail = sigma * oscillation * n_pow / n_trunc
         rounding = sys.float_info.epsilon * (3.0 * abs_sum + 2.0 * abs(value) + abs(correction))
         values.append(BoundedValue(value, tail + rounding))
@@ -284,7 +284,7 @@ def char_prime_sum_fresh_arrays(w, sigmas, prime_limit: int) -> list[tuple]:
 # The race loop as it was before each walk kept one working set: every block
 # and sigma gets new contribution, prefix-sum and |x| arrays, and every block's
 # running values are formed and sign-scanned, flip or no flip. Block sums are
-# math.fsum, whose bits races._exact_sum keeps; the rest shares the package's
+# math.fsum, whose bits races._exact_units keeps; the rest shares the package's
 # sieve segments, prefix units and checkpoint heads, unchanged by that change.
 
 

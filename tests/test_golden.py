@@ -9,8 +9,10 @@ pins.
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites every golden file from the code on the path. Run it only for a
-change that moves output bits on purpose, and say so in CHANGES.md.
+rewrites every golden file from the code on the path, and prints the name of
+each file whose bytes changed (a new file counts as changed). Run it only for
+a change that moves output bits on purpose, and list those files in
+CHANGES.md.
 
 The bytes repeat on one NumPy version and SIMD dispatch, not across them:
 with AVX-512 turned off (`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
@@ -19,9 +21,8 @@ CSV change bytes, while `check_lemma` still accepts that CSV.
 """
 
 import io
-import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -75,8 +76,10 @@ def test_output_bytes_match_golden(name, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()):
         for name, argv in [*CASES.items(), ("lemma", LEMMA_WORKLOAD)]:
             for golden, data in outputs(name, argv, Path(tmp)).items():
-                (GOLDEN / golden).write_bytes(data)
-                print(golden, len(data), file=sys.stderr)
+                path = GOLDEN / golden
+                if not path.exists() or path.read_bytes() != data:
+                    path.write_bytes(data)
+                    print(golden)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from primerace import lfun, races, sieve
 from primerace.characters import DirichletWeight, character_from_discriminant, chi4
+from primerace.cli import main
 from primerace.config import parse_grid
 from primerace.errors import DomainError, ValidationError
 from primerace.lfun import (
@@ -78,6 +79,18 @@ class TestLValue:
             l_value(chi4(), -0.5, 100)
         with pytest.raises(ValidationError):
             l_value(chi4(), 1.0, 3)  # below the modulus
+
+    @pytest.mark.parametrize("d", [-4, 5, -3])
+    def test_many_tiles_lie_within_radius_of_mpmath(self, d):
+        # 97 tiles of n, the last one 5 terms long, against mpmath's L from
+        # Hurwitz zeta values, which walks no n
+        from mpmath import dirichlet, mp, mpf
+
+        w, sigmas = character_from_discriminant(d), [0.5, 0.7, 1.5]
+        with mp.workdps(30):
+            for sigma, lv in zip(sigmas, l_value_scan(w, sigmas, 3 * (1 << 20) + 5)):
+                exact = dirichlet(mpf(sigma), [int(v) for v in w.period])
+                assert abs(lv.value - exact) <= lv.radius
 
     @pytest.mark.parametrize("sigma,n", [(0.8, 20_000), (1.0, 50_000), (0.55, 10_000), (2.0, 5_000)])
     def test_tail_bounds_are_honest(self, sigma, n):
@@ -242,7 +255,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("d", [5, -3])
     def test_grid_walks_match_one_sigma_calls(self, monkeypatch, d):
-        # n_trunc = 2^20 + 17 ends in a 17-term chunk, and 4,096-wide segments
+        # n_trunc = 2^20 + 17 ends in a 17-term tile, and 4,096-wide segments
         # split the primes to 10^5 into 25 segments
         monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 12)
         w = character_from_discriminant(d)
@@ -262,10 +275,34 @@ class TestInPlace:
     @pytest.mark.parametrize("d", [-4, 5])
     @pytest.mark.parametrize("n_trunc", [(1 << 15) - 1, (1 << 15) + 1, (1 << 20) + (1 << 15) + 7])
     def test_l_value_keeps_every_bit(self, d, n_trunc):
-        # one short log-n tile; a full one and one term; a short second chunk in the buffers
+        # one short tile; a full one and one term; 33 tiles, the last one short
         w = character_from_discriminant(d)
         assert repr(l_value_scan(w, [0.55, 1.5], n_trunc)) == repr(
             l_value_scan_fresh_arrays(w, [0.55, 1.5], n_trunc))
+
+    @pytest.mark.parametrize("d", [-4, 5])
+    def test_l_value_centers_are_fsum_of_every_term(self, d):
+        # the sum over n is rounded once over the whole walk, so the center is
+        # math.fsum of all its terms plus the correction, past 2^20 terms too
+        w, sigmas, n_trunc = character_from_discriminant(d), [0.5, 0.7, 1.5], 3 * (1 << 20) + 5
+
+        def terms(sigma):  # fsum's bits do not depend on how the terms are cut
+            for lo in range(1, n_trunc + 1, 100_000):
+                n = np.arange(lo, min(lo + 100_000, n_trunc + 1), dtype=np.int64)
+                logs = np.log(n.astype(np.float64))
+                yield from (w.period[n % w.modulus] * np.exp(-sigma * logs)).tolist()
+
+        mean = lfun._partial_sum_stats(w)[0]
+        for sigma, lv in zip(sigmas, l_value_scan(w, sigmas, n_trunc)):
+            correction = (mean - w.partial_sum(n_trunc)) * math.exp(-sigma * math.log(n_trunc))
+            assert repr(lv.value) == repr(math.fsum(terms(sigma)) + correction)
+
+    def test_l_value_takes_log_n_once_per_tile(self, monkeypatch):
+        # every sigma of the grid shares a tile's log n: 31 tiles to 10^6
+        calls, real_log = [], lfun._power_log
+        monkeypatch.setattr(lfun, "_power_log", lambda n: calls.append(len(n)) or real_log(n))
+        l_value_scan(chi4(), parse_grid("0.55:0.95:0.05"), 10**6)
+        assert len(calls) == 31 and sum(calls) == 10**6
 
     def test_prime_sum_keeps_every_bit(self):
         # two segments, each ending in a short block; the second is one short block
@@ -295,12 +332,12 @@ class TestInPlace:
         assert repr(mellin_identity_check(w, sigma, s, limit)) == repr(
             mellin_identity_check_fresh_arrays(w, sigma, s, limit))
 
-    @pytest.mark.parametrize("name", ["race_scan", "_char_prime_sum",
-                                      "mellin_identity_check"])
-    def test_no_segment_outlives_the_next_sieve(self, monkeypatch, name):
+    @pytest.mark.parametrize("name", ["race_scan", "_char_prime_sum", "mellin_identity_check",
+                                      "prime_count", "prime_stream", "sieve --emit"])
+    def test_no_segment_outlives_the_next_sieve(self, monkeypatch, tmp_path, name):
         # on entry to each sieve, the primes of the previous segment must be
-        # gone, with no view of them left, and every w(p) and log p array is
-        # one block of at most 2^15 primes
+        # gone, with no view of them left, and every w(p) and log p array of a
+        # prime walk is one block of at most 2^15 primes
         w, segments, sieved, lengths = chi4(), [], [], []
         limit = 2 * sieve.SEGMENT_WIDTH + 1000  # three segments, the last one short
         count = sieve.prime_count(limit)
@@ -326,10 +363,18 @@ class TestInPlace:
             races.race_scan(w, [0.0, 0.5], limit, checkpoints=(10**6, limit))
         elif name == "_char_prime_sum":
             lfun._char_prime_sum(w, [0.55, 1.5], limit)
-        else:
+        elif name == "mellin_identity_check":
             lfun.mellin_identity_check(w, 0.5, 1.5, limit)
-        assert len(sieved) == 3 and max(lengths) <= races._BLOCK
-        assert sum(lengths) == 2 * count  # w(p) and log p at every prime once
+        elif name == "prime_count":
+            assert sieve.prime_count(limit) == count
+        elif name == "prime_stream":
+            assert sum(1 for _ in sieve.prime_stream(limit)) == count
+        else:
+            assert main(["sieve", "--limit", str(limit), "--emit", str(tmp_path / "p.txt")]) == 0
+            assert (tmp_path / "p.txt").read_bytes().count(b"\n") == count
+        walked = name in ("race_scan", "_char_prime_sum", "mellin_identity_check")
+        assert len(sieved) == 3 and max(lengths, default=0) <= races._BLOCK
+        assert sum(lengths) == 2 * count * walked  # w(p) and log p at every prime once
 
     def test_prime_sum_memory_is_bounded(self):
         # the lemma walk: one block's primes, w(p) and log p beside one segment's
@@ -355,9 +400,9 @@ class TestInPlace:
         assert peak <= 9 * 2**20
 
     def test_l_value_memory_is_bounded(self):
-        # the bias-scan grid at n = 10^6 needs one chunk of terms (7.6 MiB), the
-        # chunk's int8 weights and one tile of n and of log n: 9.2 MiB. 10.5 MiB
-        # leaves no room for a chunk of log n (16.9 MiB with one)
+        # the bias-scan grid at n = 10^6 needs one tile of n, of log n and of
+        # terms, two rows of exact-sum scratch and one row of weights: 1.5 MiB.
+        # 3 MiB leaves no room for a 2^20-term chunk of terms (9.2 MiB with one)
         grid = parse_grid("0.55:0.95:0.05")
         tracemalloc.start()
         try:
@@ -365,7 +410,7 @@ class TestInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10.5 * 2**20
+        assert peak <= 3 * 2**20
 
 
 class TestBiasScan:
@@ -525,7 +570,7 @@ ENTRY_POINTS = {
     "weighted_race": (lambda ss, n: races.weighted_race(chi4(), *ss, n), 0.5, 100, None),
     "l_value_scan": (lambda ss, n: l_value_scan(chi4(), ss, n), 0.5, 100, 2),
     "l_value": (lambda ss, n: l_value(chi4(), *ss, n), 0.5, 100, None),
-    "_char_prime_sum": (lambda ss, n: lfun._char_prime_sum(chi4(), ss, n), 0.5, 100, 1),
+    "_char_prime_sum": (lambda ss, n: lfun._char_prime_sum(chi4(), ss, n), 0.55, 100, 1),
     "euler_product_value": (lambda ss, n: euler_product_value(chi4(), *ss, n), 1.5, 100, None),
     "b_function": (lambda ss, n: b_function(chi4(), *ss, n), 1.5, 100, None),
     "decomposition_scan": (
@@ -563,6 +608,18 @@ def test_refused_input_stops_before_any_walk(monkeypatch, name, sigmas, count):
     call = ENTRY_POINTS[name][0]
     with pytest.raises(ValidationError, match=r"^(sigma|n_trunc|prime_limit|x_max|x_points|X)\b"):
         call(sigmas, count)
+
+
+def test_prime_sum_needs_sigma_above_one_half(monkeypatch):
+    # B diverges at sigma <= 1/2, and near 0 |t| rounds to 1 and log1p(-t) is
+    # -inf: refused before any prime is walked
+    def forbidden(*args):
+        pytest.fail("a walk started before the inputs were checked")
+
+    monkeypatch.setattr(races, "iter_prime_arrays", forbidden)
+    for sigma in (1e-17, 0.25, 0.5):
+        with pytest.raises(DomainError, match=r"sigma > 1/2, got"):
+            lfun._char_prime_sum(chi4(), [1.5, sigma], 100)
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
