@@ -96,6 +96,7 @@ class DirichletWeight:
         self.modulus = modulus
         self.discriminant = discriminant
         self.period = period
+        self._table = period.astype(np.float64)  # w(p) is taken from it as float64
         # exact integer partial sums over one period; pref[r] = sum_{n<=r} w(n)
         vals = [int(period[n % modulus]) for n in range(1, modulus + 1)]
         pref = [0]
@@ -103,9 +104,17 @@ class DirichletWeight:
             pref.append(pref[-1] + v)
         self._prefix = pref
 
-    def values_at_primes(self, primes: np.ndarray) -> np.ndarray:
-        """Vectorized w(p) over an array of primes, as float64."""
-        return self.period[primes % self.modulus].astype(np.float64)
+    def values_at_primes(self, primes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized w(p) over an array of primes, as float64, into `out` if given.
+
+        p mod q = p - (p // q) q (NumPy divides by one scalar with a multiply and
+        a shift, where `%` divides) fills the int64 view of `out`, and np.take in
+        "clip" mode, which reads each index before it writes there, puts w(p) in
+        its place ("raise" mode would copy `out`)."""
+        r = (values := np.empty(len(primes)) if out is None else out).view(np.int64)
+        np.floor_divide(primes, self.modulus, out=r)
+        np.subtract(primes, np.multiply(r, self.modulus, out=r), out=r)
+        return np.take(self._table, r, out=values, mode="clip")
 
     def partial_sum(self, x: int) -> int:
         """S(x) = sum_{n<=x} w(n) as an exact integer; |S(x)| <= q."""

@@ -18,8 +18,8 @@ walks at one sigma. Every sigma shares a tile's n, w(n) and log n, or a block's
 w(p) and log p, and forms its terms in one buffer reused by every tile or
 block and every sigma. The L-series sums, the prime sums of t and lg - t and
 both sides of the Abel-identity check add up as exact integers
-(`races._exact_units`) and are rounded once; the sums of |x| behind the radii
-are one `np.sum` per tile or block.
+(`races._exact_sums`) and are rounded once; the same call gives each tile's or
+block's sum of |x| behind the radii, but for |lg|, which has its own pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError, check_count, check_reals
 from .races import RacePoint, RaceSeries, _neg_power, race_scan, walk, weighted_race
-from .races import _BLOCK, _UNIT, _exact_units, _float_units, _power_exp, _power_log
+from .races import _BLOCK, _UNIT, _exact_sums, _float_units, _power_exp, _power_log
 
 _EPS = sys.float_info.epsilon
 
@@ -103,13 +103,13 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
     walks = [[0, 0.0] for _ in grid]  # units of the terms, sum of |terms|
     buf = np.empty((3, min(_BLOCK, n_trunc)))  # the terms and the exact-sum scratch
     for lo in range(1, n_trunc + 1, _BLOCK):  # every sigma through a tile before the next
-        n = np.arange(lo, min(lo + _BLOCK, n_trunc + 1), dtype=np.int64)
-        logs, weights, terms = _power_log(n), row[lo % q :][: len(n)], buf[0, : len(n)]
+        logs = _power_log(np.arange(lo, min(lo + _BLOCK, n_trunc + 1), dtype=np.float64))
+        weights, terms = row[lo % q :][: len(logs)], buf[0, : len(logs)]
         for sigma, sums in zip(grid, walks):
             _power_exp(logs, sigma, out=terms)
             terms *= weights  # w(n) n^-sigma, in place
-            sums[0] += _exact_units(terms, buf[1:])
-            sums[1] += float(np.sum(np.abs(terms, out=terms)))
+            units, abs_sum = _exact_sums(terms, buf[1:])
+            sums[0], sums[1] = sums[0] + units, sums[1] + abs_sum
 
     mean, oscillation = _partial_sum_stats(w)
     values = []
@@ -134,7 +134,7 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
     domain = "_char_prime_sum requires sigma > 1/2"
     sigmas = check_reals(sigmas, "sigma", domain, lambda s: s > 0.5)
     prime_limit = check_count(prime_limit, "prime_limit", 2)
-    walks = [[0, 0, 0.0, 0.0, 0.0] for _ in sigmas]  # units of t and lg - t, sums of |x|
+    walks = [[0, 0.0, 0, 0.0, 0.0] for _ in sigmas]  # units and sum |x| of t, of lg - t; sum |lg|
     buf = np.empty((5, _BLOCK))  # t, lg, lg - t and the exact-sum scratch
     for _, weights, logs in walk(w, prime_limit, sigmas):
         t, lg, terms = buf[:3, : len(logs)]
@@ -143,11 +143,10 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
             t *= weights
             np.negative(np.log1p(np.negative(t, out=lg), out=lg), out=lg)
             np.subtract(lg, t, out=terms)
-            sums[0] += _exact_units(t, buf[3:])
-            sums[1] += _exact_units(terms, buf[3:])
-            for j, x in enumerate((t, lg, terms), 2):
-                sums[j] += float(np.sum(np.abs(x, out=x)))
-    return [(ts / _UNIT, bs / _UNIT, *abs_sums) for ts, bs, *abs_sums in walks]
+            lg_abs = float(np.sum(np.abs(lg, out=lg)))  # lg has no exact sum: its own pass
+            for j, v in enumerate((*_exact_sums(t, buf[3:]), *_exact_sums(terms, buf[3:]), lg_abs)):
+                sums[j] += v
+    return [(tu / _UNIT, bu / _UNIT, ta, la, ba) for tu, ta, bu, ba, la in walks]
 
 
 def euler_product_value(w: DirichletWeight, sigma: float, prime_limit: int) -> BoundedValue:
@@ -369,7 +368,7 @@ def mellin_identity_check(
 
     One walk over the primes feeds both sums: each block's terms and pieces
     are formed in one block-long buffer and add to exact integers
-    (`_exact_units`), and each is rounded once, so both carry math.fsum's bits.
+    (`_exact_sums`), and each is rounded once, so both carry math.fsum's bits.
     """
     (sigma,) = check_reals([sigma], "sigma", "sigma must be >= 0", lambda v: v >= 0.0)
     x_limit = check_count(x_limit, "X", 2)
@@ -388,7 +387,7 @@ def mellin_identity_check(
         x, steps, terms = buf[:3, : len(logs) + 1]
         terms, scratch = terms[1:], buf[3:]
         np.multiply(_power_exp(logs, s, out=terms), weights, out=terms)
-        lhs_units += _exact_units(terms, scratch)
+        lhs_units += _exact_sums(terms, scratch)[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
         x[0] = a
@@ -398,7 +397,7 @@ def mellin_identity_check(
         _power_exp(logs, c, out=x[1:])
         np.subtract(x[:-1], x[1:], out=terms)
         terms *= steps[:-1]
-        piece_units += _exact_units(terms, scratch)
+        piece_units += _exact_sums(terms, scratch)[0]
         a, left = float(steps[-1]), float(x[-1])
     piece_units += _float_units(a * (left - x_pow))
     rhs = a * x_pow + piece_units / _UNIT

@@ -4,9 +4,9 @@ One walk over the primes (`walk`) serves every sigma of a scan and every
 prime sum of the package: each segment is sieved once and handed out in
 2^15-prime blocks whose w(p) and log p every sigma shares, so a sigma adds only
 its powers, sums and sign scan, in one block-long buffer. Block sums are exactly
-rounded, with math.fsum's bits: `_exact_units` makes every exactly rounded sum
-of the package, while the sums of |x| behind the radii are one `np.sum` per
-block. The prefix is the exact sum of the rounded block sums, kept as an
+rounded, with math.fsum's bits: `_exact_sums` makes every exactly rounded sum
+of the package and, from the same |x| row, the sum of |x| behind each block's
+radius. The prefix is the exact sum of the rounded block sums, kept as an
 integer count of 2^-1074, and the prefix and every checkpoint value are that
 integer rounded once. Per-prime values for sign tracking come from a
 block-local cumulative sum whose worst-case float error is folded into
@@ -43,8 +43,8 @@ def _neg_power(n, sigma: float) -> float:
 
 
 def _power_log(n: np.ndarray) -> np.ndarray:
-    """The log half of `_neg_power`: log n as float64, formed in place."""
-    return np.log(x := n.astype(np.float64), out=x)
+    """The log half of `_neg_power`: log n as float64, formed in place (in n if float64)."""
+    return np.log(x := n.astype(np.float64, copy=False), out=x)
 
 
 def _power_exp(log_n: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -52,47 +52,52 @@ def _power_exp(log_n: np.ndarray, sigma: float, out: np.ndarray | None = None) -
     return np.exp(np.multiply(log_n, -sigma, out=out), out=out)
 
 
-_SUB, _LIMB = 1 << 15, 36  # _exact_units: sub-block terms, limb bits
-_UNIT = 1 << 1074  # _exact_units per 1.0: 2^-1074 is the smallest subnormal
+_SUB, _LIMB = 1 << 15, 36  # _exact_sums: sub-block terms, limb bits
+_UNIT = 1 << 1074  # _exact_sums per 1.0: 2^-1074 is the smallest subnormal
 
 
-def _exact_units(x: np.ndarray, scratch: np.ndarray | None = None) -> int | None:
-    """The exact sum of a float64 array as an integer count of 2^-1074.
+def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int | None, float]:
+    """The exact sum of float64 x as an integer count of 2^-1074, and
+    float(np.sum(np.abs(x))), both from one |x| row.
 
     Each 2^15-term sub-block is cut into limbs on its own binary grids (an
-    error-free extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-    31, 2008). With 2^e > max|x| over the sub-block, grids
-    g = max(e - 36k, -1074) (k = 1, 2, ...) and S = 1.5 * 2^(g + 52), the
-    limb q = (r + S) - S of the residual r is r rounded to a multiple of 2^g,
+    error-free extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008). With 2^e > max|x| over the sub-block (e >= -1022, from the top's
+    exponent bits), grids g = e - 36k (k = 1, 2, ...) and S = 1.5 * 2^(g + 52),
+    the limb q = (r + S) - S of the residual r is r rounded to a multiple of 2^g,
     exactly, while |r| < 2^(g + 51): r + S then lies in [2^(g+52), 2^(g+53)),
     where floats are 2^g apart, and subtracting S is exact (Sterbenz). So
-    |q| <= 2^(g + 36), 2^15 limbs sum exactly, to at most 2^(g + 51), and
-    r - q is exact with |r - q| <= 2^(g - 1), inside the next grid's
-    condition, which the clamp at -1074 only widens. At that floor S is
-    1.5 * 2^-1022, still a normal float, and every finite double is a
-    multiple of 2^-1074, so the limb takes the whole residual and the
-    sub-block ends. None means a non-finite value, or a sub-block top of at
-    least 2^1007, where g would pass 971 and S would overflow. A walk passes
-    `scratch`, two rows of at least min(len(x), 2^15) floats, for q and r.
+    |q| <= 2^(g + 36), 2^15 limbs sum exactly, to at most 2^(g + 51), and r - q
+    is exact with |r - q| <= 2^(g - 1), inside the next grid's condition. Every
+    term is a multiple of 2^h, the ulp of the least nonzero |x| (its bits less 1,
+    as uint64, put zeros last) clamped at 2^-1074, a subnormal's. Extraction
+    stops at the first g <= h + 39, and there g >= h: the grid before passed
+    h + 39, or g is the first, e - 36, at least h + 17, or -1058 if h = -1074.
+    So S stays normal, and each residual is a multiple of 2^h with |r| <=
+    2^(g - 1) <= 2^(h + 38): a partial sum of at most 2^15 of them is a multiple
+    of 2^h of at most 2^(h + 53), a float, so one np.sum of them is exact. None
+    means a non-finite value, or a sub-block top of at least 2^1007, where g
+    could pass 971 and S overflow. A walk passes `scratch`, two rows of at least
+    min(len(x), 2^15) floats; |x| takes the first when x fits in it.
     """
-    total = 0
     q, r = np.empty((2, min(len(x), _SUB))) if scratch is None else scratch
+    mag = np.abs(x, out=q[: len(x)] if len(x) <= _SUB else None)
+    abs_sum, bits, total = float(mag.sum()), mag.view(np.int64), 0
     for off in range(0, len(x), _SUB):
-        src = x[off : off + _SUB]
-        top = max(float(src.max()), -float(src.min()))
-        if not top < 2.0**1007:  # also nan and inf
-            return None
-        g, live = math.frexp(top)[1], top != 0.0
+        src, b = x[off : off + _SUB], bits[off : off + _SUB]
+        if (top := int(b.max())) >= (1007 + 1023) << 52:  # a top of 2^1007 or more, nan or inf
+            return None, abs_sum
+        b -= 1  # an all-zero sub-block gets h far above g, and no limb is cut
+        h, g = max((int(b.view(np.uint64).min()) + 1) >> 52, 1) - 1075, (top >> 52) - 1022
         qs, rs = q[: len(src)], r[: len(src)]
-        while live:
-            g = max(g - _LIMB, -1074)
+        while g > h + 39:  # true at g = e
+            g -= _LIMB
             s = 1.5 * 2.0 ** (g + 52)
-            np.add(src, s, out=qs)
-            qs -= s
+            np.subtract(np.add(src, s, out=qs), s, out=qs)  # q = (r + S) - S
             src = np.subtract(src, qs, out=rs)
-            total += int(math.ldexp(float(qs.sum()), -g)) << (g + 1074)
-            live = rs.any()
-    return total
+            total += _float_units(float(qs.sum()))
+        total += _float_units(float(src.sum()))
+    return total, abs_sum
 
 
 def _float_units(x: float) -> int:
@@ -170,16 +175,17 @@ def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tu
 
     Yields (primes, w(p), log p) per block of at most 2^15 primes, at offsets
     0, 2^15, ... of each segment; log p is None when every sigma is 0. Each
-    block's primes are copied into one reused buffer, so no view of a segment
+    block's primes and w(p) are formed in reused rows, so no view of a segment
     outlives the next sieve. No sigma yields nothing and sieves nothing.
     """
     if sigmas:
-        buf = np.empty(_BLOCK, dtype=np.int64)
+        buf, values = np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK)  # p; p mod q, then w(p)
         for primes in iter_prime_arrays(limit):
             for off in range(0, len(primes), _BLOCK):
                 blk = buf[: min(_BLOCK, len(primes) - off)]
                 blk[:] = primes[off : off + _BLOCK]
-                yield blk, w.values_at_primes(blk), _power_log(blk) if any(sigmas) else None
+                weights = w.values_at_primes(blk, out=values[: len(blk)])
+                yield blk, weights, _power_log(blk) if any(sigmas) else None
             del primes  # before the next segment is sieved
 
 
@@ -200,10 +206,8 @@ def _prepare_segment(
     terms, scratch = buf[1, : len(primes)], buf[2:]
     contrib = _power_exp(logs, sigma, out=terms)
     contrib *= weights
-    cum = np.cumsum(contrib, out=cum)
-    block_sum = _exact_units(contrib, scratch) / _UNIT
-    abs_weight = float(np.sum(np.abs(contrib, out=scratch[0, : len(contrib)])))
-    return [(primes, contrib, cum, block_sum, abs_weight)]
+    units, abs_weight = _exact_sums(contrib, scratch)
+    return [(primes, contrib, np.cumsum(contrib, out=cum), units / _UNIT, abs_weight)]
 
 
 @dataclass
@@ -245,15 +249,12 @@ class _RaceState:
                 2.0 * self.total_weight + _BLOCK * self.block_weight_max + self.value_max
             )
 
-        change_idx, filled = np.arange(0), np.broadcast_to(float(c), cum.shape)  # c at every prime
         if scan:
             avals = prefix + cum
             change_idx, filled = _block_sign_scan(avals, c)
-        for i in change_idx.tolist():
-            self.events.append(RacePoint(int(blk[i]), float(avals[i]), self.err, int(filled[i])))
-        if scan and self.first_positive is None:
-            pos = np.flatnonzero(avals > 0.0)
-            if len(pos):
+            self.events += [RacePoint(int(blk[i]), float(avals[i]), self.err, int(filled[i]))
+                            for i in change_idx.tolist()]
+            if self.first_positive is None and len(pos := np.flatnonzero(avals > 0.0)):
                 self.first_positive = int(blk[pos[0]])
 
         # the checkpoints left are at or past blk[0], so k >= 1. A head is the
@@ -264,13 +265,14 @@ class _RaceState:
             if exact:  # integer partial sums below 2^53: cum is exact
                 head = float(cum[k - 1])
             else:
-                head_units += _exact_units(contrib[done:k])
+                head_units += _exact_sums(contrib[done:k])[0]
                 head, done = head_units / _UNIT, k
             value = (self.units + _float_units(head)) / _UNIT
-            self.points.append(RacePoint(cps[self.ci], value, self.err, int(filled[k - 1])))
+            sign = int(filled[k - 1]) if scan else c
+            self.points.append(RacePoint(cps[self.ci], value, self.err, sign))
             self.ci += 1
 
-        self.carry = int(filled[-1])
+        self.carry = int(filled[-1]) if scan else c  # an unscanned block keeps c throughout
         self.units += _float_units(block_sum)
 
     def series(self) -> RaceSeries:

@@ -284,7 +284,7 @@ def char_prime_sum_fresh_arrays(w, sigmas, prime_limit: int) -> list[tuple]:
 # The race loop as it was before each walk kept one working set: every block
 # and sigma gets new contribution, prefix-sum and |x| arrays, and every block's
 # running values are formed and sign-scanned, flip or no flip. Block sums are
-# math.fsum, whose bits races._exact_units keeps; the rest shares the package's
+# math.fsum, whose bits races._exact_sums keeps; the rest shares the package's
 # sieve segments, prefix units and checkpoint heads, unchanged by that change.
 
 
@@ -332,7 +332,7 @@ def fresh_arrays_race_state(sigma: float, checkpoints: tuple[int, ...]):
     import numpy as np
 
     from primerace import races
-    from primerace.races import _BLOCK, _U, _UNIT, RacePoint, _exact_units, _float_units
+    from primerace.races import _BLOCK, _U, _UNIT, RacePoint, _exact_sums, _float_units
 
     class FreshArraysRaceState(races._RaceState):
         def add_block(self, blk, contrib, cum, block_sum: float, abs_weight: float) -> None:
@@ -368,7 +368,7 @@ def fresh_arrays_race_state(sigma: float, checkpoints: tuple[int, ...]):
                 if exact:  # integer partial sums below 2^53: cum is exact
                     head = float(cum[k - 1])
                 else:
-                    head_units += _exact_units(contrib[done:k])
+                    head_units += _exact_sums(contrib[done:k])[0]
                     head, done = head_units / _UNIT, k
                 value = (self.units + _float_units(head)) / _UNIT
                 self.points.append(RacePoint(cps[self.ci], value, self.err, int(filled[k - 1])))
@@ -399,19 +399,19 @@ def mellin_identity_check_fresh_arrays(w, sigma: float, s: float, x_limit: int) 
     """`lfun.mellin_identity_check` for s > sigma, with new arrays for every segment."""
     import numpy as np
 
-    from primerace.races import _UNIT, _exact_units, _float_units, _neg_power, _power_exp, walk
+    from primerace.races import _UNIT, _exact_sums, _float_units, _neg_power, _power_exp, walk
 
     c = s - sigma
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
     for _, weights, logs in walk(w, x_limit, [s]):
-        lhs_units += _exact_units(weights * _power_exp(logs, s))
+        lhs_units += _exact_sums(weights * _power_exp(logs, s))[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
         a_steps = np.cumsum(np.concatenate(([a], weights * _power_exp(logs, sigma))))
         left_pow = np.concatenate(([left], _power_exp(logs, c)))
-        piece_units += _exact_units(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))
+        piece_units += _exact_sums(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))[0]
         a, left = float(a_steps[-1]), float(left_pow[-1])
         del _, weights, logs, a_steps, left_pow  # before the next segment is sieved
     piece_units += _float_units(a * (left - x_pow))

@@ -38,6 +38,18 @@ def test_chi4_periodicity():
     assert np.array_equal(vals, w.values_at_primes(n + 4))
 
 
+@pytest.mark.parametrize("d", FUNDAMENTAL + [-7, 1009, -9991])
+def test_lookup_in_a_reused_row_is_the_table(d):
+    # p mod q is formed in the bytes of w(p) itself, and a reused row holding
+    # the last block's values changes nothing: w(n) is period[n mod q]
+    w, row = character_from_discriminant(d), np.full(1 << 15, np.nan)
+    for lo in (1, 10**12 - (1 << 15), -(10**6)):
+        n = np.arange(lo, lo + (1 << 15), dtype=np.int64)
+        got = w.values_at_primes(n, out=row)
+        assert got is row
+        assert np.array_equal(got, w.period[n % w.modulus].astype(np.float64))
+
+
 def test_kronecker_examples():
     assert kronecker_symbol(-4, 3) == -1
     for d in (-8, -4, -3, 5, 8, 12, 21):

@@ -351,8 +351,8 @@ class TestInPlace:
             return out
 
         def sized(real):
-            def call(primes):
-                lengths.append(len(out := real(primes)))
+            def call(primes, **kwargs):
+                lengths.append(len(out := real(primes, **kwargs)))
                 return out
             return call
 
@@ -512,9 +512,9 @@ class TestMellinIdentity:
                 segments.append(len(primes))
                 yield primes
 
-        def looking_up(self, primes):
+        def looking_up(self, primes, **kwargs):
             lookups.append(len(primes))
-            return lookup(self, primes)
+            return lookup(self, primes, **kwargs)
 
         monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 12)
         monkeypatch.setattr(races, "iter_prime_arrays", counting)

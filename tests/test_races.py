@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from primerace.races import (
     _BLOCK,
     _UNIT,
     _block_sign_scan,
-    _exact_units,
+    _exact_sums,
     default_checkpoints,
     detect_sign_changes,
     race_scan,
@@ -146,16 +147,16 @@ def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
 
 def test_checkpoint_heads_are_summed_once_per_block(monkeypatch):
     # each checkpoint adds only the terms since the last one in its block, so
-    # the elements handed to _exact_units are the block sums' plus one pass
+    # the elements handed to _exact_sums are the block sums' plus one pass
     primes = list(prime_stream(10**5))
     summed = []
-    real_units = races._exact_units
+    real_sums = races._exact_sums
 
-    def counting_units(x, *scratch):
+    def counting_sums(x, *scratch):
         summed.append(len(x))
-        return real_units(x, *scratch)
+        return real_sums(x, *scratch)
 
-    monkeypatch.setattr(races, "_exact_units", counting_units)
+    monkeypatch.setattr(races, "_exact_sums", counting_sums)
     series = weighted_race(chi4(), 0.5, 10**5, checkpoints=primes)
     monkeypatch.undo()
     assert sum(summed) <= 2 * len(primes)
@@ -170,7 +171,7 @@ def _fold(blocks, checkpoints):
     for blk, contrib in blocks:
         contrib = np.array(contrib)
         abs_weight = float(np.sum(np.abs(contrib)))
-        block_sum = _exact_units(contrib) / _UNIT
+        block_sum = _exact_sums(contrib)[0] / _UNIT
         state.add_block(np.array(blk), contrib, np.cumsum(contrib), block_sum, abs_weight)
     return state.series()
 
@@ -337,13 +338,28 @@ _MIXED = st.builds(
 )
 _WIDE = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
 _TINY = st.floats(min_value=-(2.0**-1000), max_value=2.0**-1000)
-_TILE = (1 << 15) + 123  # tiles straddle the 2^15-term sub-blocks of _exact_units
+_TILE = (1 << 15) + 123  # tiles straddle the 2^15-term sub-blocks of _exact_sums
+
+
+def _run(n):
+    """n mixed-sign terms, their sizes in [2^-59, 2)."""
+    return [(-1) ** k * math.ldexp(1.0 + k / n, -(k % 60)) for k in range(n)]
 
 
 def _tiled(*exponents):
     """Tiles of _TILE mixed-sign terms, tile i scaled by 2^exponents[i] (None: zeros)."""
-    tile = [(-1) ** k * math.ldexp(1.0 + k / _TILE, -(k % 60)) for k in range(_TILE)]
+    tile = _run(_TILE)
     return [0.0 if e is None else math.ldexp(v, e) for e in exponents for v in tile]
+
+
+def _span(binades):
+    """2^15 terms from [1, 2) to [2^(binades - 1), 2^binades), so h = -52: one top,
+    and terms in [1, 2) whose residuals on the first grid, 2^(binades - 36), are
+    odd multiples of 2^-52 just below half that grid. At 23 binades that grid is
+    2^(h + 39), the last, and the residuals sum to under 2 = 2^(h + 53); at 24
+    they sum to near 4, which needs 54 bits, so a second grid must follow."""
+    half = 2.0 ** (binades - 37)
+    return [2.0 ** (binades - 1)] + [1.0 + half - (2 * k + 1) * 2.0**-52 for k in range(_BLOCK - 1)]
 
 
 @settings(max_examples=500, deadline=None)
@@ -369,11 +385,19 @@ def _tiled(*exponents):
 @example(_tiled(-1040), 0)  # a tile at the floor: its first grid is 2^-1074
 @example([5e-324] * 3 + [-(2.0**-1070)], 0)  # all subnormal, and so is the sum
 @example([2.0**1007, 1.0, -(2.0**1007)], 0)  # a top of 2^1007: declined
+@example([0.0, 1.0, -0.0, 2.0**-40, -0.0], 1)  # zeros drop out of the least term
+@example([math.pi], 0)  # one term
+@example([-5e-324], 0)
+@example(_run(1 << 15), 0)  # one whole sub-block, |x| in the scratch row
+@example(_run((1 << 15) + 1), 0)  # a one-term second sub-block, |x| in a new array
 def test_exact_sum_matches_fsum(values, cancel):
     # the units rounded by int division have math.fsum's bits, but for the
-    # sign of a zero sum: equal nonzero floats are equal bit for bit
+    # sign of a zero sum: equal nonzero floats are equal bit for bit. The sum
+    # of |x| is np.sum's, bit for bit
     values = values + [-v for v in values[:cancel]]
-    units = _exact_units(np.array(values, dtype=np.float64))
+    x = np.array(values, dtype=np.float64)
+    units, abs_sum = _exact_sums(x)
+    assert abs_sum.hex() == float(np.sum(np.abs(x))).hex()
     if units is None:
         assert max(map(abs, values)) >= 2.0**1007
     else:
@@ -383,32 +407,44 @@ def test_exact_sum_matches_fsum(values, cancel):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_MIXED | _WIDE | _TINY, max_size=40), st.lists(st.integers(0, 40), max_size=4))
 @example(_tiled(-20, -1040), [_TILE // 2, _TILE + 5])
+@example(_span(23), [])  # one extraction, and residual sums reach 2^(h + 53)
+@example(_span(24), [])  # a second extraction: after one, residual sums need 54 bits
+@example(_span(24)[::-1] + _span(23), [1, 1 << 15])  # both, with one-term cuts
+@example([1.0, 5e-324, -(2.0**-600)], [])  # the least term is subnormal: h = -1074
+@example([0.0, 3 * 5e-324, -0.0, 2.0**-1060, 0.0, -(2.0**-1073)], [2])  # zeros and tiny terms
+@example(_run(1 << 15), [])  # one whole sub-block
+@example(_run((1 << 15) + 1), [1 << 15])  # a one-term second sub-block
 def test_exact_units_add_over_cuts(values, cuts):
     # the units of any cut of a list sum to the units of the whole, which are
-    # its exact rational sum in 2^-1074
+    # its exact rational sum in 2^-1074, and the sum of |x| is np.sum's
     x = np.array(values, dtype=np.float64)
     bounds = [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
-    parts = [_exact_units(x[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert sum(parts) == _exact_units(x) == sum(map(Fraction, values)) * 2**1074
+    parts = [_exact_sums(x[a:b])[0] for a, b in zip(bounds, bounds[1:])]
+    units, abs_sum = _exact_sums(x)
+    assert sum(parts) == units == sum(map(Fraction, values)) * 2**1074
+    assert abs_sum.hex() == float(np.sum(np.abs(x))).hex()
 
 
 def test_exact_units_declines_only_non_finite_values_and_huge_tops():
-    for bad in ([2.0**1007, 1.0], [-(2.0**1007)], [1.0, math.inf], [-math.inf], [math.nan, 1.0]):
-        assert _exact_units(np.array(bad)) is None
+    for bad in ([2.0**1007, 1.0], [-(2.0**1007)], [1.0, math.inf], [-math.inf], [math.nan, 1.0],
+                [2.0, -math.nan]):
+        assert _exact_sums(np.array(bad))[0] is None
     top = math.nextafter(2.0**1007, 0.0)
-    assert _exact_units(np.array([top, 5e-324, -top])) == 1
-    assert _exact_units(np.array([])) == 0
+    assert _exact_sums(np.array([top, 5e-324, -top]))[0] == 1
+    assert _exact_sums(np.array([])) == (0, 0.0)
 
 
 def test_exact_sum_matches_fsum_on_race_blocks():
-    c4 = chi4()
+    c4, scratch = chi4(), np.full((2, 1 << 15), np.nan)
     for primes in iter_prime_arrays(10**6):
         for sigma in (0.3, 0.55, 0.95):
             t = c4.values_at_primes(primes) * primes.astype(np.float64) ** -sigma
             for off in range(0, len(t), 1 << 14):
                 blk = t[off : off + (1 << 14)]
                 for part in (blk, blk[:1], blk[:777], np.abs(blk)):
-                    assert _exact_units(part) / _UNIT == math.fsum(part.tolist())
+                    units, abs_sum = _exact_sums(part, scratch)  # as a walk calls it
+                    assert units / _UNIT == math.fsum(part.tolist())
+                    assert abs_sum.hex() == float(np.sum(np.abs(part))).hex()
 
 
 @pytest.mark.parametrize("d", [5, -3])
@@ -461,6 +497,21 @@ def test_one_walk_over_the_primes():
                     if name in found:
                         found[name].add(owner)
     assert found == allowed
+
+
+def test_one_abs_pass():
+    # every sum of |x| behind a radius comes out of races._exact_sums, from the
+    # |x| row its extraction reads; only the lemma's sum of |lg|, whose lg has
+    # no exact sum, takes its own np.abs pass. So a second |x| pass fails here
+    found = Counter()
+    for path in Path(races.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = path.stem + (f".{top.name}" if isinstance(top, ast.FunctionDef) else "")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("abs", "absolute", "fabs")):
+                    found[owner] += 1
+    assert found == {"races._exact_sums": 1, "lfun._char_prime_sum": 1}
 
 
 def _assert_same_repr(got, want) -> None:
@@ -523,7 +574,7 @@ class TestWorkingSet:
             contrib = np.array(contrib)
             for state in (new, fresh):
                 state.add_block(np.array(blk), contrib, np.cumsum(contrib),
-                                _exact_units(contrib) / _UNIT, float(np.sum(np.abs(contrib))))
+                                _exact_sums(contrib)[0] / _UNIT, float(np.sum(np.abs(contrib))))
         series = new.series()
         assert repr(series) == repr(fresh.series())
         signs = [0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 1, -1]
