@@ -35,6 +35,7 @@ from .lfun import (
     _DEFAULT_N_TRUNC,
     BiasPoint,
     BoundedValue,
+    DecompositionReport,
     bias_bound_scan,
     conjecture_scan,
     decomposition_scan,
@@ -155,7 +156,7 @@ def cmd_race(ns) -> dict:
 
 
 def cmd_sign_changes(ns) -> dict:
-    series = weighted_race(ns.character, ns.sigma, ns.xmax, checkpoints=(ns.xmax,))
+    series = weighted_race(ns.character, ns.sigma, ns.xmax, checkpoints=())
     _write_json(ns.out, _fields_dict(detect_sign_changes(series)))
     return {"running_error": series.running_error}
 
@@ -167,26 +168,11 @@ def cmd_lvalue(ns) -> dict:
 
 
 def cmd_verify_lemma(ns) -> dict:
-    header = [
-        "sigma",
-        "log_l_value", "log_l_radius",
-        "prime_sum_value", "prime_sum_radius",
-        "b_value", "b_radius",
-        "residual", "radius_budget", "within_radii",
-    ]
     reports = decomposition_scan(ns.character, ns.sigma_grid, ns.prime_limit, n_trunc=ns.ntrunc)
-    rows = [
-        (r.sigma, *astuple(r.log_l), *astuple(r.prime_sum), *astuple(r.b_value),
-         r.residual, r.radius_budget, r.within_radii)
-        for r in reports
-    ]
-    radii = [
-        {"sigma": r.sigma, "log_l": r.log_l.radius, "prime_sum": r.prime_sum.radius,
-         "b_value": r.b_value.radius}
-        for r in reports
-    ]
-    _write_csv(ns.out, header, rows)
-    return {"decomposition": radii}
+    _write_records(ns.out, DecompositionReport, reports)
+    return {"decomposition": [{"sigma": r.sigma, "log_l": r.log_l_radius,
+                               "prime_sum": r.prime_sum_radius, "b_value": r.b_radius}
+                              for r in reports]}
 
 
 def cmd_bias_scan(ns) -> dict:
@@ -323,9 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag that several commands take is declared once, in a parent parser;
     # argparse types the string default too, so every command gets a built character
-    chi = argparse.ArgumentParser(add_help=False)
+    chi, sigma, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     chi.add_argument("--character", type=build_character, default="kronecker:-4")
+    sigma.add_argument("--sigma", type=_real("sigma"), required=True)
+    out.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("sieve", help="stream primes up to a limit")
     p.add_argument("--limit", type=_count("limit"), required=True)
@@ -340,50 +329,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-period", action="store_true")
     p.set_defaults(func=cmd_character)
 
-    p = sub.add_parser("race", parents=[chi], help="stream the weighted race and emit CSV")
-    p.add_argument("--sigma", type=_real("sigma"), required=True)
+    p = sub.add_parser("race", parents=[chi, sigma, out],
+                       help="stream the weighted race and emit CSV")
     p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--checkpoints", type=_checkpoints, default="geometric",
                    help="geometric | none | comma list")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_race)
 
-    p = sub.add_parser("sign-changes", parents=[chi], help="JSON sign-change report for a race")
-    p.add_argument("--sigma", type=_real("sigma"), required=True)
+    p = sub.add_parser("sign-changes", parents=[chi, sigma, out],
+                       help="JSON sign-change report for a race")
     p.add_argument("--xmax", type=_count("xmax"), required=True)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_sign_changes)
 
-    p = sub.add_parser("lvalue", parents=[chi], help="L(sigma, chi) with proven radius")
-    p.add_argument("--sigma", type=_real("sigma"), required=True)
+    p = sub.add_parser("lvalue", parents=[chi, sigma, out], help="L(sigma, chi) with proven radius")
     p.add_argument("--ntrunc", type=_count("ntrunc"), required=True)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("verify-lemma", parents=[chi], help="log L = prime sum + B, numerically")
+    p = sub.add_parser("verify-lemma", parents=[chi, out], help="log L = prime sum + B, numerically")
     p.add_argument("--sigma-grid", type=lambda t: parse_real_list(t, "sigma_grid"), required=True)
     p.add_argument("--prime-limit", type=_count("prime_limit"), required=True)
     p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify_lemma)
 
-    p = sub.add_parser("bias-scan", parents=[chi], help="R(sigma) over a grid in (1/2, 1]")
+    p = sub.add_parser("bias-scan", parents=[chi, out], help="R(sigma) over a grid in (1/2, 1]")
     p.add_argument("--grid", type=lambda t: parse_grid(t, "grid"), required=True)
     p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_bias_scan)
 
-    p = sub.add_parser("mellin-check", parents=[chi],
+    p = sub.add_parser("mellin-check", parents=[chi, sigma],
                        help="residual of the truncated Abel identity")
-    p.add_argument("--sigma", type=_real("sigma"), required=True)
     p.add_argument("--s", type=_real("s"), required=True)
     p.add_argument("--X", dest="x", type=_count("x"), required=True)
     p.set_defaults(func=cmd_mellin_check)
 
-    p = sub.add_parser("conjecture", help="sample the sqrt-weighted mod-4 race")
+    p = sub.add_parser("conjecture", parents=[out], help="sample the sqrt-weighted mod-4 race")
     p.add_argument("--points", type=lambda t: parse_points(t, "points"), required=True)
-    p.add_argument("--out", metavar="PATH")
     p.add_argument("--report", metavar="PATH", help="write the JSON summary here")
     p.set_defaults(func=cmd_conjecture)
 

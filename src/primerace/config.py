@@ -53,12 +53,17 @@ def parse_bool(text: str, field: str) -> bool:
 
 
 def parse_real_list(text: str, field: str) -> list[float]:
-    return [parse_real(tok, field) for tok in text.split(",") if tok.strip()]
+    values = [parse_real(tok, field) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValidationError(f"{field}: expected at least one number, got {text!r}")
+    return values
 
 
 def parse_points(text: str, field: str = "points") -> list[int]:
     """Comma list of counts; '...' fills decades between its neighbors."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ValidationError(f"{field}: expected at least one point, got {text!r}")
     out: list[int] = []
     for i, tok in enumerate(tokens):
         if tok == "...":

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -202,21 +202,22 @@ def _b_bounded(walk: tuple, sigma: float, prime_limit: int) -> BoundedValue:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Numeric check of log L(s) = sum_p w(p) p^-s + B(s) at a real point."""
+    """Numeric check of log L(s) = sum_p w(p) p^-s + B(s) at a real point.
+
+    Each part's value and radius, the residual, its budget (the sum of the
+    three radii) and whether |residual| is within it: a `verify-lemma` row.
+    """
 
     sigma: float
-    log_l: BoundedValue
-    prime_sum: BoundedValue
-    b_value: BoundedValue
+    log_l_value: float
+    log_l_radius: float
+    prime_sum_value: float
+    prime_sum_radius: float
+    b_value: float
+    b_radius: float
     residual: float
-
-    @property
-    def radius_budget(self) -> float:
-        return self.log_l.radius + self.prime_sum.radius + self.b_value.radius
-
-    @property
-    def within_radii(self) -> bool:
-        return abs(self.residual) <= self.radius_budget
+    radius_budget: float
+    within_radii: bool
 
 
 def verify_log_decomposition(
@@ -255,7 +256,10 @@ def decomposition_scan(
         prime_sum = BoundedValue(center, tail + _EPS * (2.0 * abs_acc + abs(center)))
         b_val = _b_bounded(walk, sigma, prime_limit)
         residual = log_l.value - prime_sum.value - b_val.value
-        reports.append(DecompositionReport(sigma, log_l, prime_sum, b_val, residual))
+        budget = log_l.radius + prime_sum.radius + b_val.radius
+        reports.append(DecompositionReport(sigma, *astuple(log_l), *astuple(prime_sum),
+                                           *astuple(b_val), residual, budget,
+                                           abs(residual) <= budget))
     return reports
 
 
@@ -277,24 +281,17 @@ class BiasPoint:
 
 def _bias_point(sigma: float, x_max: int, lv: BoundedValue, series: RaceSeries) -> BiasPoint:
     """One scan row from L(sigma) and the race to x_max at sigma."""
-    race_value = series.final_value
-    race_error = series.running_error
+    race_value, race_error = series.final_value, series.running_error
     penalty = 0.5 * math.log(1.0 / (2.0 * sigma - 1.0))
+    status = "ok"
     try:
-        log_l = lv.log()
-    except DomainError:
-        return BiasPoint(
-            sigma, x_max, "log-domain-error",
-            math.nan, math.nan, math.nan, math.nan,
-            race_value, race_error, penalty,
-        )
-    r_value = log_l.value - race_value - penalty
-    r_radius = log_l.radius + race_error + _EPS * (abs(r_value) + abs(penalty))
-    return BiasPoint(
-        sigma, x_max, "ok",
-        r_value, r_radius, log_l.value, log_l.radius,
-        race_value, race_error, penalty,
-    )
+        log_value, log_radius = astuple(lv.log())
+    except DomainError:  # the NaNs go through the same arithmetic
+        log_value, log_radius, status = math.nan, math.nan, "log-domain-error"
+    r_value = log_value - race_value - penalty
+    r_radius = log_radius + race_error + _EPS * (abs(r_value) + abs(penalty))
+    return BiasPoint(sigma, x_max, status, r_value, r_radius, log_value, log_radius,
+                     race_value, race_error, penalty)
 
 
 def bias_bound_scan(
@@ -316,7 +313,7 @@ def bias_bound_scan(
     x_max = check_count(race_x_max, "x_max", 1)
     # every L-value first, so a bad n_trunc fails before the race
     l_values = l_value_scan(w, grid, n_trunc)
-    races = race_scan(w, grid, x_max, checkpoints=(x_max,))
+    races = race_scan(w, grid, x_max, checkpoints=())  # only the final value is read
     return [_bias_point(s, x_max, lv, series) for s, lv, series in zip(grid, l_values, races)]
 
 

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 SEGMENT_WIDTH = 1 << 22  # 2^22 and 2^23 tie near 1e10; 2^24 is 1.5x slower
 
@@ -29,6 +29,7 @@ class Segment:
 
 def base_primes(limit: int) -> np.ndarray:
     """Odd primes <= limit, for crossing off composites in segments."""
+    limit = check_count(limit, "limit", 0)
     if limit < 3:
         return np.empty(0, dtype=np.int64)
     # index i represents the odd number 2*i + 3
@@ -47,8 +48,8 @@ def sieve_segment(lo: int, hi: int, *, base: np.ndarray | None = None) -> Segmen
     fly when omitted. Raises ValidationError for an invalid range or a range
     wider than `SEGMENT_WIDTH`.
     """
-    if lo < 2 or lo >= hi:
-        raise ValidationError(f"invalid sieve range [{lo}, {hi}): need 2 <= lo < hi")
+    lo = check_count(lo, "lo", 2)
+    hi = check_count(hi, "hi", lo + 1)
     if hi - lo > SEGMENT_WIDTH:
         raise ValidationError(f"segment width {hi - lo} exceeds the maximum {SEGMENT_WIDTH}")
     if base is None:
@@ -83,6 +84,7 @@ def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
     Every segment is sieved against one shared base; `races.walk` hands the
     segments out in blocks for every sum over primes.
     """
+    limit = check_count(limit, "limit", 0)
     if limit < 2:
         return
     shared = base_primes(math.isqrt(limit))
@@ -97,7 +99,7 @@ def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
 
 
 def prime_stream(limit: int) -> Iterator[int]:
-    """Every prime <= limit exactly once, ascending. Empty for limit < 2."""
+    """Every prime <= limit exactly once, ascending. Empty for limit 0 or 1."""
     for primes in iter_prime_arrays(limit):
         yield from primes.tolist()
         del primes  # before the next segment is sieved

@@ -93,14 +93,14 @@ def test_criterion_2_lemma_decomposition():
     rows = []
     for r in reports:
         full_sum, cut_bound = oracle[r.sigma]
-        gap = abs(r.log_l.value - r.b_value.value - full_sum)
+        gap = abs(r.log_l_value - r.b_value - full_sum)
         gap_budget = (
-            r.log_l.radius + r.b_value.radius + cut_bound + math.ulp(full_sum)
+            r.log_l_radius + r.b_radius + cut_bound + math.ulp(full_sum)
         )
-        tail = full_sum - r.prime_sum.value
+        tail = full_sum - r.prime_sum_value
         rows.append((r, gap, gap_budget, tail))
     lemma = all(gap < 1e-8 and gap <= budget for _, gap, budget, _ in rows)
-    tail_covered = all(abs(tail) <= r.prime_sum.radius for r, _, _, tail in rows)
+    tail_covered = all(abs(tail) <= r.prime_sum_radius for r, _, _, tail in rows)
     residual_small = all(
         abs(r.residual) < 1e-8 for r in reports if r.sigma in residual_sigmas
     )
@@ -122,9 +122,9 @@ def test_criterion_2_lemma_decomposition():
             f"|log L - B - F| = {gap:.3e} at sigma={r.sigma} exceeds the "
             f"log L and B radii plus the oracle bound, {budget:.3e}"
         )
-        assert abs(tail) <= r.prime_sum.radius, (
+        assert abs(tail) <= r.prime_sum_radius, (
             f"prime-sum tail {tail:.3e} at sigma={r.sigma} escapes its "
-            f"radius {r.prime_sum.radius:.3e}"
+            f"radius {r.prime_sum_radius:.3e}"
         )
         if r.sigma in residual_sigmas:
             assert abs(r.residual) < 1e-8, (

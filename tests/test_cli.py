@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from primerace.config import (
     validate_config,
 )
 from primerace.errors import ValidationError
-from primerace.lfun import mellin_identity_check
+from primerace.lfun import DecompositionReport, mellin_identity_check
 
 from oracles import trial_division_primes
 
@@ -229,6 +230,56 @@ def test_verify_lemma_csv(tmp_path, capsys):
     assert lines[0].startswith("sigma,log_l_value,log_l_radius,prime_sum_value")
     assert len(lines) == 3
     assert lines[1].split(",")[-1] == "true"
+
+
+def test_verify_lemma_header_is_the_report_fields(tmp_path):
+    out = tmp_path / "lemma.csv"
+    assert run_cli(["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3",
+                    "--ntrunc", "1e3", "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert header == [f.name for f in fields(DecompositionReport)]
+
+
+def test_log_domain_row_writes_nan(tmp_path):
+    # L(0.501) for kronecker:-1012 at 1012 terms does not exclude zero: log L
+    # and R are NaN, written as nan
+    out = tmp_path / "bias.csv"
+    assert run_cli(["bias-scan", "--character", "kronecker:-1012", "--grid", "0.501:0.501:0.1",
+                    "--xmax", "1e3", "--ntrunc", "1012", "--out", str(out)]) == 0
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    assert row["status"] == "log-domain-error"
+    nan_fields = ("r_value", "r_radius", "log_l_value", "log_l_radius")
+    assert [row[k] for k in nan_fields] == ["nan"] * 4
+    assert all(math.isfinite(float(row[k])) for k in ("race_value", "race_error", "penalty"))
+
+
+# the commands that take each flag declared in a parent parser
+SHARED_FLAGS = {
+    "character": {"race", "sign-changes", "lvalue", "verify-lemma", "bias-scan", "mellin-check"},
+    "sigma": {"race", "sign-changes", "lvalue", "mellin-check"},
+    "out": {"race", "sign-changes", "lvalue", "verify-lemma", "bias-scan", "conjecture"},
+}
+
+
+@pytest.mark.parametrize("dest", SHARED_FLAGS)
+def test_shared_flag_is_one_action(dest):
+    by_command = {name: opts[dest] for name, opts in config_options().items() if dest in opts}
+    assert set(by_command) == SHARED_FLAGS[dest]
+    first = next(iter(by_command.values()))
+    assert all(action is first for action in by_command.values())
+
+
+@pytest.mark.parametrize("command, required", [
+    ("race", "--sigma, --xmax"),
+    ("sign-changes", "--sigma, --xmax"),
+    ("lvalue", "--sigma, --ntrunc"),
+    ("mellin-check", "--sigma, --s, --X"),
+])
+def test_required_flags_are_named_in_order(command, required, capsys):
+    assert run_cli([command]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: the following arguments are required: {required}\n"
+    )
 
 
 def test_bias_scan_csv(tmp_path):
@@ -498,6 +549,11 @@ BOTH_ROUTES = [
      "command = race; sigma = 0.5; xmax = 100; checkpoints = abc; out = missing/x.csv", 2),
     (["sieve", "--limit", "1e3", "--count-only", "--emit", "missing/p.txt"],
      "command = sieve; limit = 1e3; count_only = true; emit = missing/p.txt", 2),
+    # an empty list is a parse error, so no output path is opened
+    (["verify-lemma", "--sigma-grid", ",", "--prime-limit", "100"],
+     "command = verify-lemma; sigma_grid = ,; prime_limit = 100", 2),
+    (["conjecture", "--points", ",", "--out", "missing/x.csv"],
+     "command = conjecture; points = ,; out = missing/x.csv", 2),
 ]
 
 

@@ -43,7 +43,7 @@ CASES = {
     "verify-lemma-chi5": LEMMA + ["--character", "kronecker:5"],
     "verify-lemma-chi-3": LEMMA + ["--character", "kronecker:-3"],
     "lvalue": ["lvalue", "--sigma", "0.5", "--ntrunc", "1e6"],
-    "lvalue-chunks": ["lvalue", "--sigma", "0.7", "--ntrunc", "3e6"],  # three 2^20 chunks
+    "lvalue-chunks": ["lvalue", "--sigma", "0.7", "--ntrunc", "3e6"],
     "mellin-check": ["mellin-check", "--sigma", "0.5", "--s", "1.5", "--X", "1e5"],
     "mellin-check-segments": ["mellin-check", "--character", "kronecker:-4", "--sigma", "0.1",
                               "--s", "0.35", "--X", "1e7"],  # crosses two 2^22 segment ends

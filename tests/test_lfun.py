@@ -265,8 +265,10 @@ class TestDecomposition:
         reports = decomposition_scan(w, sigmas, 10**5, n_trunc=n_trunc)
         singles = [verify_log_decomposition(w, s, 10**5, n_trunc=n_trunc) for s in sigmas]
         assert repr(reports) == repr(singles)
-        assert [r.log_l for r in reports] == [lv.log() for lv in grid]
-        assert [r.b_value for r in reports] == [b_function(w, s, 10**5) for s in sigmas]
+        assert [BoundedValue(r.log_l_value, r.log_l_radius) for r in reports] == [
+            lv.log() for lv in grid]
+        assert [BoundedValue(r.b_value, r.b_radius) for r in reports] == [
+            b_function(w, s, 10**5) for s in sigmas]
 
 
 class TestInPlace:

@@ -56,6 +56,29 @@ def test_segment_range_errors(lo, hi):
         sieve_segment(lo, hi)
 
 
+# each sieve entry point with a bad count; the generators run when consumed
+COUNT_ENTRY_POINTS = {
+    "iter_prime_arrays": lambda n: list(sieve.iter_prime_arrays(n)),
+    "prime_count": sieve.prime_count,
+    "prime_stream": lambda n: list(sieve.prime_stream(n)),
+    "base_primes": sieve.base_primes,
+    "sieve_segment": lambda n: sieve_segment(2, n),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 100.0, np.float64(100.0), True, "100", None, -1])
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_counts_are_checked_integers(entry, bad):
+    with pytest.raises(ValidationError):
+        COUNT_ENTRY_POINTS[entry](bad)
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert sieve.prime_count(np.int64(100)) == 25
+    assert sieve_segment(np.int64(2), np.int32(11)).primes.tolist() == [2, 3, 5, 7]
+    assert sieve.base_primes(np.uint16(10)).tolist() == [3, 5, 7]
+
+
 def test_segment_width_cap():
     # the widest segment the walk makes holds 295,947 primes; one more number is refused
     assert len(sieve_segment(2, 2 + 2**22).primes) == 295_947
