@@ -280,7 +280,7 @@ def _checkpoints(text: str):
     """argparse type for --checkpoints: None (geometric), "none" (x_max alone) or counts."""
     if text in ("geometric", "none"):
         return None if text == "geometric" else text
-    return [parse_count(tok, "checkpoints") for tok in text.split(",") if tok.strip()]
+    return parse_real_list(text, "checkpoints", parse_count)
 
 
 class _Parser(argparse.ArgumentParser):

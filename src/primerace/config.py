@@ -52,8 +52,9 @@ def parse_bool(text: str, field: str) -> bool:
     raise ValidationError(f"{field}: expected true/false, got {text!r}")
 
 
-def parse_real_list(text: str, field: str) -> list[float]:
-    values = [parse_real(tok, field) for tok in text.split(",") if tok.strip()]
+def parse_real_list(text: str, field: str, parse=parse_real) -> list:
+    """A nonempty comma list of reals, each read by `parse` (parse_count for counts)."""
+    values = [parse(tok, field) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValidationError(f"{field}: expected at least one number, got {text!r}")
     return values

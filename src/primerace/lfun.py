@@ -36,7 +36,7 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError, check_count, check_reals
 from .races import RacePoint, RaceSeries, _neg_power, race_scan, walk, weighted_race
-from .races import _BLOCK, _UNIT, _exact_sums, _float_units, _power_exp, _power_log
+from .races import _BLOCK, _UNIT, _exact_sums, _float_units, _power_log, _terms
 
 _EPS = sys.float_info.epsilon
 
@@ -106,8 +106,7 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
         logs = _power_log(np.arange(lo, min(lo + _BLOCK, n_trunc + 1), dtype=np.float64))
         weights, terms = row[lo % q :][: len(logs)], buf[0, : len(logs)]
         for sigma, sums in zip(grid, walks):
-            _power_exp(logs, sigma, out=terms)
-            terms *= weights  # w(n) n^-sigma, in place
+            _terms(logs, weights, sigma, terms)
             units, abs_sum = _exact_sums(terms, buf[1:])
             sums[0], sums[1] = sums[0] + units, sums[1] + abs_sum
 
@@ -139,8 +138,7 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
     for _, weights, logs in walk(w, prime_limit, sigmas):
         t, lg, terms = buf[:3, : len(logs)]
         for sigma, sums in zip(sigmas, walks):
-            _power_exp(logs, sigma, out=t)
-            t *= weights
+            _terms(logs, weights, sigma, t)
             np.negative(np.log1p(np.negative(t, out=lg), out=lg), out=lg)
             np.subtract(lg, t, out=terms)
             lg_abs = float(np.sum(np.abs(lg, out=lg)))  # lg has no exact sum: its own pass
@@ -383,15 +381,14 @@ def mellin_identity_check(
     for _, weights, logs in walk(w, x_limit, [s]):
         x, steps, terms = buf[:3, : len(logs) + 1]
         terms, scratch = terms[1:], buf[3:]
-        np.multiply(_power_exp(logs, s, out=terms), weights, out=terms)
-        lhs_units += _exact_sums(terms, scratch)[0]
+        lhs_units += _exact_sums(_terms(logs, weights, s, terms), scratch)[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
         x[0] = a
-        np.multiply(_power_exp(logs, sigma, out=x[1:]), weights, out=x[1:])
+        _terms(logs, weights, sigma, x[1:])
         np.cumsum(x, out=steps)
         x[0] = left
-        _power_exp(logs, c, out=x[1:])
+        _terms(logs, 1.0, c, x[1:])  # x * 1.0 is exact
         np.subtract(x[:-1], x[1:], out=terms)
         terms *= steps[:-1]
         piece_units += _exact_sums(terms, scratch)[0]

@@ -37,7 +37,7 @@ _U = sys.float_info.epsilon / 2  # unit roundoff
 def _neg_power(n, sigma: float) -> float:
     """n^-sigma as exp(-sigma * log n) for an int or float n: the one power kernel.
 
-    An array walk takes it in halves, `_power_log` once and `_power_exp` per sigma.
+    An array walk takes it in halves, `_power_log` once and `_terms` per sigma.
     """
     return math.exp(-sigma * math.log(n))
 
@@ -47,9 +47,13 @@ def _power_log(n: np.ndarray) -> np.ndarray:
     return np.log(x := n.astype(np.float64, copy=False), out=x)
 
 
-def _power_exp(log_n: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The exp half of `_neg_power`: n^-sigma from log n, into `out` if given."""
-    return np.exp(np.multiply(log_n, -sigma, out=out), out=out)
+def _terms(log_n: np.ndarray, weights, sigma: float, out: np.ndarray) -> np.ndarray:
+    """w(n) n^-sigma from log n, formed in `out`: the exp half of `_neg_power`.
+
+    Past sigma = 2^11 every n >= 2 has exp(-sigma log n) = 0 already, so the cap
+    moves no term and keeps sigma log n finite (no overflow warning)."""
+    np.exp(np.multiply(log_n, -min(sigma, 2048.0), out=out), out=out)
+    return np.multiply(out, weights, out=out)
 
 
 _SUB, _LIMB = 1 << 15, 36  # _exact_sums: sub-block terms, limb bits
@@ -204,8 +208,7 @@ def _prepare_segment(
         cum = np.cumsum(weights, out=cum)
         return [(primes, weights, cum, float(cum[-1]), 0.0)]
     terms, scratch = buf[1, : len(primes)], buf[2:]
-    contrib = _power_exp(logs, sigma, out=terms)
-    contrib *= weights
+    contrib = _terms(logs, weights, sigma, terms)
     units, abs_weight = _exact_sums(contrib, scratch)
     return [(primes, contrib, np.cumsum(contrib, out=cum), units / _UNIT, abs_weight)]
 

@@ -27,18 +27,37 @@ class Segment:
     primes: np.ndarray
 
 
+def _odd_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The primes of [lo, hi) as ascending int64, crossed off an odd-only mask
+    by `base`, which holds every odd prime <= sqrt(hi - 1); 2 is kept when lo = 2."""
+    first_odd = 1 if lo == 2 else lo | 1  # at lo = 2 the slot of 1, never crossed off, holds 2
+    n_odd = (hi - first_odd + 1) // 2 if first_odd < hi else 0
+    mask = np.ones(n_odd, dtype=bool)
+    for p in base.tolist():
+        start = p * p
+        if start >= hi:
+            break
+        if start < lo:
+            start = ((lo + p - 1) // p) * p
+            if start % 2 == 0:
+                start += p
+            if start >= hi:
+                continue
+        mask[(start - first_odd) // 2 :: p] = False
+    primes = np.flatnonzero(mask)  # int64; scaled in place, with no temporaries
+    primes *= 2
+    primes += first_odd
+    if lo == 2:
+        primes[0] = 2
+    return primes
+
+
 def base_primes(limit: int) -> np.ndarray:
     """Odd primes <= limit, for crossing off composites in segments."""
     limit = check_count(limit, "limit", 0)
     if limit < 3:
         return np.empty(0, dtype=np.int64)
-    # index i represents the odd number 2*i + 3
-    mask = np.ones((limit - 1) // 2, dtype=bool)
-    for i in range((math.isqrt(limit) - 1) // 2 + 1):
-        if mask[i]:
-            p = 2 * i + 3
-            mask[(p * p - 3) // 2 :: p] = False
-    return (2 * np.flatnonzero(mask) + 3).astype(np.int64)
+    return _odd_primes(3, limit + 1, base_primes(math.isqrt(limit)))
 
 
 def sieve_segment(lo: int, hi: int, *, base: np.ndarray | None = None) -> Segment:
@@ -52,30 +71,8 @@ def sieve_segment(lo: int, hi: int, *, base: np.ndarray | None = None) -> Segmen
     hi = check_count(hi, "hi", lo + 1)
     if hi - lo > SEGMENT_WIDTH:
         raise ValidationError(f"segment width {hi - lo} exceeds the maximum {SEGMENT_WIDTH}")
-    if base is None:
-        base = base_primes(math.isqrt(hi - 1))
-
-    first_odd = 1 if lo == 2 else lo | 1  # at lo = 2 the slot of 1, never crossed off, holds 2
-    n_odd = (hi - first_odd + 1) // 2 if first_odd < hi else 0
-    mask = np.ones(n_odd, dtype=bool)
-    if n_odd:
-        for p in base.tolist():
-            start = p * p
-            if start >= hi:
-                break
-            if start < lo:
-                start = ((lo + p - 1) // p) * p
-                if start % 2 == 0:
-                    start += p
-                if start >= hi:
-                    continue
-            mask[(start - first_odd) // 2 :: p] = False
-    primes = np.flatnonzero(mask)  # int64; scaled in place, with no temporaries
-    primes *= 2
-    primes += first_odd
-    if lo == 2:
-        primes[0] = 2
-    return Segment(lo, hi, primes)
+    base = base_primes(math.isqrt(hi - 1)) if base is None else base
+    return Segment(lo, hi, _odd_primes(lo, hi, base))
 
 
 def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:

@@ -399,18 +399,18 @@ def mellin_identity_check_fresh_arrays(w, sigma: float, s: float, x_limit: int) 
     """`lfun.mellin_identity_check` for s > sigma, with new arrays for every segment."""
     import numpy as np
 
-    from primerace.races import _UNIT, _exact_sums, _float_units, _neg_power, _power_exp, walk
+    from primerace.races import _UNIT, _exact_sums, _float_units, _neg_power, walk
 
     c = s - sigma
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
     for _, weights, logs in walk(w, x_limit, [s]):
-        lhs_units += _exact_sums(weights * _power_exp(logs, s))[0]
+        lhs_units += _exact_sums(weights * np.exp(logs * -s))[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
-        a_steps = np.cumsum(np.concatenate(([a], weights * _power_exp(logs, sigma))))
-        left_pow = np.concatenate(([left], _power_exp(logs, c)))
+        a_steps = np.cumsum(np.concatenate(([a], weights * np.exp(logs * -sigma))))
+        left_pow = np.concatenate(([left], np.exp(logs * -c)))
         piece_units += _exact_sums(a_steps[:-1] * (left_pow[:-1] - left_pow[1:]))[0]
         a, left = float(a_steps[-1]), float(left_pow[-1])
         del _, weights, logs, a_steps, left_pow  # before the next segment is sieved

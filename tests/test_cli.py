@@ -221,6 +221,28 @@ def test_mellin_check_stdout(capsys):
     assert run_cli(["mellin-check", "--sigma", "2", "--s", "1", "--X", "10"]) == 3
 
 
+# sigma log n overflows to -inf past sigma ~ 1e308 / log n, where exp already
+# gives the exact 0; the suite's error::RuntimeWarning filter fails any warning
+HUGE_EXPONENTS = [
+    (["lvalue", "--sigma", "1e308", "--ntrunc", "10"],
+     "value,radius\n1.0000000000000000e+00,1.1102230246251565e-15\n"),
+    (["verify-lemma", "--sigma-grid", "1e308", "--prime-limit", "10", "--ntrunc", "10"],
+     "sigma,log_l_value,log_l_radius,prime_sum_value,prime_sum_radius,b_value,b_radius,"
+     "residual,radius_budget,within_radii\n1.0000000000000000e+308,0.0000000000000000e+00,"
+     "2.4424906541753468e-15,0.0000000000000000e+00,0.0000000000000000e+00,"
+     "0.0000000000000000e+00,1.0000000000000000e-300,0.0000000000000000e+00,"
+     "2.4424906541753468e-15,true\n"),
+    (["mellin-check", "--sigma", "0", "--s", "1e308", "--X", "100"],
+     "residual=0.0000000000000000e+00\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", HUGE_EXPONENTS, ids=[argv[0] for argv, _ in HUGE_EXPONENTS])
+def test_huge_exponent_runs_without_warning(argv, stdout, capsys):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_verify_lemma_csv(tmp_path, capsys):
     out = tmp_path / "lemma.csv"
     assert run_cli(["verify-lemma", "--sigma-grid", "2.0,3.0",
@@ -554,6 +576,8 @@ BOTH_ROUTES = [
      "command = verify-lemma; sigma_grid = ,; prime_limit = 100", 2),
     (["conjecture", "--points", ",", "--out", "missing/x.csv"],
      "command = conjecture; points = ,; out = missing/x.csv", 2),
+    (["race", "--sigma", "0.5", "--xmax", "100", "--checkpoints", ",", "--out", "missing/x.csv"],
+     "command = race; sigma = 0.5; xmax = 100; checkpoints = ,; out = missing/x.csv", 2),
 ]
 
 

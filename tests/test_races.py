@@ -499,19 +499,32 @@ def test_one_walk_over_the_primes():
     assert found == allowed
 
 
-def test_one_abs_pass():
-    # every sum of |x| behind a radius comes out of races._exact_sums, from the
-    # |x| row its extraction reads; only the lemma's sum of |lg|, whose lg has
-    # no exact sum, takes its own np.abs pass. So a second |x| pass fails here
+def _attribute_calls(match) -> Counter:
+    """Calls x.attr in the package whose ast.Attribute `match` accepts, per top-level owner."""
     found = Counter()
     for path in Path(races.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = path.stem + (f".{top.name}" if isinstance(top, ast.FunctionDef) else "")
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("abs", "absolute", "fabs")):
+                        and match(node.func)):
                     found[owner] += 1
+    return found
+
+
+def test_one_abs_pass():
+    # every sum of |x| behind a radius comes out of races._exact_sums, from the
+    # |x| row its extraction reads; only the lemma's sum of |lg|, whose lg has
+    # no exact sum, takes its own np.abs pass. So a second |x| pass fails here
+    found = _attribute_calls(lambda f: f.attr in ("abs", "absolute", "fabs"))
     assert found == {"races._exact_sums": 1, "lfun._char_prime_sum": 1}
+
+
+def test_one_power_kernel():
+    # every array power w(n) n^-sigma of the package is formed by races._terms,
+    # so a second np.exp site fails here
+    found = _attribute_calls(lambda f: f.attr == "exp" and getattr(f.value, "id", "") == "np")
+    assert found == {"races._terms": 1}
 
 
 def _assert_same_repr(got, want) -> None:

@@ -50,6 +50,14 @@ def test_segment_matches_trial_division_oracle():
     ]
 
 
+def test_base_primes_match_trial_division():
+    # every limit to 3000 passes each p^2 - 1, p^2 and p^2 + 1 of the recursion
+    # base_primes(n) = odd primes of [3, n] crossed off by base_primes(isqrt(n))
+    odd = [p for p in trial_division_primes(3000) if p > 2]
+    for n in range(3001):
+        assert sieve.base_primes(n).tolist() == [p for p in odd if p <= n], n
+
+
 @pytest.mark.parametrize("lo,hi", [(11, 11), (12, 5), (1, 10), (0, 3)])
 def test_segment_range_errors(lo, hi):
     with pytest.raises(ValidationError):
