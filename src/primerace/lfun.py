@@ -107,7 +107,7 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
         weights, terms = row[lo % q :][: len(logs)], buf[0, : len(logs)]
         for sigma, sums in zip(grid, walks):
             _terms(logs, weights, sigma, terms)
-            units, abs_sum = _exact_sums(terms, buf[1:])
+            units, abs_sum, _ = _exact_sums(terms, buf[1:])
             sums[0], sums[1] = sums[0] + units, sums[1] + abs_sum
 
     mean, oscillation = _partial_sum_stats(w)
@@ -142,7 +142,8 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
             np.negative(np.log1p(np.negative(t, out=lg), out=lg), out=lg)
             np.subtract(lg, t, out=terms)
             lg_abs = float(np.sum(np.abs(lg, out=lg)))  # lg has no exact sum: its own pass
-            for j, v in enumerate((*_exact_sums(t, buf[3:]), *_exact_sums(terms, buf[3:]), lg_abs)):
+            sums_t, sums_b = _exact_sums(t, buf[3:])[:2], _exact_sums(terms, buf[3:])[:2]
+            for j, v in enumerate((*sums_t, *sums_b, lg_abs)):
                 sums[j] += v
     return [(tu / _UNIT, bu / _UNIT, ta, la, ba) for tu, ta, bu, ba, la in walks]
 

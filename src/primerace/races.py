@@ -5,16 +5,15 @@ prime sum of the package: each segment is sieved once and handed out in
 2^15-prime blocks whose w(p) and log p every sigma shares, so a sigma adds only
 its powers, sums and sign scan, in one block-long buffer. Block sums are exactly
 rounded, with math.fsum's bits: `_exact_sums` makes every exactly rounded sum
-of the package and, from the same |x| row, the sum of |x| behind each block's
-radius. The prefix is the exact sum of the rounded block sums, kept as an
-integer count of 2^-1074, and the prefix and every checkpoint value are that
-integer rounded once. Per-prime values for sign tracking come from a
-block-local cumulative sum whose worst-case float error is folded into
-`running_error`. At sigma = 0 every partial sum is an integer below 2^53, so
-the block sum is read exactly from the end of that cumulative sum and the
-error stays 0. A block's values are formed only if it may flip the carried
-sign or hold the first positive one. Everything runs in one thread, in a fixed
-order, so the output bytes repeat from run to run.
+of the package and, from the same |x| row, the sum and the top of |x|. The
+prefix is the exact sum of the rounded block sums, kept as an integer count of
+2^-1074, and the prefix and every checkpoint value are that integer rounded
+once. A block's per-prime values, a cumulative sum whose float error is folded
+into `running_error`, are formed only where a bound from its 128-term chunk
+sums (`_prepare_segment`) says they may flip the carried sign, hold the first
+positive value or raise the largest |A|; any other block is folded by its exact
+sum. At sigma = 0 all of this is exact and the error is 0. Everything runs in
+one thread, in a fixed order, so the output bytes repeat from run to run.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .sieve import iter_prime_arrays
 
 _BLOCK = 1 << 15  # a block of the prime walk; also a tile of lfun.l_value_scan's walk over n
 _U = sys.float_info.epsilon / 2  # unit roundoff
+_CHUNK = 128  # terms per chunk of a race block's bound (see _prepare_segment)
 
 
 def _neg_power(n, sigma: float) -> float:
@@ -42,9 +42,9 @@ def _neg_power(n, sigma: float) -> float:
     return math.exp(-sigma * math.log(n))
 
 
-def _power_log(n: np.ndarray) -> np.ndarray:
-    """The log half of `_neg_power`: log n as float64, formed in place (in n if float64)."""
-    return np.log(x := n.astype(np.float64, copy=False), out=x)
+def _power_log(n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The log half of `_neg_power`: log n as float64, in the float64 row `out` or in place in n."""
+    return np.log(n, out=n if out is None else out)
 
 
 def _terms(log_n: np.ndarray, weights, sigma: float, out: np.ndarray) -> np.ndarray:
@@ -60,9 +60,9 @@ _SUB, _LIMB = 1 << 15, 36  # _exact_sums: sub-block terms, limb bits
 _UNIT = 1 << 1074  # _exact_sums per 1.0: 2^-1074 is the smallest subnormal
 
 
-def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int | None, float]:
-    """The exact sum of float64 x as an integer count of 2^-1074, and
-    float(np.sum(np.abs(x))), both from one |x| row.
+def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int | None, float, float]:
+    """The exact sum of float64 x as an integer count of 2^-1074,
+    float(np.sum(np.abs(x))) and max |x|, all from one |x| row.
 
     Each 2^15-term sub-block is cut into limbs on its own binary grids (an
     error-free extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
@@ -80,17 +80,18 @@ def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int |
     So S stays normal, and each residual is a multiple of 2^h with |r| <=
     2^(g - 1) <= 2^(h + 38): a partial sum of at most 2^15 of them is a multiple
     of 2^h of at most 2^(h + 53), a float, so one np.sum of them is exact. None
-    means a non-finite value, or a sub-block top of at least 2^1007, where g
-    could pass 971 and S overflow. A walk passes `scratch`, two rows of at least
-    min(len(x), 2^15) floats; |x| takes the first when x fits in it.
+    (with max |x| inf) means a non-finite value, or a sub-block top of at least
+    2^1007, where g could pass 971 and S overflow. A walk passes `scratch`, two
+    rows of at least min(len(x), 2^15) floats; |x| takes the first if x fits.
     """
     q, r = np.empty((2, min(len(x), _SUB))) if scratch is None else scratch
     mag = np.abs(x, out=q[: len(x)] if len(x) <= _SUB else None)
-    abs_sum, bits, total = float(mag.sum()), mag.view(np.int64), 0
+    abs_sum, bits, total, peak = float(mag.sum()), mag.view(np.int64), 0, 0
     for off in range(0, len(x), _SUB):
         src, b = x[off : off + _SUB], bits[off : off + _SUB]
         if (top := int(b.max())) >= (1007 + 1023) << 52:  # a top of 2^1007 or more, nan or inf
-            return None, abs_sum
+            return None, abs_sum, math.inf
+        peak = max(peak, top)
         b -= 1  # an all-zero sub-block gets h far above g, and no limb is cut
         h, g = max((int(b.view(np.uint64).min()) + 1) >> 52, 1) - 1075, (top >> 52) - 1022
         qs, rs = q[: len(src)], r[: len(src)]
@@ -101,7 +102,7 @@ def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int |
             src = np.subtract(src, qs, out=rs)
             total += _float_units(float(qs.sum()))
         total += _float_units(float(src.sum()))
-    return total, abs_sum
+    return total, abs_sum, float(np.int64(peak).view(np.float64))
 
 
 def _float_units(x: float) -> int:
@@ -179,38 +180,51 @@ def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tu
 
     Yields (primes, w(p), log p) per block of at most 2^15 primes, at offsets
     0, 2^15, ... of each segment; log p is None when every sigma is 0. Each
-    block's primes and w(p) are formed in reused rows, so no view of a segment
-    outlives the next sieve. No sigma yields nothing and sieves nothing.
+    block's primes, w(p) and log p are formed in reused rows, so no view of a
+    segment outlives the next sieve. No sigma yields nothing and sieves nothing.
     """
     if sigmas:
-        buf, values = np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK)  # p; p mod q, then w(p)
+        buf, (values, logs) = np.empty(_BLOCK, np.int64), np.empty((2, _BLOCK))  # p; w(p); log p
         for primes in iter_prime_arrays(limit):
             for off in range(0, len(primes), _BLOCK):
                 blk = buf[: min(_BLOCK, len(primes) - off)]
                 blk[:] = primes[off : off + _BLOCK]
                 weights = w.values_at_primes(blk, out=values[: len(blk)])
-                yield blk, weights, _power_log(blk) if any(sigmas) else None
+                yield blk, weights, _power_log(blk, out=logs[: len(blk)]) if any(sigmas) else None
             del primes  # before the next segment is sieved
 
 
 def _prepare_segment(
     primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float, buf: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
-    """[(primes, contributions, prefix sums, exact sum, sum |x|)] over one block.
+) -> list[tuple[np.ndarray, np.ndarray, float, float, float, float]]:
+    """[(primes, contributions, low, high, exact sum, sum |x|)] over one block.
 
     `race_scan` passes a block of `walk` (`logs` may be None at sigma = 0) and
-    `buf`, whose rows take the prefix sums, then the powers, |x| and exact-sum
-    scratch: the arrays returned last until the next call. The name and the
-    list of one tuple are kept for the benchmark tracer, which hooks them.
+    `buf`, whose rows take the powers, |x| and exact-sum scratch: the arrays
+    returned last until the next call. The name and the list of one tuple are
+    kept for the benchmark tracer, which hooks them.
+
+    Every prefix sum np.cumsum would form over the block lies in [low, high]:
+    with C the running sums of the 128-term chunk sums and C_0 = 0, an exact one
+    is within 64 terms, so 64M (M = max |x|), of some C_j. For S = sum |x| and
+    u = 2^-53, np.cumsum is off by 2^15 uS at most (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, sec. 4.2), the C by 384 uS (127, then 255,
+    additions) and the two roundings of low or high by u(129S + 2E): E = 2^-30 S
+    covers them 250 times over. A subnormal E loses 2^-1075 at most, which
+    matters only if S < 2^-1040, and then every sum here is below 2^-1021, where
+    floats are 2^-1074 apart: exact. At sigma = 0, w(p) is -1, 0 or 1 and every
+    sum is an exact integer below 2^53: M = 1 and S = 0.
     """
-    cum = buf[0, : len(primes)]
-    if sigma == 0.0:  # integer partial sums below 2^53: cum is exact, with no error to charge
-        cum = np.cumsum(weights, out=cum)
-        return [(primes, weights, cum, float(cum[-1]), 0.0)]
-    terms, scratch = buf[1, : len(primes)], buf[2:]
-    contrib = _terms(logs, weights, sigma, terms)
-    units, abs_weight = _exact_sums(contrib, scratch)
-    return [(primes, contrib, np.cumsum(contrib, out=cum), units / _UNIT, abs_weight)]
+    if sigma == 0.0:
+        contrib, block_sum, abs_weight, top = weights, float(weights.sum()), 0.0, 1.0
+    else:
+        contrib = _terms(logs, weights, sigma, buf[0, : len(primes)])
+        units, abs_weight, top = _exact_sums(contrib, buf[1:])
+        block_sum = units / _UNIT
+    runs = np.add.accumulate(np.add.reduceat(contrib, range(0, len(contrib), _CHUNK)))
+    reach = _CHUNK // 2 * top + 2.0**-30 * abs_weight
+    low = min(float(runs.min()), 0.0) - reach  # nan first, so that it is kept
+    return [(primes, contrib, low, max(float(runs.max()), 0.0) + reach, block_sum, abs_weight)]
 
 
 @dataclass
@@ -230,20 +244,28 @@ class _RaceState:
     points: list[RacePoint] = field(default_factory=list)
     events: list[RacePoint] = field(default_factory=list)
 
-    def add_block(self, blk, contrib, cum, block_sum: float, abs_weight: float) -> None:
-        """Sample checkpoints, scan signs and fold one block of `_prepare_segment`."""
+    def _leaves(self, lo: float, hi: float) -> bool:
+        """Whether values in [lo, hi] may leave the carried sign, as a first value > 0 does."""
+        return self.carry == 0 or (lo < 0 if self.carry > 0 else hi > 0)
+
+    def add_block(self, blk, contrib, low, high, block_sum: float, abs_weight: float) -> None:
+        """Sample checkpoints, scan signs and fold one block of `_prepare_segment`. Its values,
+        which lie in [prefix + low, prefix + high], are formed only where that range may leave
+        the carried sign, pass value_max at sigma > 0 or is not finite."""
         cps = self.checkpoints
         prefix = self.units / _UNIT
         while self.ci < len(cps) and cps[self.ci] < blk[0]:
             self.points.append(RacePoint(cps[self.ci], prefix, self.err, self.carry))
             self.ci += 1
 
-        # fl(prefix + c) is monotone in c, so lo and hi are the block's least and largest values
-        lo, hi = prefix + float(cum.min()), prefix + float(cum.max())
-        c = self.carry  # the block is scanned where it may leave it or hold the first value > 0
-        scan = c == 0 or (lo < 0 if c > 0 else hi > 0) or (hi > 0 and self.first_positive is None)
-
+        lo, hi = prefix + low, prefix + high  # fl(prefix + c) is monotone in c
         exact = self.sigma == 0.0
+        if (self._leaves(lo, hi) or not math.isfinite(hi - lo)
+                or (not exact and max(-lo, hi) > self.value_max)):
+            cum = np.cumsum(contrib)  # the block's least and largest values replace the bound
+            lo, hi = prefix + float(cum.min()), prefix + float(cum.max())
+        scan = self._leaves(lo, hi)  # False where the values were not formed
+
         if not exact:
             self.total_weight += abs_weight
             self.block_weight_max = max(self.block_weight_max, abs_weight)
@@ -254,28 +276,25 @@ class _RaceState:
 
         if scan:
             avals = prefix + cum
-            change_idx, filled = _block_sign_scan(avals, c)
+            change_idx, filled = _block_sign_scan(avals, self.carry)
             self.events += [RacePoint(int(blk[i]), float(avals[i]), self.err, int(filled[i]))
                             for i in change_idx.tolist()]
             if self.first_positive is None and len(pos := np.flatnonzero(avals > 0.0)):
                 self.first_positive = int(blk[pos[0]])
 
-        # the checkpoints left are at or past blk[0], so k >= 1. A head is the
-        # rounded sum of contrib[:k], its units added only since the last one
+        # the checkpoints left are at or past blk[0], so k >= 1. A head is the rounded sum
+        # of contrib[:k], its units added only since the last one (by np.sum at sigma = 0)
         done = head_units = 0
         while self.ci < len(cps) and cps[self.ci] <= blk[-1]:
             k = int(np.searchsorted(blk, cps[self.ci], side="right"))
-            if exact:  # integer partial sums below 2^53: cum is exact
-                head = float(cum[k - 1])
-            else:
-                head_units += _exact_sums(contrib[done:k])[0]
-                head, done = head_units / _UNIT, k
-            value = (self.units + _float_units(head)) / _UNIT
-            sign = int(filled[k - 1]) if scan else c
+            part, done = contrib[done:k], k
+            head_units += _float_units(float(part.sum())) if exact else _exact_sums(part)[0]
+            value = (self.units + _float_units(head_units / _UNIT)) / _UNIT
+            sign = int(filled[k - 1]) if scan else self.carry
             self.points.append(RacePoint(cps[self.ci], value, self.err, sign))
             self.ci += 1
 
-        self.carry = int(filled[-1]) if scan else c  # an unscanned block keeps c throughout
+        self.carry = int(filled[-1]) if scan else self.carry  # an unscanned block keeps it
         self.units += _float_units(block_sum)
 
     def series(self) -> RaceSeries:
@@ -316,7 +335,7 @@ def race_scan(
         raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
                               f"got range [{cps[0]}, {cps[-1]}]")
     states = [_RaceState(s, cps) for s in grid]
-    buf = np.empty((4 if any(grid) else 1, _BLOCK))  # prefix sums; powers, |x| and scratch
+    buf = np.empty((3 if any(grid) else 0, _BLOCK))  # powers, |x| and exact-sum scratch
     for block in walk(w, x_max, grid):  # every sigma through a block before the next
         for st in states:
             for prepared in _prepare_segment(*block, st.sigma, buf):

@@ -27,6 +27,7 @@ from primerace.races import (
 from primerace.sieve import iter_prime_arrays, prime_stream
 
 from oracles import (
+    _prepare_segment_fresh_arrays,
     fresh_arrays_race_state,
     mp_race,
     race_scan_fresh_arrays,
@@ -126,8 +127,8 @@ def test_sigma0_sign_changes_to_1e5():
 
 
 def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
-    # exact checkpoints read the block's prefix sum instead of re-summing it,
-    # so the elements handed to fsum grow linearly with the checkpoint count
+    # an exact checkpoint adds, by np.sum, only the terms since the block's last
+    # one; the elements handed to fsum (none from races.py) stay linear in them
     primes = list(prime_stream(10**5))
     summed = []
     real_fsum = math.fsum
@@ -165,14 +166,28 @@ def test_checkpoint_heads_are_summed_once_per_block(monkeypatch):
     assert series.points[-1].value == series.final_value
 
 
+def _prepared(blk, contrib, sigma):
+    """`races._prepare_segment`'s tuple for a hand-made block: at log p = 0 the
+    contributions are the weights themselves, w * exp(-0.0) = w * 1.0."""
+    contrib = np.array(contrib, dtype=np.float64)
+    logs = None if sigma == 0.0 else np.zeros(len(contrib))
+    buf = np.empty((3, len(contrib)))
+    (block,) = races._prepare_segment(np.array(blk), contrib, logs, sigma, buf)
+    return block
+
+
+def _fresh_prepared(blk, contrib, sigma):
+    """The fresh-arrays oracle's tuple for the same block."""
+    contrib = np.array(contrib, dtype=np.float64)
+    (block,) = _prepare_segment_fresh_arrays(np.array(blk), contrib, np.zeros(len(contrib)), sigma)
+    return block
+
+
 def _fold(blocks, checkpoints):
     """The sigma = 0.5 race of hand-made (primes, contributions) blocks."""
     state = races._RaceState(0.5, checkpoints)
     for blk, contrib in blocks:
-        contrib = np.array(contrib)
-        abs_weight = float(np.sum(np.abs(contrib)))
-        block_sum = _exact_sums(contrib)[0] / _UNIT
-        state.add_block(np.array(blk), contrib, np.cumsum(contrib), block_sum, abs_weight)
+        state.add_block(*_prepared(blk, contrib, 0.5))
     return state.series()
 
 
@@ -192,10 +207,11 @@ def test_checkpoint_adds_the_rounded_head():
 
 
 def test_sigma0_block_sums_skip_fsum(monkeypatch):
-    # at sigma = 0 a block sum is the last entry of its integer cumsum, and a
-    # checkpoint adds the exact head to the integer prefix: nothing calls fsum
+    # at sigma = 0 a block sum and a checkpoint head are np.sums of integers
+    # below 2^53, exact, added to the integer prefix: nothing calls fsum or
+    # the exact-sum kernel
     summed = []
-    real_fsum = math.fsum
+    real_fsum, real_sums = math.fsum, races._exact_sums
 
     def counting_fsum(xs):
         xs = list(xs)
@@ -203,6 +219,8 @@ def test_sigma0_block_sums_skip_fsum(monkeypatch):
         return real_fsum(xs)
 
     monkeypatch.setattr(races.math, "fsum", counting_fsum)
+    monkeypatch.setattr(races, "_exact_sums",
+                        lambda x, *scratch: summed.append(len(x)) or real_sums(x, *scratch))
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=[50_000])
     monkeypatch.undo()
     assert summed == []
@@ -396,12 +414,13 @@ def test_exact_sum_matches_fsum(values, cancel):
     # of |x| is np.sum's, bit for bit
     values = values + [-v for v in values[:cancel]]
     x = np.array(values, dtype=np.float64)
-    units, abs_sum = _exact_sums(x)
+    units, abs_sum, top = _exact_sums(x)
     assert abs_sum.hex() == float(np.sum(np.abs(x))).hex()
     if units is None:
-        assert max(map(abs, values)) >= 2.0**1007
+        assert max(map(abs, values)) >= 2.0**1007 and top == math.inf
     else:
         assert units / _UNIT == math.fsum(values)
+        assert top == max(map(abs, values), default=0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -420,9 +439,10 @@ def test_exact_units_add_over_cuts(values, cuts):
     x = np.array(values, dtype=np.float64)
     bounds = [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
     parts = [_exact_sums(x[a:b])[0] for a, b in zip(bounds, bounds[1:])]
-    units, abs_sum = _exact_sums(x)
+    units, abs_sum, top = _exact_sums(x)
     assert sum(parts) == units == sum(map(Fraction, values)) * 2**1074
     assert abs_sum.hex() == float(np.sum(np.abs(x))).hex()
+    assert top == max(map(abs, values), default=0.0)
 
 
 def test_exact_units_declines_only_non_finite_values_and_huge_tops():
@@ -431,7 +451,7 @@ def test_exact_units_declines_only_non_finite_values_and_huge_tops():
         assert _exact_sums(np.array(bad))[0] is None
     top = math.nextafter(2.0**1007, 0.0)
     assert _exact_sums(np.array([top, 5e-324, -top]))[0] == 1
-    assert _exact_sums(np.array([])) == (0, 0.0)
+    assert _exact_sums(np.array([])) == (0, 0.0, 0.0)
 
 
 def test_exact_sum_matches_fsum_on_race_blocks():
@@ -442,9 +462,10 @@ def test_exact_sum_matches_fsum_on_race_blocks():
             for off in range(0, len(t), 1 << 14):
                 blk = t[off : off + (1 << 14)]
                 for part in (blk, blk[:1], blk[:777], np.abs(blk)):
-                    units, abs_sum = _exact_sums(part, scratch)  # as a walk calls it
+                    units, abs_sum, top = _exact_sums(part, scratch)  # as a walk calls it
                     assert units / _UNIT == math.fsum(part.tolist())
                     assert abs_sum.hex() == float(np.sum(np.abs(part))).hex()
+                    assert top == float(np.max(np.abs(part)))
 
 
 @pytest.mark.parametrize("d", [5, -3])
@@ -504,7 +525,8 @@ def _attribute_calls(match) -> Counter:
     found = Counter()
     for path in Path(races.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = path.stem + (f".{top.name}" if isinstance(top, ast.FunctionDef) else "")
+            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            owner = path.stem + (f".{top.name}" if named else "")
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and match(node.func)):
@@ -527,6 +549,14 @@ def test_one_power_kernel():
     assert found == {"races._terms": 1}
 
 
+def test_one_prefix_sum_site():
+    # a race block's per-prime prefix sums are formed in one place, the formed-block
+    # path of _RaceState.add_block (the bound before it adds up only chunk sums, with
+    # np.add.accumulate); mellin-check's running A is the package's other np.cumsum
+    found = _attribute_calls(lambda f: f.attr == "cumsum")
+    assert found == {"races._RaceState": 1, "lfun.mellin_identity_check": 1}
+
+
 def _assert_same_repr(got, want) -> None:
     """repr(got) == repr(want), failing with the first difference: pytest's own
     diff of two megabyte-long reprs runs for minutes."""
@@ -537,8 +567,44 @@ def _assert_same_repr(got, want) -> None:
                     f"!= {want[max(i - 60, 0) : i + 60]!r}")
 
 
+# blocks of the lengths around a 128-term chunk and a whole block, shaped to
+# land near 0 or +-value_max: flat, a tent per chunk that returns to its base,
+# a ramp of at most 63 terms that falls back at once, noise, or zeros
+_SHAPED_BLOCKS = st.lists(
+    st.tuples(st.sampled_from([1, 127, 128, 129, _BLOCK]) | st.integers(1, 300),
+              st.sampled_from(["flat", "tent", "ramp", "noise", "zeros"]),
+              st.sampled_from(["zero", "top", "bottom"]),
+              st.integers(-2, 2) | st.sampled_from([-64, -63, -62, 62, 63, 64]),
+              st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=6)
+
+
+def _aimed(state, n, shape, aim, nudge, seed):
+    """n terms whose values go from the race's prefix to 0 or +-value_max and miss
+    it by nudge steps: one term at sigma = 0, where terms are -1, 0 or 1."""
+    prefix, exact = state.units / _UNIT, state.sigma == 0.0
+    target = {"zero": 0.0, "top": state.value_max, "bottom": -state.value_max}[aim]
+    step = 1.0 if exact else 2.0**-40 * max(1.0, abs(prefix), abs(target))
+    gap, x = target + nudge * step - prefix, np.zeros(n)
+    # h terms of size d rise to the aim; at sigma = 0 only |gap| unit terms do
+    h = {"flat": n, "tent": min(64, n // 2), "ramp": min(63, n)}.get(shape, n)
+    h = max(1, min(h, int(abs(gap))) if exact else h)
+    d = np.sign(gap) if exact else gap / h
+    if shape == "flat":
+        x[:h] = d
+    elif shape == "tent":  # h terms up, then h down, in every 128-term chunk
+        j = np.arange(n) % 128
+        x[j < h], x[(j >= h) & (j < 2 * h)] = d, -d
+    elif shape == "ramp":
+        x[:h], x[h:] = d, -d
+    elif shape == "noise":
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-1, 2, n) * 1.0 if exact else rng.uniform(-1, 1, n) * (abs(gap) + step)
+    return x
+
+
 class TestWorkingSet:
-    """One set of buffers per walk, and values formed only where the sign may flip."""
+    """One set of buffers per walk, and values formed only where a block may matter."""
 
     SIGMAS = [0.0, 0.02, 0.1, 0.55, 1.0]
 
@@ -584,10 +650,8 @@ class TestWorkingSet:
         cps = (2, 3, 7, 11, 13, 17, 19, 29, 31, 37, 43, 47)
         new, fresh = races._RaceState(sigma, cps), fresh_arrays_race_state(sigma, cps)
         for blk, contrib in blocks:
-            contrib = np.array(contrib)
-            for state in (new, fresh):
-                state.add_block(np.array(blk), contrib, np.cumsum(contrib),
-                                _exact_sums(contrib)[0] / _UNIT, float(np.sum(np.abs(contrib))))
+            new.add_block(*_prepared(blk, contrib, sigma))
+            fresh.add_block(*_fresh_prepared(blk, contrib, sigma))
         series = new.series()
         assert repr(series) == repr(fresh.series())
         signs = [0, 0, 0, 0, 0, -1, -1, -1, -1, -1, 1, -1]
@@ -607,6 +671,63 @@ class TestWorkingSet:
         monkeypatch.setattr(races, "_block_sign_scan", counting_scan)
         (series,) = race_scan(chi4(), [0.5], 10**7, checkpoints=(10**7,))
         assert scanned == [1 << 15] and series.sign_events == [] and series.final_sign == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0.0, 0.5]), _SHAPED_BLOCKS)
+    @example(0.5, [(200, "flat", "bottom", -2, 0), (200, "flat", "zero", -1, 0),
+                   (128, "tent", "bottom", -1, 0)])  # a tent's dip passes value_max by 1 step
+    @example(0.5, [(200, "flat", "zero", -1, 0), (128, "tent", "zero", 1, 0)])  # a peak crosses 0
+    @example(0.0, [(200, "flat", "zero", -62, 0), (129, "ramp", "zero", 1, 0)])  # term 63 crosses 0
+    @example(0.0, [(200, "flat", "zero", 62, 0), (129, "ramp", "zero", -1, 0)])  # and from above
+    @example(0.0, [(300, "flat", "zero", -63, 0), (128, "tent", "zero", 1, 0),
+                   (1, "flat", "zero", 0, 0)])  # a tent's peak at term 64 crosses 0
+    @example(0.0, [(_BLOCK, "noise", "zero", 0, 7), (_BLOCK, "flat", "zero", 1, 0),
+                   (_BLOCK, "zeros", "zero", 0, 0), (127, "ramp", "zero", 0, 0)])
+    def test_bound_first_fold_keeps_every_bit(self, sigma, specs):
+        # the race that forms a block's values only where its bound may matter
+        # against one that forms every block's, on blocks that land a few steps
+        # either side of 0 or of value_max, with checkpoints in every block
+        cps, x = [], 2
+        for n, *_ in specs:
+            cps, x = cps + [x, x + n // 2, x + n - 1], x + n
+        cps = tuple(sorted(set(cps)))
+        new, fresh = races._RaceState(sigma, cps), fresh_arrays_race_state(sigma, cps)
+        x = 2
+        for n, *shape in specs:
+            blk, contrib = np.arange(x, x + n), _aimed(new, n, *shape)
+            new.add_block(*_prepared(blk, contrib, sigma))
+            fresh.add_block(*_fresh_prepared(blk, contrib, sigma))
+            x += n
+        assert repr(new.series()) == repr(fresh.series())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_block_with_a_non_finite_term_is_formed(self, monkeypatch, bad):
+        # entered at -100 with carry -1, a block of ones and zeros is folded by its
+        # sum alone; a nan or infinite term makes the bound not finite, so the
+        # block's values are formed before its sum, not finite, stops the fold
+        formed, real_cumsum = [], np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda x: formed.append(len(x)) or real_cumsum(x))
+        state = races._RaceState(0.0, ())
+        state.add_block(*_prepared(range(2, 102), [-1.0] * 100, 0.0))
+        state.add_block(*_prepared(range(102, 105), [1.0, 0.0, -1.0], 0.0))
+        assert formed == [100]
+        low, high = _prepared(range(105, 108), [1.0, bad, -1.0], 0.0)[2:4]
+        assert not math.isfinite(high - low)
+        with pytest.raises((ValueError, OverflowError)):
+            state.add_block(*_prepared(range(105, 108), [1.0, bad, -1.0], 0.0))
+        assert formed == [100, 3]
+
+    def test_bias_grid_forms_few_blocks(self, monkeypatch):
+        # chi_4 on the bias-scan grid to 10^7 has 9 x 21 blocks: 72 form their
+        # prefix sums, and the sign scan still meets only each sigma's first block
+        formed, scanned = [], []
+        real_cumsum, real_scan = np.cumsum, races._block_sign_scan
+        monkeypatch.setattr(np, "cumsum", lambda x: formed.append(len(x)) or real_cumsum(x))
+        monkeypatch.setattr(races, "_block_sign_scan",
+                            lambda avals, carry: scanned.append((len(avals), carry))
+                            or real_scan(avals, carry))
+        race_scan(chi4(), parse_grid("0.55:0.95:0.05"), 10**7, checkpoints=())
+        assert len(formed) <= 72 and scanned == [(1 << 15, 0)] * 9
 
     def test_block_major_walk_keeps_every_bit(self):
         # every sigma through a block before the next: the second segment is one
@@ -629,9 +750,9 @@ class TestWorkingSet:
 
     def test_sigma0_race_memory_does_not_grow(self):
         # a sigma = 0 race needs one segment's primes, one block's primes and w(p),
-        # and one block-long prefix-sum buffer: 4.8 MiB, against 6.5 with a
-        # segment's w(p) and the first segment copied to prepend 2, 8.1 with a
-        # segment-long buffer and 10.7 with new arrays per segment
+        # and block-long prefix sums in the few blocks that form them: 5.0 MiB,
+        # against 6.5 with a segment's w(p) and the first segment copied to prepend
+        # 2, 8.1 with a segment-long buffer and 10.7 with new arrays per segment
         tracemalloc.start()
         try:
             race_scan(chi4(), [0.0], 10**7, checkpoints=(10**7,))
