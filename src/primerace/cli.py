@@ -309,12 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag that several commands take is declared once, in a parent parser;
+    # a flag that several commands take is declared once, in a parent parser, whose flags
+    # come first (so --grid is one: bias-scan's missing-flags message names it first);
     # argparse types the string default too, so every command gets a built character
-    chi, sigma, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    chi, sigma, out, grid, xmax, ntrunc = (argparse.ArgumentParser(add_help=False)
+                                           for _ in range(6))
     chi.add_argument("--character", type=build_character, default="kronecker:-4")
     sigma.add_argument("--sigma", type=_real("sigma"), required=True)
     out.add_argument("--out", metavar="PATH")
+    grid.add_argument("--grid", type=lambda t: parse_grid(t, "grid"), required=True)
+    xmax.add_argument("--xmax", type=_count("xmax"), required=True)
+    ntrunc.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
 
     p = sub.add_parser("sieve", help="stream primes up to a limit")
     p.add_argument("--limit", type=_count("limit"), required=True)
@@ -329,32 +334,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-period", action="store_true")
     p.set_defaults(func=cmd_character)
 
-    p = sub.add_parser("race", parents=[chi, sigma, out],
+    p = sub.add_parser("race", parents=[chi, sigma, out, xmax],
                        help="stream the weighted race and emit CSV")
-    p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.add_argument("--checkpoints", type=_checkpoints, default="geometric",
                    help="geometric | none | comma list")
     p.set_defaults(func=cmd_race)
 
-    p = sub.add_parser("sign-changes", parents=[chi, sigma, out],
+    p = sub.add_parser("sign-changes", parents=[chi, sigma, out, xmax],
                        help="JSON sign-change report for a race")
-    p.add_argument("--xmax", type=_count("xmax"), required=True)
     p.set_defaults(func=cmd_sign_changes)
 
     p = sub.add_parser("lvalue", parents=[chi, sigma, out], help="L(sigma, chi) with proven radius")
-    p.add_argument("--ntrunc", type=_count("ntrunc"), required=True)
+    p.add_argument("--ntrunc", type=_count("ntrunc"), required=True)  # required, so not ntrunc
     p.set_defaults(func=cmd_lvalue)
 
-    p = sub.add_parser("verify-lemma", parents=[chi, out], help="log L = prime sum + B, numerically")
+    p = sub.add_parser("verify-lemma", parents=[chi, out, ntrunc],
+                       help="log L = prime sum + B, numerically")
     p.add_argument("--sigma-grid", type=lambda t: parse_real_list(t, "sigma_grid"), required=True)
     p.add_argument("--prime-limit", type=_count("prime_limit"), required=True)
-    p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
     p.set_defaults(func=cmd_verify_lemma)
 
-    p = sub.add_parser("bias-scan", parents=[chi, out], help="R(sigma) over a grid in (1/2, 1]")
-    p.add_argument("--grid", type=lambda t: parse_grid(t, "grid"), required=True)
-    p.add_argument("--xmax", type=_count("xmax"), required=True)
-    p.add_argument("--ntrunc", type=_count("ntrunc"), default=_DEFAULT_N_TRUNC)
+    p = sub.add_parser("bias-scan", parents=[chi, out, grid, xmax, ntrunc],
+                       help="R(sigma) over a grid in (1/2, 1]")
     p.set_defaults(func=cmd_bias_scan)
 
     p = sub.add_parser("mellin-check", parents=[chi, sigma],

@@ -158,20 +158,16 @@ def _block_sign_scan(avals: np.ndarray, carry: int) -> tuple[np.ndarray, np.ndar
 
 
 def default_checkpoints(x_max: int) -> tuple[int, ...]:
-    """Geometric checkpoints (ratio 10^(1/16)) plus every power of 10 and x_max."""
+    """Checkpoints round(10^(k/16)) for k >= 5 (k = 5 gives 2) plus x_max; k = 16j gives
+    exactly 10^j for every j <= 12, the count cap, so every power of 10 <= x_max is one."""
     pts = {x_max}
-    k = 5  # 10^(5/16) ~ 2.05, the first value >= 2
+    k = 5
     while True:
         v = round(10 ** (k / 16))
         if v > x_max:
             break
-        if v >= 2:
-            pts.add(v)
+        pts.add(v)
         k += 1
-    d = 10
-    while d <= x_max:
-        pts.add(d)
-        d *= 10
     return tuple(sorted(pts))
 
 
@@ -213,15 +209,15 @@ def _prepare_segment(
     covers them 250 times over. A subnormal E loses 2^-1075 at most, which
     matters only if S < 2^-1040, and then every sum here is below 2^-1021, where
     floats are 2^-1074 apart: exact. At sigma = 0, w(p) is -1, 0 or 1 and every
-    sum is an exact integer below 2^53: M = 1 and S = 0.
+    sum is an exact integer below 2^53: M = 1, S = 0, and the last C is the block's sum.
     """
     if sigma == 0.0:
-        contrib, block_sum, abs_weight, top = weights, float(weights.sum()), 0.0, 1.0
+        contrib, abs_weight, top = weights, 0.0, 1.0
     else:
         contrib = _terms(logs, weights, sigma, buf[0, : len(primes)])
         units, abs_weight, top = _exact_sums(contrib, buf[1:])
-        block_sum = units / _UNIT
     runs = np.add.accumulate(np.add.reduceat(contrib, range(0, len(contrib), _CHUNK)))
+    block_sum = float(runs[-1]) if sigma == 0.0 else units / _UNIT
     reach = _CHUNK // 2 * top + 2.0**-30 * abs_weight
     low = min(float(runs.min()), 0.0) - reach  # nan first, so that it is kept
     return [(primes, contrib, low, max(float(runs.max()), 0.0) + reach, block_sum, abs_weight)]

@@ -275,17 +275,21 @@ def test_log_domain_row_writes_nan(tmp_path):
     assert all(math.isfinite(float(row[k])) for k in ("race_value", "race_error", "penalty"))
 
 
-# the commands that take each flag declared in a parent parser
+# the commands that take each flag declared in a parent parser; lvalue's
+# --ntrunc is required, not defaulted, so it is its own action
 SHARED_FLAGS = {
     "character": {"race", "sign-changes", "lvalue", "verify-lemma", "bias-scan", "mellin-check"},
     "sigma": {"race", "sign-changes", "lvalue", "mellin-check"},
     "out": {"race", "sign-changes", "lvalue", "verify-lemma", "bias-scan", "conjecture"},
+    "xmax": {"race", "sign-changes", "bias-scan"},
+    "ntrunc": {"verify-lemma", "bias-scan"},
 }
 
 
 @pytest.mark.parametrize("dest", SHARED_FLAGS)
 def test_shared_flag_is_one_action(dest):
-    by_command = {name: opts[dest] for name, opts in config_options().items() if dest in opts}
+    by_command = {name: opts[dest] for name, opts in config_options().items()
+                  if dest in opts and (name, dest) != ("lvalue", "ntrunc")}
     assert set(by_command) == SHARED_FLAGS[dest]
     first = next(iter(by_command.values()))
     assert all(action is first for action in by_command.values())
@@ -296,6 +300,8 @@ def test_shared_flag_is_one_action(dest):
     ("sign-changes", "--sigma, --xmax"),
     ("lvalue", "--sigma, --ntrunc"),
     ("mellin-check", "--sigma, --s, --X"),
+    ("bias-scan", "--grid, --xmax"),
+    ("verify-lemma", "--sigma-grid, --prime-limit"),
 ])
 def test_required_flags_are_named_in_order(command, required, capsys):
     assert run_cli([command]) == 2

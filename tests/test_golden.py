@@ -37,6 +37,7 @@ CASES = {
     "race-chi4": ["race", "--sigma", "0.5", "--xmax", "1e6"],
     "race-chi5": ["race", "--character", "kronecker:5", "--sigma", "0.7", "--xmax", "5e6",
                   "--checkpoints", "1000,4194303,4194305"],
+    "race-sigma0": ["race", "--sigma", "0", "--xmax", "1e6"],
     "sign-changes": ["sign-changes", "--sigma", "0", "--xmax", "1e6"],
     "bias-scan": ["bias-scan", "--grid", "0.55:0.95:0.1", "--xmax", "1e5", "--ntrunc", "1e5"],
     "verify-lemma-chi-4": LEMMA + ["--character", "kronecker:-4"],

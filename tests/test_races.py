@@ -127,21 +127,29 @@ def test_sigma0_sign_changes_to_1e5():
 
 
 def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
-    # an exact checkpoint adds, by np.sum, only the terms since the block's last
-    # one; the elements handed to fsum (none from races.py) stay linear in them
+    # an exact checkpoint head adds, by .sum() on the block's w(p) row, only the
+    # terms since the block's last head, and a block sum is its last chunk run:
+    # with a checkpoint at every prime each w(p) reaches .sum() exactly once.
+    # 1,024-wide segments give about 100 blocks, so the heads restart often
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 10)
     primes = list(prime_stream(10**5))
     summed = []
-    real_fsum = math.fsum
 
-    def counting_fsum(xs):
-        xs = list(xs)
-        summed.append(len(xs))
-        return real_fsum(xs)
+    class CountingRow(np.ndarray):
+        def sum(self, *args, **kwargs):
+            summed.append(self.size)
+            return super().sum(*args, **kwargs)
 
-    monkeypatch.setattr(races.math, "fsum", counting_fsum)
+    real_walk = races.walk
+
+    def counting_walk(*args):
+        for blk, weights, logs in real_walk(*args):
+            yield blk, weights.view(CountingRow), logs
+
+    monkeypatch.setattr(races, "walk", counting_walk)
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=primes)
     monkeypatch.undo()
-    assert sum(summed) <= 4 * len(primes)
+    assert sum(summed) == len(primes)
     oracle = race_sigma0_brute(10**5)
     assert [(p.x, p.value) for p in series.points] == [(p, float(a)) for p, a in oracle]
 
@@ -207,9 +215,9 @@ def test_checkpoint_adds_the_rounded_head():
 
 
 def test_sigma0_block_sums_skip_fsum(monkeypatch):
-    # at sigma = 0 a block sum and a checkpoint head are np.sums of integers
-    # below 2^53, exact, added to the integer prefix: nothing calls fsum or
-    # the exact-sum kernel
+    # at sigma = 0 a block sum (the last chunk run) and a checkpoint head (an
+    # np.sum) are sums of integers below 2^53, exact, added to the integer
+    # prefix: nothing calls fsum or the exact-sum kernel
     summed = []
     real_fsum, real_sums = math.fsum, races._exact_sums
 
@@ -335,6 +343,15 @@ def test_default_checkpoints_scheme():
     for d in (10, 100, 1000, 10**4):
         assert d in cps
     assert list(cps) == sorted(set(cps))
+    assert default_checkpoints(100) == (2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 15, 18, 21, 24, 27, 32,
+                                        37, 42, 49, 56, 65, 75, 87, 100)
+    assert default_checkpoints(1) == (1,)
+    assert len(default_checkpoints(10**12)) == 184
+    for x_max in (2, 9, 10, 11, 10**6 + 1, 10**12 - 1, 10**12):
+        cps = default_checkpoints(x_max)
+        assert all(a < b for a, b in zip(cps, cps[1:])), x_max
+        assert cps[-1] == x_max
+        assert {10**j for j in range(1, 13) if 10**j <= x_max} <= set(cps), x_max
 
 
 def test_worker_determinism():
