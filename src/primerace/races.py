@@ -29,7 +29,7 @@ from .characters import DirichletWeight
 from .errors import ValidationError, check_count, check_reals
 from .sieve import iter_prime_arrays
 
-_BLOCK = 1 << 15  # a block of the prime walk; also a tile of lfun.l_value_scan's walk over n
+_BLOCK = 1 << 15  # one unit: a block of the prime walk, a tile of the walk over n, an exact sum
 _U = sys.float_info.epsilon / 2  # unit roundoff
 _CHUNK = 128  # terms per chunk of a race block's bound (see _prepare_segment)
 
@@ -56,18 +56,17 @@ def _terms(log_n: np.ndarray, weights, sigma: float, out: np.ndarray) -> np.ndar
     return np.multiply(out, weights, out=out)
 
 
-_SUB, _LIMB = 1 << 15, 36  # _exact_sums: sub-block terms, limb bits
+_LIMB = 36  # _exact_sums: limb bits
 _UNIT = 1 << 1074  # _exact_sums per 1.0: 2^-1074 is the smallest subnormal
 
 
-def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int | None, float, float]:
-    """The exact sum of float64 x as an integer count of 2^-1074,
-    float(np.sum(np.abs(x))) and max |x|, all from one |x| row.
+def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int, float, float]:
+    """The exact sum of one block x of at most 2^15 floats as an integer count
+    of 2^-1074, float(np.sum(np.abs(x))) and max |x|, all from one |x| row.
 
-    Each 2^15-term sub-block is cut into limbs on its own binary grids (an
-    error-free extraction after Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
-    2008). With 2^e > max|x| over the sub-block (e >= -1022, from the top's
-    exponent bits), grids g = e - 36k (k = 1, 2, ...) and S = 1.5 * 2^(g + 52),
+    x is cut into limbs on binary grids (an error-free extraction after Rump, Ogita
+    and Oishi, SIAM J. Sci. Comput. 31, 2008). With 2^e > max|x| (e >= -1022, from
+    the top's exponent bits), grids g = e - 36k (k = 1, 2, ...) and S = 1.5 * 2^(g + 52),
     the limb q = (r + S) - S of the residual r is r rounded to a multiple of 2^g,
     exactly, while |r| < 2^(g + 51): r + S then lies in [2^(g+52), 2^(g+53)),
     where floats are 2^g apart, and subtracting S is exact (Sterbenz). So
@@ -79,30 +78,27 @@ def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int |
     h + 39, or g is the first, e - 36, at least h + 17, or -1058 if h = -1074.
     So S stays normal, and each residual is a multiple of 2^h with |r| <=
     2^(g - 1) <= 2^(h + 38): a partial sum of at most 2^15 of them is a multiple
-    of 2^h of at most 2^(h + 53), a float, so one np.sum of them is exact. None
-    (with max |x| inf) means a non-finite value, or a sub-block top of at least
-    2^1007, where g could pass 971 and S overflow. A walk passes `scratch`, two
-    rows of at least min(len(x), 2^15) floats; |x| takes the first if x fits.
+    of 2^h of at most 2^(h + 53), a float, so one np.sum of them is exact.
+
+    The proof stops at 2^15 terms, and so does the default scratch: two rows of
+    2^15 floats, so a longer x raises ValueError where |x| fills the first. A walk
+    passes its own block-wide rows. A top of 2^1007 or more, an inf or a nan
+    raises OverflowError: the first grid's S would pass the largest float.
     """
-    q, r = np.empty((2, min(len(x), _SUB))) if scratch is None else scratch
-    mag = np.abs(x, out=q[: len(x)] if len(x) <= _SUB else None)
-    abs_sum, bits, total, peak = float(mag.sum()), mag.view(np.int64), 0, 0
-    for off in range(0, len(x), _SUB):
-        src, b = x[off : off + _SUB], bits[off : off + _SUB]
-        if (top := int(b.max())) >= (1007 + 1023) << 52:  # a top of 2^1007 or more, nan or inf
-            return None, abs_sum, math.inf
-        peak = max(peak, top)
-        b -= 1  # an all-zero sub-block gets h far above g, and no limb is cut
-        h, g = max((int(b.view(np.uint64).min()) + 1) >> 52, 1) - 1075, (top >> 52) - 1022
-        qs, rs = q[: len(src)], r[: len(src)]
-        while g > h + 39:  # true at g = e
-            g -= _LIMB
-            s = 1.5 * 2.0 ** (g + 52)
-            np.subtract(np.add(src, s, out=qs), s, out=qs)  # q = (r + S) - S
-            src = np.subtract(src, qs, out=rs)
-            total += _float_units(float(qs.sum()))
-        total += _float_units(float(src.sum()))
-    return total, abs_sum, float(np.int64(peak).view(np.float64))
+    q, r = np.empty((2, _BLOCK)) if scratch is None else scratch
+    q, r = np.abs(x, out=q[: len(x)]), r[: len(x)]  # |x|, then the limbs; the residuals
+    abs_sum, bits, total = float(q.sum()), q.view(np.int64), 0
+    top = int(bits.max(initial=0))
+    bits -= 1  # an all-zero or empty x gets h far above g (2^63: past every |x|), and no limb is cut
+    least = int(bits.view(np.uint64).min(initial=1 << 63))
+    h, g = max((least + 1) >> 52, 1) - 1075, (top >> 52) - 1022
+    while g > h + 39:  # true at g = e
+        g -= _LIMB
+        s = 1.5 * 2.0 ** (g + 52)
+        np.subtract(np.add(x, s, out=q), s, out=q)  # q = (r + S) - S
+        x = np.subtract(x, q, out=r)
+        total += _float_units(float(q.sum()))
+    return total + _float_units(float(x.sum())), abs_sum, float(np.int64(top).view(np.float64))
 
 
 def _float_units(x: float) -> int:
@@ -219,7 +215,7 @@ def _prepare_segment(
     runs = np.add.accumulate(np.add.reduceat(contrib, range(0, len(contrib), _CHUNK)))
     block_sum = float(runs[-1]) if sigma == 0.0 else units / _UNIT
     reach = _CHUNK // 2 * top + 2.0**-30 * abs_weight
-    low = min(float(runs.min()), 0.0) - reach  # nan first, so that it is kept
+    low = min(float(runs.min()), 0.0) - reach
     return [(primes, contrib, low, max(float(runs.max()), 0.0) + reach, block_sum, abs_weight)]
 
 
@@ -247,7 +243,7 @@ class _RaceState:
     def add_block(self, blk, contrib, low, high, block_sum: float, abs_weight: float) -> None:
         """Sample checkpoints, scan signs and fold one block of `_prepare_segment`. Its values,
         which lie in [prefix + low, prefix + high], are formed only where that range may leave
-        the carried sign, pass value_max at sigma > 0 or is not finite."""
+        the carried sign or pass value_max at sigma > 0."""
         cps = self.checkpoints
         prefix = self.units / _UNIT
         while self.ci < len(cps) and cps[self.ci] < blk[0]:
@@ -256,8 +252,7 @@ class _RaceState:
 
         lo, hi = prefix + low, prefix + high  # fl(prefix + c) is monotone in c
         exact = self.sigma == 0.0
-        if (self._leaves(lo, hi) or not math.isfinite(hi - lo)
-                or (not exact and max(-lo, hi) > self.value_max)):
+        if self._leaves(lo, hi) or (not exact and max(-lo, hi) > self.value_max):
             cum = np.cumsum(contrib)  # the block's least and largest values replace the bound
             lo, hi = prefix + float(cum.min()), prefix + float(cum.max())
         scan = self._leaves(lo, hi)  # False where the values were not formed

@@ -117,8 +117,9 @@ def catalan_alternating(terms: int = 10**6) -> tuple[float, float]:
     return math.fsum(vals.tolist()), 1.0 / (2.0 * terms + 1.0) ** 2
 
 
-def mp_race(sigma: float, points: list[int], dps: int = 50) -> list[float]:
-    """Extended-precision race values over trial-division primes."""
+def mp_race(sigma: float, points: list[int], dps: int = 50, chi=chi4_value) -> list[float]:
+    """Extended-precision race values of the character chi (n -> chi(n), chi_4 by
+    default) at ascending points, over trial-division primes."""
     from mpmath import mp, mpf
 
     old = mp.dps
@@ -131,7 +132,7 @@ def mp_race(sigma: float, points: list[int], dps: int = 50) -> list[float]:
         for x in points:
             while pi < len(primes) and primes[pi] <= x:
                 p = primes[pi]
-                c = chi4_value(p)
+                c = chi(p)
                 if c:
                     total += c * mpf(p) ** (-mpf(sigma))
                 pi += 1

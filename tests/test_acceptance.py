@@ -295,7 +295,7 @@ def test_criterion_9_performance():
     assert race_time < 60.0
 
 
-def test_criterion_10_worker_determinism(tmp_path):
+def test_criterion_10_two_runs_give_the_same_bytes(tmp_path):
     # one thread does all the work, so two runs give the same bytes
     started = time.perf_counter()
     outputs = {}

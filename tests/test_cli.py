@@ -1072,8 +1072,8 @@ class TestRunCommand:
         assert doc["radii"]["l_value"] > 0
 
 
-class TestWorkerDeterminism:
-    def test_race_csv_identical_across_worker_counts(self, tmp_path):
+class TestRunDeterminism:
+    def test_race_csv_identical_across_runs(self, tmp_path):
         # one thread does all the work, so two runs give the same bytes
         outputs = []
         for name in ("run1.csv", "run2.csv"):

@@ -629,3 +629,32 @@ def test_numpy_inputs_give_python_input_bits(name):
     call, sigma, count, _ = ENTRY_POINTS[name]
     sigmas = [sigma] if sigma is not None else []
     assert repr(call([np.float64(s) for s in sigmas], np.int64(count))) == repr(call(sigmas, count))
+
+
+# every command that sums w(n) n^-sigma exactly, at small sizes; the mellin-check
+# crosses the first segment's end at 2 + 2^22
+_EXACT_SUM_TRAFFIC = [
+    ["race", "--sigma", "0.5", "--xmax", "1e6"],
+    ["sign-changes", "--sigma", "0.3", "--xmax", "1e6"],
+    ["bias-scan", "--grid", "0.55:0.95:0.2", "--xmax", "1e6", "--ntrunc", "1e5"],
+    ["verify-lemma", "--sigma-grid", "1.1,2.0", "--prime-limit", "1e6", "--ntrunc", "1e5"],
+    ["lvalue", "--sigma", "0.5", "--ntrunc", "1e6"],
+    ["mellin-check", "--sigma", "0.1", "--s", "0.35", "--X", "4300000"],
+    ["conjecture", "--points", "1e3,...,1e6"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXACT_SUM_TRAFFIC, ids=lambda argv: argv[0])
+def test_every_exact_sum_is_one_finite_block(monkeypatch, argv):
+    # races._exact_sums is exact for one block of at most 2^15 finite terms, so
+    # every caller, lfun's by its own name too, must cut its sums at 2^15 terms
+    calls, real = [], races._exact_sums
+
+    def recording(x, *scratch):
+        calls.append((len(x), bool(np.isfinite(x).all())))
+        return real(x, *scratch)
+
+    monkeypatch.setattr(races, "_exact_sums", recording)
+    monkeypatch.setattr(lfun, "_exact_sums", recording)
+    assert main(argv) == 0
+    assert calls and max(n for n, _ in calls) <= races._BLOCK and all(ok for _, ok in calls)

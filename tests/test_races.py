@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -29,6 +30,7 @@ from primerace.sieve import iter_prime_arrays, prime_stream
 from oracles import (
     _prepare_segment_fresh_arrays,
     fresh_arrays_race_state,
+    kronecker_ref,
     mp_race,
     race_scan_fresh_arrays,
     race_sigma0_brute,
@@ -56,14 +58,14 @@ def _values_at(sigma, points):
     return _values(weighted_race(chi4(), sigma, max(points), checkpoints=points))
 
 
-def test_race_at_points_examples():
+def test_checkpoint_values_examples():
     (x, a10), = _values_at(0.5, [10])
     assert x == 10
     assert abs(a10 - (-(3 ** -0.5) + 5 ** -0.5 - 7 ** -0.5)) < 1e-15
     assert _values_at(0.5, [2]) == [(2, 0.0)]
 
 
-def test_race_at_points_matches_race_checkpoints():
+def test_checkpoint_values_do_not_depend_on_x_max():
     # checkpoint values do not depend on x_max past them
     c4 = chi4()
     pts = [10, 97, 1000, 4999]
@@ -304,6 +306,18 @@ def test_extended_precision_route_agrees():
         assert abs(v - ref) < 1e-14
 
 
+@pytest.mark.parametrize("d", [-4, -3, 5, 8, -8, 12])
+def test_race_values_lie_within_their_error_bounds(d):
+    # every checkpoint and sign-event value to 10^5 lies within its own error_bound
+    # of a 40-digit sum over trial-division primes and sympy's Kronecker symbol
+    sigmas, chi = [0.3, 0.55, 1.0], functools.cache(lambda n: kronecker_ref(d, n))
+    w = chi4() if d == -4 else character_from_discriminant(d)
+    for sigma, series in zip(sigmas, race_scan(w, sigmas, 10**5)):
+        reported = sorted(series.points + series.sign_events, key=lambda p: p.x)
+        for p, ref in zip(reported, mp_race(sigma, [p.x for p in reported], dps=40, chi=chi)):
+            assert abs(p.value - ref) <= p.error_bound, (d, sigma, p, ref)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=1.0),
@@ -354,7 +368,7 @@ def test_default_checkpoints_scheme():
         assert {10**j for j in range(1, 13) if 10**j <= x_max} <= set(cps), x_max
 
 
-def test_worker_determinism():
+def test_two_runs_give_the_same_bits():
     c4 = chi4()
     a = weighted_race(c4, 0.5, 10**6)
     b = weighted_race(c4, 0.5, 10**6)
@@ -373,7 +387,7 @@ _MIXED = st.builds(
 )
 _WIDE = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
 _TINY = st.floats(min_value=-(2.0**-1000), max_value=2.0**-1000)
-_TILE = (1 << 15) + 123  # tiles straddle the 2^15-term sub-blocks of _exact_sums
+_TILE = (1 << 15) + 123  # tiles straddle the 2^15-term blocks that the walks cut
 
 
 def _run(n):
@@ -411,20 +425,11 @@ def _span(binades):
 @example([1.0, 2.0**-53, 2.0**-105], 0)  # just above the tie
 @example([2.0**1000, 2.0**-100], 0)  # 31 grids, from 2^965 down to 2^-115
 @example([5e-324, -5e-324, 1.0], 1)
-@example(_tiled(0, 40), 0)  # past 2^15 terms, each sub-block on its own grid
-@example(_tiled(-30, 0, 45, -60), 0)  # past 3 * 2^15 terms
-@example(_tiled(-20, 40) + [-v for v in _tiled(40)], 0)  # 2^40 tiles cancel across sub-blocks
-@example(_tiled(3, -20), 2 * _TILE)  # the whole list cancels to exact zero
-@example(_tiled(10, None, None, -10), 0)  # an all-zero sub-block
-@example(_tiled(0, -1000), 0)  # one sub-block whose grids reach the 2^-1074 floor
-@example(_tiled(-1040), 0)  # a tile at the floor: its first grid is 2^-1074
 @example([5e-324] * 3 + [-(2.0**-1070)], 0)  # all subnormal, and so is the sum
-@example([2.0**1007, 1.0, -(2.0**1007)], 0)  # a top of 2^1007: declined
 @example([0.0, 1.0, -0.0, 2.0**-40, -0.0], 1)  # zeros drop out of the least term
 @example([math.pi], 0)  # one term
 @example([-5e-324], 0)
-@example(_run(1 << 15), 0)  # one whole sub-block, |x| in the scratch row
-@example(_run((1 << 15) + 1), 0)  # a one-term second sub-block, |x| in a new array
+@example(_run(1 << 15), 0)  # one whole block
 def test_exact_sum_matches_fsum(values, cancel):
     # the units rounded by int division have math.fsum's bits, but for the
     # sign of a zero sum: equal nonzero floats are equal bit for bit. The sum
@@ -433,11 +438,8 @@ def test_exact_sum_matches_fsum(values, cancel):
     x = np.array(values, dtype=np.float64)
     units, abs_sum, top = _exact_sums(x)
     assert abs_sum.hex() == float(np.sum(np.abs(x))).hex()
-    if units is None:
-        assert max(map(abs, values)) >= 2.0**1007 and top == math.inf
-    else:
-        assert units / _UNIT == math.fsum(values)
-        assert top == max(map(abs, values), default=0.0)
+    assert units / _UNIT == math.fsum(values)
+    assert top == max(map(abs, values), default=0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,27 +450,46 @@ def test_exact_sum_matches_fsum(values, cancel):
 @example(_span(24)[::-1] + _span(23), [1, 1 << 15])  # both, with one-term cuts
 @example([1.0, 5e-324, -(2.0**-600)], [])  # the least term is subnormal: h = -1074
 @example([0.0, 3 * 5e-324, -0.0, 2.0**-1060, 0.0, -(2.0**-1073)], [2])  # zeros and tiny terms
-@example(_run(1 << 15), [])  # one whole sub-block
-@example(_run((1 << 15) + 1), [1 << 15])  # a one-term second sub-block
+@example(_run(1 << 15), [])  # one whole block
+@example(_run((1 << 15) + 1), [1 << 15])  # a one-term second block
+@example(_tiled(0, 40), [])  # past 2^15 terms, each block on its own grid
+@example(_tiled(-30, 0, 45, -60), [])  # past 3 * 2^15 terms
+@example(_tiled(-20, 40) + [-v for v in _tiled(40)], [])  # 2^40 tiles cancel across blocks
+@example(_tiled(3, -20) + [-v for v in _tiled(3, -20)], [])  # the list cancels to exact zero
+@example(_tiled(10, None, None, -10), [])  # an all-zero block
+@example(_tiled(0, -1000), [])  # one block whose grids reach the 2^-1074 floor
+@example(_tiled(-1040), [])  # a tile at the floor: its first grid is 2^-1074
 def test_exact_units_add_over_cuts(values, cuts):
-    # the units of any cut of a list sum to the units of the whole, which are
-    # its exact rational sum in 2^-1074, and the sum of |x| is np.sum's
+    # cut every 2^15 terms, as the walks cut, a list's blocks add up to its exact
+    # rational sum in 2^-1074, and so do the pieces of any further cut; each
+    # block's sum of |x| is np.sum's and its top is its max |x|
     x = np.array(values, dtype=np.float64)
-    bounds = [0, *sorted(min(c, len(x)) for c in cuts), len(x)]
-    parts = [_exact_sums(x[a:b])[0] for a, b in zip(bounds, bounds[1:])]
-    units, abs_sum, top = _exact_sums(x)
-    assert sum(parts) == units == sum(map(Fraction, values)) * 2**1074
-    assert abs_sum.hex() == float(np.sum(np.abs(x))).hex()
-    assert top == max(map(abs, values), default=0.0)
+    edges = range(0, len(x), _BLOCK)
+    bounds = sorted({*edges, *(min(c, len(x)) for c in cuts), len(x)})
+    exact = sum(map(Fraction, values)) * 2**1074
+    assert sum(_exact_sums(x[a:b])[0] for a, b in zip(bounds, bounds[1:])) == exact
+    blocks = [x[a : a + _BLOCK] for a in edges] or [x]
+    total = 0
+    for blk in blocks:
+        units, abs_sum, top = _exact_sums(blk)
+        total += units
+        assert abs_sum.hex() == float(np.sum(np.abs(blk))).hex()
+        assert top == float(np.max(np.abs(blk), initial=0.0))
+    assert total == exact
 
 
 def test_exact_units_declines_only_non_finite_values_and_huge_tops():
+    # a top of 2^1007 or more, an inf or a nan would take the first grid's S past
+    # the largest float; one block is 2^15 terms, and a longer x gives no sum
     for bad in ([2.0**1007, 1.0], [-(2.0**1007)], [1.0, math.inf], [-math.inf], [math.nan, 1.0],
-                [2.0, -math.nan]):
-        assert _exact_sums(np.array(bad))[0] is None
+                [2.0, -math.nan], [2.0**1007, 1.0, -(2.0**1007)]):
+        with pytest.raises(OverflowError):
+            _exact_sums(np.array(bad))
     top = math.nextafter(2.0**1007, 0.0)
     assert _exact_sums(np.array([top, 5e-324, -top]))[0] == 1
     assert _exact_sums(np.array([])) == (0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        _exact_sums(np.ones(_BLOCK + 1))
 
 
 def test_exact_sum_matches_fsum_on_race_blocks():
@@ -719,20 +740,21 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_block_with_a_non_finite_term_is_formed(self, monkeypatch, bad):
-        # entered at -100 with carry -1, a block of ones and zeros is folded by its
-        # sum alone; a nan or infinite term makes the bound not finite, so the
-        # block's values are formed before its sum, not finite, stops the fold
+        # no walk makes a non-finite term (|w(p) p^-sigma| <= 1), but a hand-made
+        # nan or infinite one still stops the fold: at sigma = 0 the block's sum, not
+        # finite, has no units, and at sigma = 0.5 the exact sum declines the block.
+        # Entered at -100 with carry -1, the block of ones and zeros before it is
+        # folded by its sum alone at sigma = 0, and formed at 0.5 (it passes value_max)
         formed, real_cumsum = [], np.cumsum
         monkeypatch.setattr(np, "cumsum", lambda x: formed.append(len(x)) or real_cumsum(x))
-        state = races._RaceState(0.0, ())
-        state.add_block(*_prepared(range(2, 102), [-1.0] * 100, 0.0))
-        state.add_block(*_prepared(range(102, 105), [1.0, 0.0, -1.0], 0.0))
-        assert formed == [100]
-        low, high = _prepared(range(105, 108), [1.0, bad, -1.0], 0.0)[2:4]
-        assert not math.isfinite(high - low)
-        with pytest.raises((ValueError, OverflowError)):
-            state.add_block(*_prepared(range(105, 108), [1.0, bad, -1.0], 0.0))
-        assert formed == [100, 3]
+        for sigma, folded in ((0.0, [100]), (0.5, [100, 3])):
+            formed.clear()
+            state = races._RaceState(sigma, ())
+            state.add_block(*_prepared(range(2, 102), [-1.0] * 100, sigma))
+            state.add_block(*_prepared(range(102, 105), [1.0, 0.0, -1.0], sigma))
+            assert formed == folded
+            with pytest.raises((ValueError, OverflowError)):
+                state.add_block(*_prepared(range(105, 108), [1.0, bad, -1.0], sigma))
 
     def test_bias_grid_forms_few_blocks(self, monkeypatch):
         # chi_4 on the bias-scan grid to 10^7 has 9 x 21 blocks: 72 form their
