@@ -381,7 +381,7 @@ def mellin_identity_check(
     buf = np.empty((5, _BLOCK + 1))  # three rows of a carried value, then one per p; scratch
     for _, weights, logs in walk(w, x_limit, [s]):
         x, steps, terms = buf[:3, : len(logs) + 1]
-        terms, scratch = terms[1:], buf[3:]
+        terms, scratch = terms[1:], buf[3:, :_BLOCK]
         lhs_units += _exact_sums(_terms(logs, weights, s, terms), scratch)[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
