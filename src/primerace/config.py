@@ -70,6 +70,8 @@ def parse_points(text: str, field: str = "points") -> list[int]:
         if tok == "...":
             if not out or i + 1 >= len(tokens):
                 raise ValidationError(f"{field}: '...' needs a point on both sides")
+            if out[-1] == 0:  # 0 * 10 never grows to the right point
+                raise ValidationError(f"{field}: '...' needs a positive point on its left, got 0")
             nxt = parse_count(tokens[i + 1], field)
             cur = out[-1] * 10
             while cur < nxt:

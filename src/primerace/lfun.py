@@ -15,11 +15,11 @@ integral of S - Sbar over a full period vanishes).
 A sigma grid takes one walk over n, in 2^15-term tiles, and one over the
 primes (`races.walk`, in 2^15-prime blocks); the one-sigma functions are those
 walks at one sigma. Every sigma shares a tile's n, w(n) and log n, or a block's
-w(p) and log p, and forms its terms in one buffer reused by every tile or
-block and every sigma. The L-series sums, the prime sums of t and lg - t and
-both sides of the Abel-identity check add up as exact integers
-(`races._exact_sums`) and are rounded once; the same call gives each tile's or
-block's sum of |x| behind the radii, but for |lg|, which has its own pass.
+w(p) and log p, and forms its terms in rows made for that tile or block. The
+L-series sums, the prime sums of t and lg - t and both sides of the
+Abel-identity check add up as exact integers (`races._exact_sums`) and are
+rounded once; the same call gives each tile's or block's sum of |x| behind the
+radii, but for |lg|, which has its own pass.
 """
 
 from __future__ import annotations
@@ -101,13 +101,11 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
     q = w.modulus
     row = np.tile(w.period, _BLOCK // q + 2)  # row[k] = w(k), so a tile's w(n) is one slice
     walks = [[0, 0.0] for _ in grid]  # units of the terms, sum of |terms|
-    buf = np.empty((3, min(_BLOCK, n_trunc)))  # the terms and the exact-sum scratch
     for lo in range(1, n_trunc + 1, _BLOCK):  # every sigma through a tile before the next
         logs = _power_log(np.arange(lo, min(lo + _BLOCK, n_trunc + 1), dtype=np.float64))
-        weights, terms = row[lo % q :][: len(logs)], buf[0, : len(logs)]
+        weights, terms = row[lo % q :][: len(logs)], np.empty(len(logs))
         for sigma, sums in zip(grid, walks):
-            _terms(logs, weights, sigma, terms)
-            units, abs_sum, _ = _exact_sums(terms, buf[1:])
+            units, abs_sum, _ = _exact_sums(_terms(logs, weights, sigma, terms))
             sums[0], sums[1] = sums[0] + units, sums[1] + abs_sum
 
     mean, oscillation = _partial_sum_stats(w)
@@ -134,15 +132,14 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
     sigmas = check_reals(sigmas, "sigma", domain, lambda s: s > 0.5)
     prime_limit = check_count(prime_limit, "prime_limit", 2)
     walks = [[0, 0.0, 0, 0.0, 0.0] for _ in sigmas]  # units and sum |x| of t, of lg - t; sum |lg|
-    buf = np.empty((5, _BLOCK))  # t, lg, lg - t and the exact-sum scratch
     for _, weights, logs in walk(w, prime_limit, sigmas):
-        t, lg, terms = buf[:3, : len(logs)]
+        t, lg, terms = np.empty((3, len(logs)))
         for sigma, sums in zip(sigmas, walks):
             _terms(logs, weights, sigma, t)
             np.negative(np.log1p(np.negative(t, out=lg), out=lg), out=lg)
             np.subtract(lg, t, out=terms)
             lg_abs = float(np.sum(np.abs(lg, out=lg)))  # lg has no exact sum: its own pass
-            sums_t, sums_b = _exact_sums(t, buf[3:])[:2], _exact_sums(terms, buf[3:])[:2]
+            sums_t, sums_b = _exact_sums(t)[:2], _exact_sums(terms)[:2]
             for j, v in enumerate((*sums_t, *sums_b, lg_abs)):
                 sums[j] += v
     return [(tu / _UNIT, bu / _UNIT, ta, la, ba) for tu, ta, bu, ba, la in walks]
@@ -363,7 +360,7 @@ def mellin_identity_check(
     degenerate case where both sides are A(X) by construction.
 
     One walk over the primes feeds both sums: each block's terms and pieces
-    are formed in one block-long buffer and add to exact integers
+    are formed in rows made for the block and add to exact integers
     (`_exact_sums`), and each is rounded once, so both carry math.fsum's bits.
     """
     (sigma,) = check_reals([sigma], "sigma", "sigma must be >= 0", lambda v: v >= 0.0)
@@ -378,11 +375,10 @@ def mellin_identity_check(
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
-    buf = np.empty((5, _BLOCK + 1))  # three rows of a carried value, then one per p; scratch
     for _, weights, logs in walk(w, x_limit, [s]):
-        x, steps, terms = buf[:3, : len(logs) + 1]
-        terms, scratch = terms[1:], buf[3:, :_BLOCK]
-        lhs_units += _exact_sums(_terms(logs, weights, s, terms), scratch)[0]
+        x, steps, terms = np.empty((3, len(logs) + 1))  # a carried value, then one per p
+        terms = terms[1:]
+        lhs_units += _exact_sums(_terms(logs, weights, s, terms))[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
         x[0] = a
@@ -392,7 +388,7 @@ def mellin_identity_check(
         _terms(logs, 1.0, c, x[1:])  # x * 1.0 is exact
         np.subtract(x[:-1], x[1:], out=terms)
         terms *= steps[:-1]
-        piece_units += _exact_sums(terms, scratch)[0]
+        piece_units += _exact_sums(terms)[0]
         a, left = float(steps[-1]), float(x[-1])
     piece_units += _float_units(a * (left - x_pow))
     rhs = a * x_pow + piece_units / _UNIT

@@ -1,9 +1,9 @@
 """Streaming weighted prime races A(x) = sum_{p<=x} w(p) p^{-sigma}.
 
-One walk over the primes (`walk`) serves every sigma of a scan and every
-prime sum of the package: each segment is sieved once and handed out in
-2^15-prime blocks whose w(p) and log p every sigma shares, so a sigma adds only
-its powers, sums and sign scan, in one block-long buffer. Block sums are exactly
+One walk over the primes (`walk`) serves every sigma of a scan and every prime
+sum of the package: each segment is sieved once and handed out in 2^15-prime
+blocks whose w(p) and log p every sigma shares, so a sigma adds only its
+powers, sums and sign scan, in rows made for the block. Block sums are exactly
 rounded, with math.fsum's bits: `_exact_sums` makes every exactly rounded sum
 of the package and, from the same |x| row, the sum and the top of |x|. The
 prefix is the exact sum of the rounded block sums, kept as an integer count of
@@ -60,7 +60,7 @@ _LIMB = 36  # _exact_sums: limb bits
 _UNIT = 1 << 1074  # _exact_sums per 1.0: 2^-1074 is the smallest subnormal
 
 
-def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int, float, float]:
+def _exact_sums(x: np.ndarray) -> tuple[int, float, float]:
     """The exact sum of one block x of at most 2^15 floats as an integer count
     of 2^-1074, float(np.sum(np.abs(x))) and max |x|, all from one |x| row.
 
@@ -80,14 +80,15 @@ def _exact_sums(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[int, 
     2^(g - 1) <= 2^(h + 38): a partial sum of at most 2^15 of them is a multiple
     of 2^h of at most 2^(h + 53), a float, so one np.sum of them is exact.
 
-    The proof stops at 2^15 terms, and so does the default scratch: two rows of
-    2^15 floats, so a longer x raises ValueError where |x| fills the first. A walk
-    passes its own block-wide rows. A top of 2^1007 or more, an inf or a nan
-    raises OverflowError: the first grid's S would pass the largest float.
+    The proof stops at 2^15 terms, so a longer x raises ValueError. The two rows
+    are made here, as long as x, and each is written before it is read. A top of
+    2^1007 or more, an inf or a nan raises OverflowError: the first grid's S
+    would pass the largest float.
     """
-    q, r = np.empty((2, _BLOCK)) if scratch is None else scratch
-    q, r = np.abs(x, out=q[: len(x)]), r[: len(x)]  # |x|, then the limbs; the residuals
-    abs_sum, bits, total = float(q.sum()), q.view(np.int64), 0
+    if len(x) > _BLOCK:
+        raise ValueError(f"an exact sum takes at most {_BLOCK} terms, got {len(x)}")
+    q, r = np.empty((2, len(x)))  # |x|, then the limbs; the residuals
+    abs_sum, bits, total = float(np.abs(x, out=q).sum()), q.view(np.int64), 0
     top = int(bits.max(initial=0))
     bits -= 1  # an all-zero or empty x gets h far above g (2^63: past every |x|), and no limb is cut
     least = int(bits.view(np.uint64).min(initial=1 << 63))
@@ -175,6 +176,8 @@ def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tu
     block's primes, w(p) and log p are formed in reused rows, so no view of a
     segment outlives the next sieve. No sigma yields nothing and sieves nothing.
     """
+    # reused, as these rows feed every consumer (the sigma = 0 sign scan too): rows made per block
+    # added 2.1k minor faults to sign-changes to 1e9, 5.8k to bias-scan, 10.8k to mellin-check to 1e8
     if sigmas:
         buf, (values, logs) = np.empty(_BLOCK, np.int64), np.empty((2, _BLOCK))  # p; w(p); log p
         for primes in iter_prime_arrays(limit):
@@ -187,14 +190,13 @@ def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tu
 
 
 def _prepare_segment(
-    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float, buf: np.ndarray
+    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float
 ) -> list[tuple[np.ndarray, np.ndarray, float, float, float, float]]:
     """[(primes, contributions, low, high, exact sum, sum |x|)] over one block.
 
-    `race_scan` passes a block of `walk` (`logs` may be None at sigma = 0) and
-    `buf`, whose rows take the powers, |x| and exact-sum scratch: the arrays
-    returned last until the next call. The name and the list of one tuple are
-    kept for the benchmark tracer, which hooks them.
+    `race_scan` passes a block of `walk` (`logs` may be None at sigma = 0); at
+    sigma > 0 the contributions are a new row. The name and the list of one
+    tuple are kept for the benchmark tracer, which hooks them.
 
     Every prefix sum np.cumsum would form over the block lies in [low, high]:
     with C the running sums of the 128-term chunk sums and C_0 = 0, an exact one
@@ -210,8 +212,8 @@ def _prepare_segment(
     if sigma == 0.0:
         contrib, abs_weight, top = weights, 0.0, 1.0
     else:
-        contrib = _terms(logs, weights, sigma, buf[0, : len(primes)])
-        units, abs_weight, top = _exact_sums(contrib, buf[1:])
+        contrib = _terms(logs, weights, sigma, np.empty(len(primes)))
+        units, abs_weight, top = _exact_sums(contrib)
     runs = np.add.accumulate(np.add.reduceat(contrib, range(0, len(contrib), _CHUNK)))
     block_sum = float(runs[-1]) if sigma == 0.0 else units / _UNIT
     reach = _CHUNK // 2 * top + 2.0**-30 * abs_weight
@@ -326,10 +328,9 @@ def race_scan(
         raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
                               f"got range [{cps[0]}, {cps[-1]}]")
     states = [_RaceState(s, cps) for s in grid]
-    buf = np.empty((3 if any(grid) else 0, _BLOCK))  # powers, |x| and exact-sum scratch
     for block in walk(w, x_max, grid):  # every sigma through a block before the next
         for st in states:
-            for prepared in _prepare_segment(*block, st.sigma, buf):
+            for prepared in _prepare_segment(*block, st.sigma):
                 st.add_block(*prepared)
     return [st.series() for st in states]
 

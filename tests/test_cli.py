@@ -546,6 +546,8 @@ BOTH_ROUTES = [
     (["mellin-check", "--sigma", "0", "--s", "1", "--X", "2.5"],
      "command = mellin-check; sigma = 0; s = 1; x = 2.5", 2),
     (["conjecture", "--points", "1e3,1e2"], "command = conjecture; points = 1e3,1e2", 2),
+    # a 0 left of '...' never grows, so the fill would append until memory ran out
+    (["conjecture", "--points", "0,...,10"], "command = conjecture; points = 0,...,10", 2),
     (["lvalue", "--sigma", "-1", "--ntrunc", "100"], "command = lvalue; sigma = -1; ntrunc = 100", 3),
     (["verify-lemma", "--sigma-grid", "2.0,0.5", "--prime-limit", "3e7"],
      "command = verify-lemma; sigma_grid = 2.0,0.5; prime_limit = 3e7", 3),
@@ -934,6 +936,8 @@ class TestConfig:
             parse_points("...,1e3")
         with pytest.raises(ValidationError):
             parse_points("1e3,1e2")
+        with pytest.raises(ValidationError, match="^points: '...' needs a positive point"):
+            parse_points("0,...,10")
 
     def test_parse_grid(self):
         assert parse_grid("0.55:0.95:0.05") == pytest.approx(

@@ -380,8 +380,9 @@ class TestInPlace:
 
     def test_prime_sum_memory_is_bounded(self):
         # the lemma walk: one block's primes, w(p) and log p beside one segment's
-        # primes, and one (5, 2^15) buffer of t, lg, lg - t and exact-sum scratch
-        # for the whole walk. 5.8 MiB; 14.1 MiB with segment-long rows
+        # primes, t, lg and lg - t made per block and two exact-sum rows per sum:
+        # 5.0 MiB, against 6.3 with one (5, 2^15) buffer for the whole walk and
+        # 14.1 with segment-long rows
         tracemalloc.start()
         try:
             lfun._char_prime_sum(chi4(), [1.1, 1.5, 2.0], 10**7)
@@ -391,8 +392,9 @@ class TestInPlace:
         assert peak <= 9 * 2**20
 
     def test_abel_check_memory_is_bounded(self):
-        # the Abel check to 10^7: one block's terms and pieces at a time.
-        # 5.8 MiB; 14.1 MiB with segment-long rows
+        # the Abel check to 10^7: one block's terms and pieces at a time, in three
+        # rows made per block and two exact-sum rows per sum: 5.0 MiB, against 6.3
+        # with one (5, 2^15 + 1) buffer for the whole walk and 14.1 with segment-long rows
         tracemalloc.start()
         try:
             lfun.mellin_identity_check(chi4(), 0.5, 1.5, 10**7)
@@ -403,8 +405,9 @@ class TestInPlace:
 
     def test_l_value_memory_is_bounded(self):
         # the bias-scan grid at n = 10^6 needs one tile of n, of log n and of
-        # terms, two rows of exact-sum scratch and one row of weights: 1.5 MiB.
-        # 3 MiB leaves no room for a 2^20-term chunk of terms (9.2 MiB with one)
+        # terms (made per tile), two exact-sum rows per sum and one row of weights:
+        # 1.0 MiB, against 1.3 with one (3, 2^15) buffer for the whole walk. 3 MiB
+        # leaves no room for a 2^20-term chunk of terms (9.2 MiB with one)
         grid = parse_grid("0.55:0.95:0.05")
         tracemalloc.start()
         try:
@@ -650,9 +653,9 @@ def test_every_exact_sum_is_one_finite_block(monkeypatch, argv):
     # every caller, lfun's by its own name too, must cut its sums at 2^15 terms
     calls, real = [], races._exact_sums
 
-    def recording(x, *scratch):
+    def recording(x):
         calls.append((len(x), bool(np.isfinite(x).all())))
-        return real(x, *scratch)
+        return real(x)
 
     monkeypatch.setattr(races, "_exact_sums", recording)
     monkeypatch.setattr(lfun, "_exact_sums", recording)

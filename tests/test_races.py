@@ -163,9 +163,9 @@ def test_checkpoint_heads_are_summed_once_per_block(monkeypatch):
     summed = []
     real_sums = races._exact_sums
 
-    def counting_sums(x, *scratch):
+    def counting_sums(x):
         summed.append(len(x))
-        return real_sums(x, *scratch)
+        return real_sums(x)
 
     monkeypatch.setattr(races, "_exact_sums", counting_sums)
     series = weighted_race(chi4(), 0.5, 10**5, checkpoints=primes)
@@ -181,8 +181,7 @@ def _prepared(blk, contrib, sigma):
     contributions are the weights themselves, w * exp(-0.0) = w * 1.0."""
     contrib = np.array(contrib, dtype=np.float64)
     logs = None if sigma == 0.0 else np.zeros(len(contrib))
-    buf = np.empty((3, len(contrib)))
-    (block,) = races._prepare_segment(np.array(blk), contrib, logs, sigma, buf)
+    (block,) = races._prepare_segment(np.array(blk), contrib, logs, sigma)
     return block
 
 
@@ -191,6 +190,17 @@ def _fresh_prepared(blk, contrib, sigma):
     contrib = np.array(contrib, dtype=np.float64)
     (block,) = _prepare_segment_fresh_arrays(np.array(blk), contrib, np.zeros(len(contrib)), sigma)
     return block
+
+
+def test_a_blocks_contributions_outlive_the_next_sigma():
+    # each call forms its contributions in a row of its own, so the next sigma's
+    # call on the same block leaves the first one's bits as the fresh oracle has them
+    block = next(races.walk(chi4(), 10**5, [0.3, 0.7]))
+    ((_, first, *_),) = races._prepare_segment(*block, 0.3)
+    kept = first.copy()
+    races._prepare_segment(*block, 0.7)
+    assert first.tobytes() == kept.tobytes()
+    assert kept.tobytes() == _prepare_segment_fresh_arrays(*block, 0.3)[0][1].tobytes()
 
 
 def _fold(blocks, checkpoints):
@@ -230,7 +240,7 @@ def test_sigma0_block_sums_skip_fsum(monkeypatch):
 
     monkeypatch.setattr(races.math, "fsum", counting_fsum)
     monkeypatch.setattr(races, "_exact_sums",
-                        lambda x, *scratch: summed.append(len(x)) or real_sums(x, *scratch))
+                        lambda x: summed.append(len(x)) or real_sums(x))
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=[50_000])
     monkeypatch.undo()
     assert summed == []
@@ -488,19 +498,29 @@ def test_exact_units_declines_only_non_finite_values_and_huge_tops():
     top = math.nextafter(2.0**1007, 0.0)
     assert _exact_sums(np.array([top, 5e-324, -top]))[0] == 1
     assert _exact_sums(np.array([])) == (0, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="32768"):
         _exact_sums(np.ones(_BLOCK + 1))
 
 
-def test_exact_sum_matches_fsum_on_race_blocks():
-    c4, scratch = chi4(), np.full((2, 1 << 15), np.nan)
+def test_exact_sum_matches_fsum_on_race_blocks(monkeypatch):
+    # _exact_sums makes its rows with np.empty; here they start as NaN, so stale
+    # memory cannot change a bit (np.full does not call np.empty through np)
+    c4, made = chi4(), []
+
+    def nan_rows(shape, dtype=np.float64):
+        made.append(shape)
+        return np.full(shape, np.nan, dtype)
+
     for primes in iter_prime_arrays(10**6):
         for sigma in (0.3, 0.55, 0.95):
             t = c4.values_at_primes(primes) * primes.astype(np.float64) ** -sigma
             for off in range(0, len(t), 1 << 14):
                 blk = t[off : off + (1 << 14)]
                 for part in (blk, blk[:1], blk[:777], np.abs(blk)):
-                    units, abs_sum, top = _exact_sums(part, scratch)  # as a walk calls it
+                    with monkeypatch.context() as m:
+                        m.setattr(np, "empty", nan_rows)
+                        units, abs_sum, top = _exact_sums(part)
+                    assert made.pop() == (2, len(part))
                     assert units / _UNIT == math.fsum(part.tolist())
                     assert abs_sum.hex() == float(np.sum(np.abs(part))).hex()
                     assert top == float(np.max(np.abs(part)))
@@ -788,10 +808,11 @@ class TestWorkingSet:
                               race_scan_fresh_arrays(w, sigmas, limit, cps))
 
     def test_sigma0_race_memory_does_not_grow(self):
-        # a sigma = 0 race needs one segment's primes, one block's primes and w(p),
-        # and block-long prefix sums in the few blocks that form them: 5.0 MiB,
-        # against 6.5 with a segment's w(p) and the first segment copied to prepend
-        # 2, 8.1 with a segment-long buffer and 10.7 with new arrays per segment
+        # a sigma = 0 race needs one segment's primes, one block's primes and w(p)
+        # (no power or exact-sum row), and block-long prefix sums in the few blocks
+        # that form them: 5.0 MiB, against 6.5 with a segment's w(p) and the first
+        # segment copied to prepend 2, 8.1 with a segment-long buffer and 10.7 with
+        # new arrays per segment
         tracemalloc.start()
         try:
             race_scan(chi4(), [0.0], 10**7, checkpoints=(10**7,))
@@ -802,9 +823,9 @@ class TestWorkingSet:
 
     def test_sigma_grid_race_memory_is_bounded(self):
         # the bias-scan grid: one segment's primes, one block's primes, w(p) and
-        # log p, and one block-long buffer shared by the nine sigmas: 5.5 MiB,
-        # against 9.1 with a segment's w(p) and log p and 13.2 with segment-long
-        # power and prefix-sum buffers
+        # log p, and per sigma and block a power row and two exact-sum rows: 5.0 MiB,
+        # against 5.8 with one (3, 2^15) buffer for the whole walk, 9.1 with a
+        # segment's w(p) and log p and 13.2 with segment-long power and prefix-sum buffers
         tracemalloc.start()
         try:
             race_scan(chi4(), parse_grid("0.55:0.95:0.05"), 10**7, checkpoints=(10**7,))
