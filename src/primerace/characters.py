@@ -8,6 +8,7 @@ characters fill that table once from the symbol.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,11 +99,8 @@ class DirichletWeight:
         self.period = period
         self._table = period.astype(np.float64)  # w(p) is taken from it as float64
         # exact integer partial sums over one period; pref[r] = sum_{n<=r} w(n)
-        vals = [int(period[n % modulus]) for n in range(1, modulus + 1)]
-        pref = [0]
-        for v in vals:
-            pref.append(pref[-1] + v)
-        self._prefix = pref
+        vals = (int(period[n % modulus]) for n in range(1, modulus + 1))
+        self._prefix = list(accumulate(vals, initial=0))
 
     def values_at_primes(self, primes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Vectorized w(p) over an array of primes, as float64, into `out` if given.

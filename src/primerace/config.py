@@ -98,6 +98,8 @@ def parse_grid(text: str, field: str = "grid") -> list[float]:
             f"{field}: {text!r} exceeds the largest accepted grid, {MAX_GRID} entries"
         )
     grid = [round(start + i * step, 12) for i in range(int(round(span)) + 1)]
+    if grid[0] != start or grid != sorted(set(grid)):  # rounding moved or repeated a sigma
+        raise ValidationError(f"{field}: {text!r} moves or repeats a sigma at 12 decimals")
     return [g for g in grid if g <= stop + 1e-12]
 
 

@@ -359,9 +359,9 @@ def mellin_identity_check(
     form, so the residual is pure rounding. s = sigma is the allowed
     degenerate case where both sides are A(X) by construction.
 
-    One walk over the primes feeds both sums: each block's terms and pieces
-    are formed in rows made for the block and add to exact integers
-    (`_exact_sums`), and each is rounded once, so both carry math.fsum's bits.
+    One walk over the primes feeds both sums: the terms and the rows of A and
+    u^-c (each led by its carried value) are made per block, and both sums add
+    to exact integers (`_exact_sums`) rounded once, with math.fsum's bits.
     """
     (sigma,) = check_reals([sigma], "sigma", "sigma must be >= 0", lambda v: v >= 0.0)
     x_limit = check_count(x_limit, "X", 2)
@@ -376,20 +376,14 @@ def mellin_identity_check(
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
     for _, weights, logs in walk(w, x_limit, [s]):
-        x, steps, terms = np.empty((3, len(logs) + 1))  # a carried value, then one per p
-        terms = terms[1:]
-        lhs_units += _exact_sums(_terms(logs, weights, s, terms))[0]
+        row = np.empty(len(logs))
+        lhs_units += _exact_sums(_terms(logs, weights, s, row))[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes
-        x[0] = a
-        _terms(logs, weights, sigma, x[1:])
-        np.cumsum(x, out=steps)
-        x[0] = left
-        _terms(logs, 1.0, c, x[1:])  # x * 1.0 is exact
-        np.subtract(x[:-1], x[1:], out=terms)
-        terms *= steps[:-1]
-        piece_units += _exact_sums(terms)[0]
-        a, left = float(steps[-1]), float(x[-1])
+        steps = np.cumsum(np.append(a, _terms(logs, weights, sigma, row)))
+        powers = np.append(left, _terms(logs, 1.0, c, row))  # x * 1.0 is exact
+        piece_units += _exact_sums(steps[:-1] * (powers[:-1] - powers[1:]))[0]
+        a, left = float(steps[-1]), float(powers[-1])
     piece_units += _float_units(a * (left - x_pow))
     rhs = a * x_pow + piece_units / _UNIT
     return abs(lhs_units / _UNIT - rhs)

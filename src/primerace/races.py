@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -158,13 +159,11 @@ def default_checkpoints(x_max: int) -> tuple[int, ...]:
     """Checkpoints round(10^(k/16)) for k >= 5 (k = 5 gives 2) plus x_max; k = 16j gives
     exactly 10^j for every j <= 12, the count cap, so every power of 10 <= x_max is one."""
     pts = {x_max}
-    k = 5
-    while True:
+    for k in count(5):
         v = round(10 ** (k / 16))
         if v > x_max:
             break
         pts.add(v)
-        k += 1
     return tuple(sorted(pts))
 
 

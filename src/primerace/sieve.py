@@ -82,17 +82,12 @@ def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
     segments out in blocks for every sum over primes.
     """
     limit = check_count(limit, "limit", 0)
-    if limit < 2:
-        return
     shared = base_primes(math.isqrt(limit))
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + SEGMENT_WIDTH, limit + 1)
-        primes = sieve_segment(lo, hi, base=shared).primes
+    for lo in range(2, limit + 1, SEGMENT_WIDTH):
+        primes = sieve_segment(lo, min(lo + SEGMENT_WIDTH, limit + 1), base=shared).primes
         if len(primes):
             yield primes
         del primes  # so no segment is held while the next one is sieved
-        lo = hi
 
 
 def prime_stream(limit: int) -> Iterator[int]:

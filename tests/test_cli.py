@@ -510,7 +510,10 @@ def test_count_cap_is_inclusive():
 # The last two are a descending grid and a table value outside int8, which
 # used to raise OverflowError. In the last three, a missing option was worded
 # apart on the two routes, and a bad --checkpoints or --count-only with --emit
-# was found only after the output paths were opened, so they exited 4.
+# was found only after the output paths were opened, so they exited 4. The
+# two grids after them rounded to 12 decimals, which repeated sigma = 0.6 five
+# times (exit 0), or moved the start 0.5000000000001 to 0.5, outside the
+# domain (exit 3).
 BOTH_ROUTES = [
     (["sieve", "--limit", "-1"], "command = sieve; limit = -1", 2),
     (["race", "--sigma", "-0.1", "--xmax", "100"], "command = race; sigma = -0.1; xmax = 100", 2),
@@ -586,6 +589,10 @@ BOTH_ROUTES = [
      "command = conjecture; points = ,; out = missing/x.csv", 2),
     (["race", "--sigma", "0.5", "--xmax", "100", "--checkpoints", ",", "--out", "missing/x.csv"],
      "command = race; sigma = 0.5; xmax = 100; checkpoints = ,; out = missing/x.csv", 2),
+    (["bias-scan", "--grid", "0.6:0.6000000000004:1e-13", "--xmax", "100", "--ntrunc", "100"],
+     "command = bias-scan; grid = 0.6:0.6000000000004:1e-13; xmax = 100; ntrunc = 100", 2),
+    (["bias-scan", "--grid", "0.5000000000001:0.6:0.1", "--xmax", "100"],
+     "command = bias-scan; grid = 0.5000000000001:0.6:0.1; xmax = 100", 2),
 ]
 
 
@@ -640,6 +647,16 @@ def test_grid_cap_is_inclusive():
         parse_grid("0:1:0.0001")
     with pytest.raises(ValidationError, match="^grid: "):
         parse_grid("0.55:0.95:5e-324")  # a span past the float range
+
+
+def test_grid_rounding_neither_moves_nor_repeats_a_sigma():
+    # the grids of the bias workload, README and the tests keep their decimal entries
+    for text, n in (("0.55:0.95:0.05", 9), ("0.55:0.95:0.1", 5), ("0.51:0.99:0.02", 25)):
+        start, _, step = map(float, text.split(":"))
+        assert parse_grid(text) == [float(f"{start + k * step:.2f}") for k in range(n)]
+    for text in ("0.6:0.6000000000004:1e-13", "0.5000000000001:0.6:0.1"):
+        with pytest.raises(ValidationError, match=r"^grid: .* moves or repeats a sigma at 12 decimals$"):
+            parse_grid(text)
 
 
 def test_character_modulus_cap(monkeypatch, capsys):

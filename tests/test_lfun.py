@@ -329,7 +329,7 @@ class TestInPlace:
     @pytest.mark.parametrize("d, sigma, s", [(-4, 0.5, 1.5), (-3, 0.0, 0.7), (5, 0.9, 0.95),
                                              (8, 0.25, 0.5)])
     def test_abel_check_keeps_every_bit(self, d, sigma, s):
-        # three segments, the last one short, through one buffer for the whole walk
+        # three segments, the last one short, with A and u^-c carried across every block
         w, limit = character_from_discriminant(d), 2 * sieve.SEGMENT_WIDTH + 1000
         assert repr(mellin_identity_check(w, sigma, s, limit)) == repr(
             mellin_identity_check_fresh_arrays(w, sigma, s, limit))
@@ -392,8 +392,9 @@ class TestInPlace:
         assert peak <= 9 * 2**20
 
     def test_abel_check_memory_is_bounded(self):
-        # the Abel check to 10^7: one block's terms and pieces at a time, in three
-        # rows made per block and two exact-sum rows per sum: 5.0 MiB, against 6.3
+        # the Abel check to 10^7: one block's terms and pieces at a time, in a terms
+        # row, the rows of A and u^-c (np.append puts each carried value in front)
+        # and two exact-sum rows per sum, all made per block: 5.0 MiB, against 6.3
         # with one (5, 2^15 + 1) buffer for the whole walk and 14.1 with segment-long rows
         tracemalloc.start()
         try:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from primerace import sieve
 from primerace.errors import ValidationError
 from primerace.sieve import (
+    iter_prime_arrays,
     prime_count,
     prime_stream,
     sieve_segment,
@@ -114,6 +115,20 @@ def test_small_segment_sizes_agree(monkeypatch):
     full = list(prime_stream(50_000))
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 10)
     assert list(prime_stream(50_000)) == full
+
+
+@pytest.mark.parametrize("k, seam_is_prime", [(1, True), (2, False), (3, True), (40, False)])
+def test_segment_seams_match_trial_division(monkeypatch, k, seam_is_prime):
+    # an odd width puts seams 2 + kW on odd and even numbers alike; a limit one
+    # below, at and one past a seam ends in a full, a one-number and a two-number
+    # segment, and a prime seam (47 and 137 at W = 45) is alone in its segment
+    width = 45
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    seam = 2 + k * width
+    for limit in (seam - 1, seam, seam + 1):
+        assert list(prime_stream(limit)) == trial_division_primes(limit)
+    arrays = [primes.tolist() for primes in iter_prime_arrays(seam)]
+    assert (arrays[-1] == [seam]) == seam_is_prime
 
 
 @settings(max_examples=25, deadline=None)
