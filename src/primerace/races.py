@@ -3,23 +3,28 @@
 One walk over the primes (`walk`) serves every sigma of a scan and every prime
 sum of the package: each segment is sieved once and handed out in 2^15-prime
 blocks whose w(p) and log p every sigma shares, so a sigma adds only its
-powers, sums and sign scan, in rows made for the block. Block sums are exactly
+powers, sums and sign scan, in rows made for the block. A race at sigma = 0
+folds the same segment's odd-only sieve mask instead (`_mask_blocks`): the
+mask times w(first + 2j) is an int8 weight row, cut into 2^15-slot blocks, in
+which a composite weighs 0, and no prime is extracted. Block sums are exactly
 rounded, with math.fsum's bits: `_exact_sums` makes every exactly rounded sum
 of the package and, from the same |x| row, the sum and the top of |x|. The
 prefix is the exact sum of the rounded block sums, kept as an integer count of
 2^-1074, and the prefix and every checkpoint value are that integer rounded
 once. A block's per-prime values, a cumulative sum whose float error is folded
 into `running_error`, are formed only where a bound from its 128-term chunk
-sums (`_prepare_segment`) says they may flip the carried sign, hold the first
-positive value or raise the largest |A|; any other block is folded by its exact
-sum. At sigma = 0 all of this is exact and the error is 0. Everything runs in
-one thread, in a fixed order, so the output bytes repeat from run to run.
+sums (`_prepare_segment`, or `_slot_bounds` at sigma = 0) says they may flip
+the carried sign, hold the first positive value or raise the largest |A|; any
+other block is folded by its exact sum. At sigma = 0 all of this is exact and
+the error is 0. Everything runs in one thread, in a fixed order, so the output
+bytes repeat from run to run.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterator, Sequence
@@ -28,7 +33,7 @@ import numpy as np
 
 from .characters import DirichletWeight
 from .errors import ValidationError, check_count, check_reals
-from .sieve import iter_prime_arrays
+from .sieve import Segment, iter_prime_arrays, iter_segments
 
 _BLOCK = 1 << 15  # one unit: a block of the prime walk, a tile of the walk over n, an exact sum
 _U = sys.float_info.epsilon / 2  # unit roundoff
@@ -167,35 +172,108 @@ def default_checkpoints(x_max: int) -> tuple[int, ...]:
     return tuple(sorted(pts))
 
 
+def _rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of p, w(p) and log p that a walk reuses for every block: they feed
+    every consumer, and rows made per block added 5.8k minor faults to bias-scan
+    and 10.8k to mellin-check to 1e8."""
+    return np.empty(_BLOCK, np.int64), *np.empty((2, _BLOCK))
+
+
+def _prime_blocks(w: DirichletWeight, primes: np.ndarray, rows: tuple) -> Iterator[tuple]:
+    """(primes, w(p), log p) per block of at most 2^15 of one segment's primes, at
+    offsets 0, 2^15, ..., formed in `rows` (see `_rows`)."""
+    buf, values, logs = rows
+    for off in range(0, len(primes), _BLOCK):
+        blk = buf[: min(_BLOCK, len(primes) - off)]
+        blk[:] = primes[off : off + _BLOCK]
+        weights = w.values_at_primes(blk, out=values[: len(blk)])
+        yield blk, weights, _power_log(blk, out=logs[: len(blk)])
+
+
 def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tuple]:
     """The package's one walk over the primes to limit, for the powers p^-sigma.
 
-    Yields (primes, w(p), log p) per block of at most 2^15 primes, at offsets
-    0, 2^15, ... of each segment; log p is None when every sigma is 0. Each
-    block's primes, w(p) and log p are formed in reused rows, so no view of a
+    Yields the blocks of `_prime_blocks`, segment by segment. No view of a
     segment outlives the next sieve. No sigma yields nothing and sieves nothing.
+    `race_scan` takes the same blocks from the segments whose masks it also
+    folds at sigma = 0 (`_fold_segment`).
     """
-    # reused, as these rows feed every consumer (the sigma = 0 sign scan too): rows made per block
-    # added 2.1k minor faults to sign-changes to 1e9, 5.8k to bias-scan, 10.8k to mellin-check to 1e8
     if sigmas:
-        buf, (values, logs) = np.empty(_BLOCK, np.int64), np.empty((2, _BLOCK))  # p; w(p); log p
+        rows = _rows()
         for primes in iter_prime_arrays(limit):
-            for off in range(0, len(primes), _BLOCK):
-                blk = buf[: min(_BLOCK, len(primes) - off)]
-                blk[:] = primes[off : off + _BLOCK]
-                weights = w.values_at_primes(blk, out=values[: len(blk)])
-                yield blk, weights, _power_log(blk, out=logs[: len(blk)]) if any(sigmas) else None
+            yield from _prime_blocks(w, primes, rows)
             del primes  # before the next segment is sieved
 
 
-def _prepare_segment(
-    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray | None, sigma: float
-) -> list[tuple[np.ndarray, np.ndarray, float, float, float, float]]:
-    """[(primes, contributions, low, high, exact sum, sum |x|)] over one block.
+def _odd_row(w: DirichletWeight) -> np.ndarray:
+    """w(1 + 2j) for j < 2^15 + q, as int8: the sigma = 0 fold's weight row, of period q
+    in j. A row as long as a segment (2^21 slots) added 2 MB to the peak RSS of
+    sign-changes to 1e9, so the fold weights a segment 2^15 slots at a time."""
+    q = w.modulus
+    return np.tile(w.period[np.arange(1, 2 * q, 2) % q].astype(np.int8), -(-_BLOCK // q) + 1)
 
-    `race_scan` passes a block of `walk` (`logs` may be None at sigma = 0); at
-    sigma > 0 the contributions are a new row. The name and the list of one
-    tuple are kept for the benchmark tracer, which hooks them.
+
+def _slot_bounds(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low, high, sum) per 2^15-term block of a sigma = 0 weight row, from one
+    reshape-sum of its 128-term chunks.
+
+    Every prefix sum of a block lies in [low, high]: with C the running sums of
+    the block's chunk sums and C_0 = 0, an exact one is within 64 terms of some
+    C_j, and every term is -1, 0 or 1. All of it is exact. An int8 row (weights
+    on slots of odd numbers) is summed in int8, exactly: 42 or more of any 128
+    consecutive odd numbers are multiples of 3, so at most 87 are prime, and
+    |a chunk sum| <= 87. The running sums and the last one, the block's sum,
+    are int64, or float64 for a float row.
+    """
+    n, per_block = len(weights), _BLOCK // _CHUNK
+    blocks, full = -(-n // _BLOCK), n // _CHUNK
+    chunks = np.zeros(blocks * per_block, weights.dtype)
+    chunks[:full] = weights[: full * _CHUNK].reshape(full, _CHUNK).sum(axis=1, dtype=weights.dtype)
+    if n % _CHUNK:  # a short last chunk
+        chunks[full] = weights[full * _CHUNK :].sum(dtype=weights.dtype)
+    runs = np.add.accumulate(chunks.reshape(blocks, per_block), axis=1,
+                             dtype=np.result_type(weights.dtype, np.int64))
+    reach = _CHUNK // 2
+    return np.minimum(runs.min(axis=1), 0) - reach, np.maximum(runs.max(axis=1), 0) + reach, runs[:, -1]
+
+
+def _mask_blocks(seg: Segment, w: DirichletWeight, row: np.ndarray) -> Iterator[tuple]:
+    """The sigma = 0 race's blocks of one sieved segment, as `_RaceState.add_block`
+    takes them, with no prime extracted and no w(p) looked up.
+
+    The mask's bytes become the weights in place, 2^15 slots at a time: slot j
+    times w(first + 2j), read from `_odd_row` at (first - 1) / 2 + j mod q, so a
+    composite weighs 0; at lo = 2 slot 0, which holds 2, takes w(2). A block is
+    (numbers, weights, low, high, sum, 0.0) per 2^15 slots: the slots' odd
+    numbers as a range (at lo = 2 the first block's as an array that starts
+    with 2), and the bound and sum of `_slot_bounds`.
+    """
+    weights, first = seg.mask.view(np.int8), seg.first
+    n = len(weights)
+    for start in range(0, n, _BLOCK):
+        part = weights[start : start + _BLOCK]
+        offset = ((first - 1) // 2 + start) % w.modulus
+        np.multiply(part, row[offset : offset + len(part)], out=part)
+    if seg.lo == 2:
+        weights[0] = w.period[2 % w.modulus]
+    bounds = zip(*(a.tolist() for a in _slot_bounds(weights)))
+    for start, (low, high, total) in zip(range(0, n, _BLOCK), bounds):
+        stop = min(start + _BLOCK, n)
+        numbers = range(first + 2 * start, first + 2 * stop, 2)
+        if seg.lo == 2 and start == 0:
+            numbers = np.arange(first, first + 2 * stop, 2)
+            numbers[0] = 2
+        yield numbers, weights[start:stop], low, high, float(total), 0.0
+
+
+def _prepare_segment(
+    primes: np.ndarray, weights: np.ndarray, logs: np.ndarray, sigma: float
+) -> list[tuple[np.ndarray, np.ndarray, float, float, float, float]]:
+    """[(primes, contributions, low, high, exact sum, sum |x|)] over one block at sigma > 0.
+
+    `race_scan` passes a block of `_prime_blocks`; the contributions are a new
+    row. The name and the list of one tuple are kept for the benchmark tracer,
+    which hooks them.
 
     Every prefix sum np.cumsum would form over the block lies in [low, high]:
     with C the running sums of the 128-term chunk sums and C_0 = 0, an exact one
@@ -205,19 +283,15 @@ def _prepare_segment(
     additions) and the two roundings of low or high by u(129S + 2E): E = 2^-30 S
     covers them 250 times over. A subnormal E loses 2^-1075 at most, which
     matters only if S < 2^-1040, and then every sum here is below 2^-1021, where
-    floats are 2^-1074 apart: exact. At sigma = 0, w(p) is -1, 0 or 1 and every
-    sum is an exact integer below 2^53: M = 1, S = 0, and the last C is the block's sum.
+    floats are 2^-1074 apart: exact. The sigma = 0 race takes its bound from
+    `_slot_bounds` instead.
     """
-    if sigma == 0.0:
-        contrib, abs_weight, top = weights, 0.0, 1.0
-    else:
-        contrib = _terms(logs, weights, sigma, np.empty(len(primes)))
-        units, abs_weight, top = _exact_sums(contrib)
+    contrib = _terms(logs, weights, sigma, np.empty(len(primes)))
+    units, abs_weight, top = _exact_sums(contrib)
     runs = np.add.accumulate(np.add.reduceat(contrib, range(0, len(contrib), _CHUNK)))
-    block_sum = float(runs[-1]) if sigma == 0.0 else units / _UNIT
     reach = _CHUNK // 2 * top + 2.0**-30 * abs_weight
     low = min(float(runs.min()), 0.0) - reach
-    return [(primes, contrib, low, max(float(runs.max()), 0.0) + reach, block_sum, abs_weight)]
+    return [(primes, contrib, low, max(float(runs.max()), 0.0) + reach, units / _UNIT, abs_weight)]
 
 
 @dataclass
@@ -242,9 +316,11 @@ class _RaceState:
         return self.carry == 0 or (lo < 0 if self.carry > 0 else hi > 0)
 
     def add_block(self, blk, contrib, low, high, block_sum: float, abs_weight: float) -> None:
-        """Sample checkpoints, scan signs and fold one block of `_prepare_segment`. Its values,
-        which lie in [prefix + low, prefix + high], are formed only where that range may leave
-        the carried sign or pass value_max at sigma > 0."""
+        """Sample checkpoints, scan signs and fold one block of `_prepare_segment` or, at
+        sigma = 0, of `_mask_blocks`, whose numbers `blk` run over odd slots, primes or not,
+        with the composites' terms 0. Its values, which lie in [prefix + low, prefix + high],
+        are formed only where that range may leave the carried sign or pass value_max at
+        sigma > 0."""
         cps = self.checkpoints
         prefix = self.units / _UNIT
         while self.ci < len(cps) and cps[self.ci] < blk[0]:
@@ -278,7 +354,7 @@ class _RaceState:
         # of contrib[:k], its units added only since the last one (by np.sum at sigma = 0)
         done = head_units = 0
         while self.ci < len(cps) and cps[self.ci] <= blk[-1]:
-            k = int(np.searchsorted(blk, cps[self.ci], side="right"))
+            k = bisect_right(blk, cps[self.ci])  # blk may be a range
             part, done = contrib[done:k], k
             head_units += _float_units(float(part.sum())) if exact else _exact_sums(part)[0]
             value = (self.units + _float_units(head_units / _UNIT)) / _UNIT
@@ -327,11 +403,29 @@ def race_scan(
         raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
                               f"got range [{cps[0]}, {cps[-1]}]")
     states = [_RaceState(s, cps) for s in grid]
-    for block in walk(w, x_max, grid):  # every sigma through a block before the next
-        for st in states:
+    powered = [st for st in states if st.sigma != 0.0]
+    exact = [st for st in states if st.sigma == 0.0]
+    rows = _rows() if powered else None
+    row = _odd_row(w) if exact else None
+    for seg in iter_segments(x_max) if states else ():  # each segment sieved once for the grid
+        # a mask that no sigma = 0 folds goes once its primes are out
+        primes, seg = seg.primes if powered else None, seg if exact else None
+        _fold_segment(w, primes, seg, powered, exact, rows, row)
+        del primes, seg  # before the next segment is sieved
+    return [st.series() for st in states]
+
+
+def _fold_segment(w, primes, seg: Segment | None, powered: list, exact: list, rows, row) -> None:
+    """A race grid through one sieved segment: every sigma > 0 through a block of its
+    primes before the next block, then every sigma = 0 through its mask, which
+    becomes the weights. No view of the segment outlives the call."""
+    for block in _prime_blocks(w, primes, rows) if powered else ():
+        for st in powered:
             for prepared in _prepare_segment(*block, st.sigma):
                 st.add_block(*prepared)
-    return [st.series() for st in states]
+    for block in _mask_blocks(seg, w, row) if exact else ():
+        for st in exact:
+            st.add_block(*block)
 
 
 def weighted_race(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -18,19 +19,40 @@ from .errors import ValidationError, check_count
 SEGMENT_WIDTH = 1 << 22  # 2^22 and 2^23 tie near 1e10; 2^24 is 1.5x slower
 
 
+def _first_odd(lo: int) -> int:
+    """The number of a mask's slot 0: lo | 1, or 1 at lo = 2, whose slot holds 2."""
+    return 1 if lo == 2 else lo | 1
+
+
 @dataclass(frozen=True)
 class Segment:
-    """Primes found in the half-open range [lo, hi), strictly ascending."""
+    """The half-open range [lo, hi) as an odd-only mask: slot j is True where
+    first + 2j is prime, and at lo = 2 slot 0, the slot of 1, stands for 2."""
 
     lo: int
     hi: int
-    primes: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def first(self) -> int:
+        """The number of slot 0."""
+        return _first_odd(self.lo)
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """The primes of the segment, strictly ascending int64, extracted once."""
+        primes = np.flatnonzero(self.mask)  # int64; scaled in place, with no temporaries
+        primes *= 2
+        primes += self.first
+        if self.lo == 2:
+            primes[0] = 2
+        return primes
 
 
-def _odd_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """The primes of [lo, hi) as ascending int64, crossed off an odd-only mask
-    by `base`, which holds every odd prime <= sqrt(hi - 1); 2 is kept when lo = 2."""
-    first_odd = 1 if lo == 2 else lo | 1  # at lo = 2 the slot of 1, never crossed off, holds 2
+def _odd_mask(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The odd-only mask of [lo, hi) (see `Segment`), crossed off by `base`,
+    which holds every odd prime <= sqrt(hi - 1): the one crossing-off loop."""
+    first_odd = _first_odd(lo)  # at lo = 2 the slot of 1, never crossed off, holds 2
     n_odd = (hi - first_odd + 1) // 2 if first_odd < hi else 0
     mask = np.ones(n_odd, dtype=bool)
     for p in base.tolist():
@@ -44,12 +66,7 @@ def _odd_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
             if start >= hi:
                 continue
         mask[(start - first_odd) // 2 :: p] = False
-    primes = np.flatnonzero(mask)  # int64; scaled in place, with no temporaries
-    primes *= 2
-    primes += first_odd
-    if lo == 2:
-        primes[0] = 2
-    return primes
+    return mask
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -57,7 +74,7 @@ def base_primes(limit: int) -> np.ndarray:
     limit = check_count(limit, "limit", 0)
     if limit < 3:
         return np.empty(0, dtype=np.int64)
-    return _odd_primes(3, limit + 1, base_primes(math.isqrt(limit)))
+    return Segment(3, limit + 1, _odd_mask(3, limit + 1, base_primes(math.isqrt(limit)))).primes
 
 
 def sieve_segment(lo: int, hi: int, *, base: np.ndarray | None = None) -> Segment:
@@ -72,19 +89,29 @@ def sieve_segment(lo: int, hi: int, *, base: np.ndarray | None = None) -> Segmen
     if hi - lo > SEGMENT_WIDTH:
         raise ValidationError(f"segment width {hi - lo} exceeds the maximum {SEGMENT_WIDTH}")
     base = base_primes(math.isqrt(hi - 1)) if base is None else base
-    return Segment(lo, hi, _odd_primes(lo, hi, base))
+    return Segment(lo, hi, _odd_mask(lo, hi, base))
+
+
+def iter_segments(limit: int) -> Iterator[Segment]:
+    """Yield the sieved segments jointly covering [2, limit], ascending.
+
+    Every segment is sieved against one shared base. The caller drops each
+    one before asking for the next, so no mask is held while the next is sieved.
+    """
+    limit = check_count(limit, "limit", 0)
+    shared = base_primes(math.isqrt(limit))
+    for lo in range(2, limit + 1, SEGMENT_WIDTH):
+        yield sieve_segment(lo, min(lo + SEGMENT_WIDTH, limit + 1), base=shared)
 
 
 def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays of primes, jointly covering all p <= limit.
 
-    Every segment is sieved against one shared base; `races.walk` hands the
-    segments out in blocks for every sum over primes.
+    `races.walk` hands them out in blocks for every sum over primes.
     """
-    limit = check_count(limit, "limit", 0)
-    shared = base_primes(math.isqrt(limit))
-    for lo in range(2, limit + 1, SEGMENT_WIDTH):
-        primes = sieve_segment(lo, min(lo + SEGMENT_WIDTH, limit + 1), base=shared).primes
+    for seg in iter_segments(limit):
+        primes = seg.primes
+        del seg  # the mask goes with it, before the primes are handed out
         if len(primes):
             yield primes
         del primes  # so no segment is held while the next one is sieved
@@ -98,5 +125,10 @@ def prime_stream(limit: int) -> Iterator[int]:
 
 
 def prime_count(limit: int) -> int:
-    """pi(limit), counted segment by segment, none held while the next is sieved."""
-    return sum(map(len, iter_prime_arrays(limit)))
+    """pi(limit): the True slots of each segment's mask (the slot of 1 holds 2),
+    counted with no prime extracted and no mask held while the next is sieved."""
+    count = 0
+    for seg in iter_segments(limit):
+        count += np.count_nonzero(seg.mask)
+        del seg  # before the next segment is sieved
+    return count

@@ -61,12 +61,14 @@ def chi4_value(n: int) -> int:
     return 0
 
 
-def race_sigma0_brute(limit: int) -> list[tuple[int, int]]:
-    """Exact integer race values (p, A(p)) at sigma = 0 over trial-division primes."""
+def race_sigma0_brute(limit: int, d: int | None = None) -> list[tuple[int, int]]:
+    """Exact integer race values (p, A(p)) at sigma = 0 over trial-division primes,
+    for the character (d/.) by `kronecker_ref`, or chi_4 when d is None."""
+    chi = chi4_value if d is None else lambda p: kronecker_ref(d, p)
     out = []
     total = 0
     for p in trial_division_primes(limit):
-        total += chi4_value(p)
+        total += chi(p)
         out.append((p, total))
     return out
 

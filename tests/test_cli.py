@@ -364,6 +364,8 @@ def no_compute(monkeypatch):
     monkeypatch.setattr("primerace.sieve.base_primes", forbidden)
     for name in ("sieve", "races", "cli"):
         monkeypatch.setattr(f"primerace.{name}.iter_prime_arrays", forbidden)
+    for name in ("sieve", "races"):
+        monkeypatch.setattr(f"primerace.{name}.iter_segments", forbidden)
     monkeypatch.setattr("primerace.lfun._neg_power", forbidden)
     monkeypatch.setattr("primerace.lfun._power_log", forbidden)
 

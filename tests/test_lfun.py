@@ -610,6 +610,7 @@ def test_refused_input_stops_before_any_walk(monkeypatch, name, sigmas, count):
         pytest.fail("a walk started before the inputs were checked")
 
     monkeypatch.setattr(races, "iter_prime_arrays", forbidden)
+    monkeypatch.setattr(races, "iter_segments", forbidden)
     monkeypatch.setattr(lfun, "_power_log", forbidden)
     call = ENTRY_POINTS[name][0]
     with pytest.raises(ValidationError, match=r"^(sigma|n_trunc|prime_limit|x_max|x_points|X)\b"):

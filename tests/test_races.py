@@ -129,29 +129,34 @@ def test_sigma0_sign_changes_to_1e5():
 
 
 def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
-    # an exact checkpoint head adds, by .sum() on the block's w(p) row, only the
+    # an exact checkpoint head adds, by .sum() on the block's weight row, only the
     # terms since the block's last head, and a block sum is its last chunk run:
-    # with a checkpoint at every prime each w(p) reaches .sum() exactly once.
-    # 1,024-wide segments give about 100 blocks, so the heads restart often
+    # with a checkpoint at every prime each w(p) reaches .sum() exactly once, and
+    # no slot of the mask fold reaches it twice. 1,024-wide segments give about
+    # 100 blocks, so the heads restart often
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1 << 10)
     primes = list(prime_stream(10**5))
-    summed = []
+    summed, covered = [], []
 
     class CountingRow(np.ndarray):
         def sum(self, *args, **kwargs):
-            summed.append(self.size)
+            summed.append((self.ctypes.data, self.size))
             return super().sum(*args, **kwargs)
 
-    real_walk = races.walk
+    real_blocks = races._mask_blocks
 
-    def counting_walk(*args):
-        for blk, weights, logs in real_walk(*args):
-            yield blk, weights.view(CountingRow), logs
+    def counting_blocks(*args):
+        for numbers, weights, *rest in real_blocks(*args):
+            yield numbers, weights.view(CountingRow), *rest
+            for address, size in summed:  # the block is folded: name the slots it summed
+                start = address - weights.ctypes.data
+                covered.extend(int(x) for x in numbers[start : start + size])
+            summed.clear()
 
-    monkeypatch.setattr(races, "walk", counting_walk)
+    monkeypatch.setattr(races, "_mask_blocks", counting_blocks)
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=primes)
     monkeypatch.undo()
-    assert sum(summed) == len(primes)
+    assert len(covered) == len(set(covered)) and set(primes) <= set(covered)
     oracle = race_sigma0_brute(10**5)
     assert [(p.x, p.value) for p in series.points] == [(p, float(a)) for p, a in oracle]
 
@@ -178,10 +183,13 @@ def test_checkpoint_heads_are_summed_once_per_block(monkeypatch):
 
 def _prepared(blk, contrib, sigma):
     """`races._prepare_segment`'s tuple for a hand-made block: at log p = 0 the
-    contributions are the weights themselves, w * exp(-0.0) = w * 1.0."""
+    contributions are the weights themselves, w * exp(-0.0) = w * 1.0. At
+    sigma = 0 it is the tuple that `races._mask_blocks` makes."""
     contrib = np.array(contrib, dtype=np.float64)
-    logs = None if sigma == 0.0 else np.zeros(len(contrib))
-    (block,) = races._prepare_segment(np.array(blk), contrib, logs, sigma)
+    if sigma == 0.0:  # the bound and sum of the sigma = 0 fold, as _mask_blocks takes them
+        (low,), (high,), (total,) = (a.tolist() for a in races._slot_bounds(contrib))
+        return np.array(blk), contrib, low, high, float(total), 0.0
+    (block,) = races._prepare_segment(np.array(blk), contrib, np.zeros(len(contrib)), sigma)
     return block
 
 
@@ -261,6 +269,46 @@ def test_sigma0_small_segments_match_brute_force(monkeypatch):
     assert report.change_locations == tuple(oracle[i][0] for i in changes)
     assert report.final_sign == final
     assert report.first_positive_x == next(p for p, a in oracle if a > 0)
+
+
+@pytest.mark.parametrize("width", [1 << 10, 999])
+@pytest.mark.parametrize("d", [-4, -3, 5, 8, -8, 12, -7])
+def test_sigma0_mask_fold_matches_brute_force(monkeypatch, width, d):
+    # w(2) = 0 or w(3) = 0 for d in {-4, -3, 8, -8, 12}; w(2) = -1 for d = 5 and +1
+    # for d = -7, whose race is positive at 2 and changes sign at 5. So the slot of
+    # 2 at lo = 2 and the in-place weights that drop the primes dividing q are
+    # checked at every prime, across the seams of an even and an odd width
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    w = chi4() if d == -4 else character_from_discriminant(d)
+    oracle = race_sigma0_brute(10**5, d)
+    series = weighted_race(w, 0.0, 10**5, checkpoints=[p for p, _ in oracle])
+    effective, signs = 0, []
+    for _, a in oracle:
+        effective = (a > 0) - (a < 0) or effective
+        signs.append(effective)
+    changes, final = sign_change_walk([a for _, a in oracle])
+    assert series.points == [races.RacePoint(p, float(a), 0.0, s)
+                             for (p, a), s in zip(oracle, signs)]
+    assert series.sign_events == [races.RacePoint(oracle[i][0], float(oracle[i][1]), 0.0, signs[i])
+                                  for i in changes]
+    assert series.first_positive_x == next((p for p, a in oracle if a > 0), None)
+    assert (series.final_value, series.final_sign) == (float(oracle[-1][1]), final)
+    if d == -7:
+        assert series.first_positive_x == 2 and series.sign_events[0].x == 5
+
+
+def test_mixed_grid_sieves_each_segment_once(monkeypatch):
+    # the sigmas > 0 take each segment's primes, then both sigma = 0 states fold
+    # its mask, turned into the weights once and read by each
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 999)
+    w, sigmas, cps = character_from_discriminant(-7), [0.0, 0.3, 0.0, 1.0], [2, 5, 1000, 99_991]
+    sieved, real_sieve = [], sieve.sieve_segment
+    with monkeypatch.context() as m:
+        m.setattr(sieve, "sieve_segment",
+                  lambda lo, hi, **kw: sieved.append(lo) or real_sieve(lo, hi, **kw))
+        scan = race_scan(w, sigmas, 10**5, checkpoints=cps)
+    assert sieved == list(range(2, 10**5 + 1, 999))
+    _assert_same_repr(scan, race_scan_fresh_arrays(w, sigmas, 10**5, cps))
 
 
 def test_checkpoint_at_every_prime_matches_single_checkpoints():
@@ -558,12 +606,16 @@ def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
 
 
 def test_one_walk_over_the_primes():
-    # the package sieves for a sum over primes and looks up w(p) in races.walk
-    # only, so a second prime walk added anywhere in the package fails here
+    # the package sieves in sieve.iter_segments only; a sum over primes looks up
+    # w(p) in races._prime_blocks only, for races.walk and the race grid's
+    # segment fold, which also folds the sigma = 0 masks in races._mask_blocks.
+    # So a second prime walk added anywhere in the package fails here
     allowed = {
-        "values_at_primes": {"races.walk"},
-        "iter_prime_arrays": {"races.walk", "sieve.prime_stream", "sieve.prime_count",
-                              "cli.cmd_sieve"},
+        "iter_segments": {"sieve.iter_prime_arrays", "sieve.prime_count", "races.race_scan"},
+        "iter_prime_arrays": {"races.walk", "sieve.prime_stream", "cli.cmd_sieve"},
+        "_prime_blocks": {"races.walk", "races._fold_segment"},
+        "_mask_blocks": {"races._fold_segment"},
+        "values_at_primes": {"races._prime_blocks"},
     }
     found = {name: set() for name in allowed}
     for path in Path(races.__file__).parent.glob("*.py"):
@@ -808,11 +860,12 @@ class TestWorkingSet:
                               race_scan_fresh_arrays(w, sigmas, limit, cps))
 
     def test_sigma0_race_memory_does_not_grow(self):
-        # a sigma = 0 race needs one segment's primes, one block's primes and w(p)
-        # (no power or exact-sum row), and block-long prefix sums in the few blocks
-        # that form them: 5.0 MiB, against 6.5 with a segment's w(p) and the first
-        # segment copied to prepend 2, 8.1 with a segment-long buffer and 10.7 with
-        # new arrays per segment
+        # a sigma = 0 race needs one segment's mask, which becomes its weights, a
+        # block-long weight row, and block-long prefix sums in the few blocks that
+        # form them: 3.9 MiB, against 5.9 with a segment-long weight row, 5.0 with
+        # a segment's primes and one block's primes and w(p), 6.5 with a segment's
+        # w(p) and the first segment copied to prepend 2, 8.1 with a segment-long
+        # buffer and 10.7 with new arrays per segment
         tracemalloc.start()
         try:
             race_scan(chi4(), [0.0], 10**7, checkpoints=(10**7,))

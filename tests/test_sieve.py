@@ -121,12 +121,14 @@ def test_small_segment_sizes_agree(monkeypatch):
 def test_segment_seams_match_trial_division(monkeypatch, k, seam_is_prime):
     # an odd width puts seams 2 + kW on odd and even numbers alike; a limit one
     # below, at and one past a seam ends in a full, a one-number and a two-number
-    # segment, and a prime seam (47 and 137 at W = 45) is alone in its segment
+    # segment, and a prime seam (47 and 137 at W = 45) is alone in its segment.
+    # prime_count counts the masks' True slots, the one of 2 included
     width = 45
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
     seam = 2 + k * width
     for limit in (seam - 1, seam, seam + 1):
         assert list(prime_stream(limit)) == trial_division_primes(limit)
+        assert prime_count(limit) == len(trial_division_primes(limit))
     arrays = [primes.tolist() for primes in iter_prime_arrays(seam)]
     assert (arrays[-1] == [seam]) == seam_is_prime
 
