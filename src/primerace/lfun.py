@@ -36,7 +36,7 @@ import numpy as np
 from .characters import DirichletWeight, chi4
 from .errors import DomainError, ValidationError, check_count, check_reals
 from .races import RacePoint, RaceSeries, _neg_power, race_scan, walk, weighted_race
-from .races import _BLOCK, _UNIT, _exact_sums, _float_units, _power_log, _terms
+from .races import _BLOCK, _UNIT, _exact_sums, _float_units, _period_row, _power_log, _terms
 
 _EPS = sys.float_info.epsilon
 
@@ -99,7 +99,7 @@ def l_value_scan(w: DirichletWeight, sigmas: Sequence[float], n_trunc: int) -> l
         return []
 
     q = w.modulus
-    row = np.tile(w.period, _BLOCK // q + 2)  # row[k] = w(k), so a tile's w(n) is one slice
+    row = _period_row(w, 0, 1)  # row[k] = w(k), so a tile's w(n) is one slice
     walks = [[0, 0.0] for _ in grid]  # units of the terms, sum of |terms|
     for lo in range(1, n_trunc + 1, _BLOCK):  # every sigma through a tile before the next
         logs = _power_log(np.arange(lo, min(lo + _BLOCK, n_trunc + 1), dtype=np.float64))
@@ -131,8 +131,10 @@ def _char_prime_sum(w: DirichletWeight, sigmas: Sequence[float], prime_limit: in
     domain = "_char_prime_sum requires sigma > 1/2"
     sigmas = check_reals(sigmas, "sigma", domain, lambda s: s > 0.5)
     prime_limit = check_count(prime_limit, "prime_limit", 2)
+    if not sigmas:  # no sigma: no walk
+        return []
     walks = [[0, 0.0, 0, 0.0, 0.0] for _ in sigmas]  # units and sum |x| of t, of lg - t; sum |lg|
-    for _, weights, logs in walk(w, prime_limit, sigmas):
+    for _, weights, logs in walk(w, prime_limit):
         t, lg, terms = np.empty((3, len(logs)))
         for sigma, sums in zip(sigmas, walks):
             _terms(logs, weights, sigma, t)
@@ -249,7 +251,9 @@ def decomposition_scan(
     for sigma, log_l, walk in zip(grid, log_ls, _char_prime_sum(w, grid, prime_limit)):
         center, _, abs_acc, _, _ = walk
         tail = _neg_power(prime_limit, sigma - 1.0) / (sigma - 1.0)
-        prime_sum = BoundedValue(center, tail + _EPS * (2.0 * abs_acc + abs(center)))
+        # 1e-300 absorbs terms that underflowed, as in `_b_bounded`: at sigma = 700 and
+        # P = 10 every t is 0, so are the tail and the charge, but the sum is -1.04e-334
+        prime_sum = BoundedValue(center, tail + _EPS * (2.0 * abs_acc + abs(center)) + 1e-300)
         b_val = _b_bounded(walk, sigma, prime_limit)
         residual = log_l.value - prime_sum.value - b_val.value
         budget = log_l.radius + prime_sum.radius + b_val.radius
@@ -375,7 +379,7 @@ def mellin_identity_check(
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
-    for _, weights, logs in walk(w, x_limit, [s]):
+    for _, weights, logs in walk(w, x_limit):
         row = np.empty(len(logs))
         lhs_units += _exact_sums(_terms(logs, weights, s, row))[0]
         # the cumsum starts from the carried A and the powers from the carried

@@ -5,19 +5,20 @@ sum of the package: each segment is sieved once and handed out in 2^15-prime
 blocks whose w(p) and log p every sigma shares, so a sigma adds only its
 powers, sums and sign scan, in rows made for the block. A race at sigma = 0
 folds the same segment's odd-only sieve mask instead (`_mask_blocks`): the
-mask times w(first + 2j) is an int8 weight row, cut into 2^15-slot blocks, in
-which a composite weighs 0, and no prime is extracted. Block sums are exactly
-rounded, with math.fsum's bits: `_exact_sums` makes every exactly rounded sum
-of the package and, from the same |x| row, the sum and the top of |x|. The
-prefix is the exact sum of the rounded block sums, kept as an integer count of
-2^-1074, and the prefix and every checkpoint value are that integer rounded
-once. A block's per-prime values, a cumulative sum whose float error is folded
-into `running_error`, are formed only where a bound from its 128-term chunk
-sums (`_prepare_segment`, or `_slot_bounds` at sigma = 0) says they may flip
-the carried sign, hold the first positive value or raise the largest |A|; any
-other block is folded by its exact sum. At sigma = 0 all of this is exact and
-the error is 0. Everything runs in one thread, in a fixed order, so the output
-bytes repeat from run to run.
+mask times w(first + 2j), a slice of one `_period_row`, is an int8 weight row,
+cut into 2^15-slot blocks, in which a composite weighs 0, and no prime is
+extracted. Block sums are exactly rounded, with math.fsum's bits:
+`_exact_sums` makes every exactly rounded sum of the package and, from the
+same |x| row, the sum and the top of |x|. The prefix is the exact sum of the
+rounded block sums, kept as an integer count of 2^-1074, and the prefix and
+every checkpoint value are that integer rounded once. A block's per-prime
+values, a cumulative sum whose float error is folded into `running_error`,
+are formed only where one bound from its 128-term chunk sums
+(`_chunk_bounds`, for both folds) says they may flip the carried sign, hold
+the first positive value or raise the largest |A|; any other block is folded
+by its exact sum. At sigma = 0 all of this is exact and the error is 0.
+Everything runs in one thread, in a fixed order, so the output bytes repeat
+from run to run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .sieve import Segment, iter_prime_arrays, iter_segments
 
 _BLOCK = 1 << 15  # one unit: a block of the prime walk, a tile of the walk over n, an exact sum
 _U = sys.float_info.epsilon / 2  # unit roundoff
-_CHUNK = 128  # terms per chunk of a race block's bound (see _prepare_segment)
+_CHUNK = 128  # terms per chunk of a race block's bound (see _chunk_bounds)
 
 
 def _neg_power(n, sigma: float) -> float:
@@ -190,73 +191,77 @@ def _prime_blocks(w: DirichletWeight, primes: np.ndarray, rows: tuple) -> Iterat
         yield blk, weights, _power_log(blk, out=logs[: len(blk)])
 
 
-def walk(w: DirichletWeight, limit: int, sigmas: Sequence[float]) -> Iterator[tuple]:
+def walk(w: DirichletWeight, limit: int) -> Iterator[tuple]:
     """The package's one walk over the primes to limit, for the powers p^-sigma.
 
     Yields the blocks of `_prime_blocks`, segment by segment. No view of a
-    segment outlives the next sieve. No sigma yields nothing and sieves nothing.
-    `race_scan` takes the same blocks from the segments whose masks it also
-    folds at sigma = 0 (`_fold_segment`).
+    segment outlives the next sieve. `race_scan` takes the same blocks from the
+    segments whose masks it also folds at sigma = 0 (`_fold_segment`).
     """
-    if sigmas:
-        rows = _rows()
-        for primes in iter_prime_arrays(limit):
-            yield from _prime_blocks(w, primes, rows)
-            del primes  # before the next segment is sieved
+    rows = _rows()
+    for primes in iter_prime_arrays(limit):
+        yield from _prime_blocks(w, primes, rows)
+        del primes  # before the next segment is sieved
 
 
-def _odd_row(w: DirichletWeight) -> np.ndarray:
-    """w(1 + 2j) for j < 2^15 + q, as int8: the sigma = 0 fold's weight row, of period q
-    in j. A row as long as a segment (2^21 slots) added 2 MB to the peak RSS of
-    sign-changes to 1e9, so the fold weights a segment 2^15 slots at a time."""
+def _period_row(w: DirichletWeight, first: int, step: int) -> np.ndarray:
+    """w(first + step j) for j < 2^15 + q, as int8: of period q in j, so the weights of
+    any 2^15 consecutive j are one slice, from offset j mod q. A row as long as a
+    segment (2^21 slots) added 2 MB to the peak RSS of sign-changes to 1e9."""
     q = w.modulus
-    return np.tile(w.period[np.arange(1, 2 * q, 2) % q].astype(np.int8), -(-_BLOCK // q) + 1)
+    return np.tile(w.period[(first + step * np.arange(q)) % q].astype(np.int8), -(-_BLOCK // q) + 1)
 
 
-def _slot_bounds(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(low, high, sum) per 2^15-term block of a sigma = 0 weight row, from one
-    reshape-sum of its 128-term chunks.
+def _chunk_bounds(row: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low, high, sum) per 2^15-term block of row, from one reshape-sum of its
+    128-term chunks: the bound of both race folds.
 
-    Every prefix sum of a block lies in [low, high]: with C the running sums of
-    the block's chunk sums and C_0 = 0, an exact one is within 64 terms of some
-    C_j, and every term is -1, 0 or 1. All of it is exact. An int8 row (weights
-    on slots of odd numbers) is summed in int8, exactly: 42 or more of any 128
-    consecutive odd numbers are multiples of 3, so at most 87 are prime, and
-    |a chunk sum| <= 87. The running sums and the last one, the block's sum,
-    are int64, or float64 for a float row.
+    With C the running sums of a block's chunk sums and C_0 = 0, an exact prefix
+    sum is within 64 terms, so 64M (M = max |x|), of some C_j. So every prefix sum
+    np.cumsum forms lies in [min(C, 0) - reach, max(C, 0) + reach] when `reach`
+    covers 64M and the rounding, and the sum is the last C. The sigma = 0 fold
+    passes a segment's int8 weights, -1, 0 or 1 on slots of odd numbers, and
+    reach 64. All of it is exact: a chunk is summed in int8, exactly, since 42 or
+    more of any 128 consecutive odd numbers are multiples of 3, so at most 87 are
+    prime and |a chunk sum| <= 87, and C is int64. `_prepare_segment` passes one
+    float block and reach 64M + E, E = 2^-30 S for S = sum |x|. With u = 2^-53,
+    np.cumsum is off by 2^15 uS at most and a sum of 128 terms, in any order, by
+    127 u times the sum of their |x| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 4.2), so the C are off by 384 uS (then 255 additions),
+    and the two roundings of low or high by u(129S + 2E): E covers them 250 times
+    over. A subnormal E loses 2^-1075 at most, which matters only if S < 2^-1040,
+    and then every sum here is below 2^-1021, where floats are 2^-1074 apart: exact.
     """
-    n, per_block = len(weights), _BLOCK // _CHUNK
+    n, per_block = len(row), _BLOCK // _CHUNK
     blocks, full = -(-n // _BLOCK), n // _CHUNK
-    chunks = np.zeros(blocks * per_block, weights.dtype)
-    chunks[:full] = weights[: full * _CHUNK].reshape(full, _CHUNK).sum(axis=1, dtype=weights.dtype)
+    chunks = np.zeros(blocks * per_block, row.dtype)
+    chunks[:full] = row[: full * _CHUNK].reshape(full, _CHUNK).sum(axis=1, dtype=row.dtype)
     if n % _CHUNK:  # a short last chunk
-        chunks[full] = weights[full * _CHUNK :].sum(dtype=weights.dtype)
+        chunks[full] = row[full * _CHUNK :].sum(dtype=row.dtype)
     runs = np.add.accumulate(chunks.reshape(blocks, per_block), axis=1,
-                             dtype=np.result_type(weights.dtype, np.int64))
-    reach = _CHUNK // 2
+                             dtype=np.result_type(row.dtype, np.int64))
     return np.minimum(runs.min(axis=1), 0) - reach, np.maximum(runs.max(axis=1), 0) + reach, runs[:, -1]
 
 
-def _mask_blocks(seg: Segment, w: DirichletWeight, row: np.ndarray) -> Iterator[tuple]:
+def _mask_blocks(seg: Segment, w: DirichletWeight) -> Iterator[tuple]:
     """The sigma = 0 race's blocks of one sieved segment, as `_RaceState.add_block`
     takes them, with no prime extracted and no w(p) looked up.
 
     The mask's bytes become the weights in place, 2^15 slots at a time: slot j
-    times w(first + 2j), read from `_odd_row` at (first - 1) / 2 + j mod q, so a
-    composite weighs 0; at lo = 2 slot 0, which holds 2, takes w(2). A block is
-    (numbers, weights, low, high, sum, 0.0) per 2^15 slots: the slots' odd
-    numbers as a range (at lo = 2 the first block's as an array that starts
-    with 2), and the bound and sum of `_slot_bounds`.
+    times w(first + 2j), read from the `_period_row` made at the segment's first
+    number, so a composite weighs 0; at lo = 2 slot 0, which holds 2, takes w(2).
+    A block is (numbers, weights, low, high, sum, 0.0) per 2^15 slots: the slots'
+    odd numbers as a range (at lo = 2 the first block's as an array that starts
+    with 2), and the bound and sum of `_chunk_bounds`.
     """
-    weights, first = seg.mask.view(np.int8), seg.first
-    n = len(weights)
+    weights, first, q = seg.mask.view(np.int8), seg.first, w.modulus
+    n, row = len(weights), _period_row(w, first, 2)
     for start in range(0, n, _BLOCK):
         part = weights[start : start + _BLOCK]
-        offset = ((first - 1) // 2 + start) % w.modulus
-        np.multiply(part, row[offset : offset + len(part)], out=part)
+        np.multiply(part, row[start % q :][: len(part)], out=part)
     if seg.lo == 2:
-        weights[0] = w.period[2 % w.modulus]
-    bounds = zip(*(a.tolist() for a in _slot_bounds(weights)))
+        weights[0] = w.period[2 % q]
+    bounds = zip(*(a.tolist() for a in _chunk_bounds(weights, _CHUNK // 2)))
     for start, (low, high, total) in zip(range(0, n, _BLOCK), bounds):
         stop = min(start + _BLOCK, n)
         numbers = range(first + 2 * start, first + 2 * stop, 2)
@@ -272,26 +277,15 @@ def _prepare_segment(
     """[(primes, contributions, low, high, exact sum, sum |x|)] over one block at sigma > 0.
 
     `race_scan` passes a block of `_prime_blocks`; the contributions are a new
-    row. The name and the list of one tuple are kept for the benchmark tracer,
-    which hooks them.
-
-    Every prefix sum np.cumsum would form over the block lies in [low, high]:
-    with C the running sums of the 128-term chunk sums and C_0 = 0, an exact one
-    is within 64 terms, so 64M (M = max |x|), of some C_j. For S = sum |x| and
-    u = 2^-53, np.cumsum is off by 2^15 uS at most (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, sec. 4.2), the C by 384 uS (127, then 255,
-    additions) and the two roundings of low or high by u(129S + 2E): E = 2^-30 S
-    covers them 250 times over. A subnormal E loses 2^-1075 at most, which
-    matters only if S < 2^-1040, and then every sum here is below 2^-1021, where
-    floats are 2^-1074 apart: exact. The sigma = 0 race takes its bound from
-    `_slot_bounds` instead.
+    row, and every prefix sum np.cumsum would form over them lies in [low, high]
+    (`_chunk_bounds`). The name and the list of one tuple are kept for the
+    benchmark tracer, which hooks them.
     """
     contrib = _terms(logs, weights, sigma, np.empty(len(primes)))
     units, abs_weight, top = _exact_sums(contrib)
-    runs = np.add.accumulate(np.add.reduceat(contrib, range(0, len(contrib), _CHUNK)))
     reach = _CHUNK // 2 * top + 2.0**-30 * abs_weight
-    low = min(float(runs.min()), 0.0) - reach
-    return [(primes, contrib, low, max(float(runs.max()), 0.0) + reach, units / _UNIT, abs_weight)]
+    (low,), (high,), _ = (a.tolist() for a in _chunk_bounds(contrib, reach))
+    return [(primes, contrib, low, high, units / _UNIT, abs_weight)]
 
 
 @dataclass
@@ -406,16 +400,15 @@ def race_scan(
     powered = [st for st in states if st.sigma != 0.0]
     exact = [st for st in states if st.sigma == 0.0]
     rows = _rows() if powered else None
-    row = _odd_row(w) if exact else None
     for seg in iter_segments(x_max) if states else ():  # each segment sieved once for the grid
         # a mask that no sigma = 0 folds goes once its primes are out
         primes, seg = seg.primes if powered else None, seg if exact else None
-        _fold_segment(w, primes, seg, powered, exact, rows, row)
+        _fold_segment(w, primes, seg, powered, exact, rows)
         del primes, seg  # before the next segment is sieved
     return [st.series() for st in states]
 
 
-def _fold_segment(w, primes, seg: Segment | None, powered: list, exact: list, rows, row) -> None:
+def _fold_segment(w, primes, seg: Segment | None, powered: list, exact: list, rows) -> None:
     """A race grid through one sieved segment: every sigma > 0 through a block of its
     primes before the next block, then every sigma = 0 through its mask, which
     becomes the weights. No view of the segment outlives the call."""
@@ -423,7 +416,7 @@ def _fold_segment(w, primes, seg: Segment | None, powered: list, exact: list, ro
         for st in powered:
             for prepared in _prepare_segment(*block, st.sigma):
                 st.add_block(*prepared)
-    for block in _mask_blocks(seg, w, row) if exact else ():
+    for block in _mask_blocks(seg, w) if exact else ():
         for st in exact:
             st.add_block(*block)
 

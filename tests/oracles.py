@@ -408,7 +408,7 @@ def mellin_identity_check_fresh_arrays(w, sigma: float, s: float, x_limit: int) 
     x_pow = _neg_power(x_limit, c)
     lhs_units = piece_units = 0
     a, left = 0.0, 1.0  # A and u^-c at the last prime walked
-    for _, weights, logs in walk(w, x_limit, [s]):
+    for _, weights, logs in walk(w, x_limit):
         lhs_units += _exact_sums(weights * np.exp(logs * -s))[0]
         # the cumsum starts from the carried A and the powers from the carried
         # p^-c, so every piece keeps the bits of one pass over all primes

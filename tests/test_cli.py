@@ -222,14 +222,15 @@ def test_mellin_check_stdout(capsys):
 
 
 # sigma log n overflows to -inf past sigma ~ 1e308 / log n, where exp already
-# gives the exact 0; the suite's error::RuntimeWarning filter fails any warning
+# gives the exact 0; the suite's error::RuntimeWarning filter fails any warning.
+# Every prime term underflows there, so both prime radii read the 1e-300 floor
 HUGE_EXPONENTS = [
     (["lvalue", "--sigma", "1e308", "--ntrunc", "10"],
      "value,radius\n1.0000000000000000e+00,1.1102230246251565e-15\n"),
     (["verify-lemma", "--sigma-grid", "1e308", "--prime-limit", "10", "--ntrunc", "10"],
      "sigma,log_l_value,log_l_radius,prime_sum_value,prime_sum_radius,b_value,b_radius,"
      "residual,radius_budget,within_radii\n1.0000000000000000e+308,0.0000000000000000e+00,"
-     "2.4424906541753468e-15,0.0000000000000000e+00,0.0000000000000000e+00,"
+     "2.4424906541753468e-15,0.0000000000000000e+00,1.0000000000000000e-300,"
      "0.0000000000000000e+00,1.0000000000000000e-300,0.0000000000000000e+00,"
      "2.4424906541753468e-15,true\n"),
     (["mellin-check", "--sigma", "0", "--s", "1e308", "--X", "100"],

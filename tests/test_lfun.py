@@ -228,6 +228,17 @@ class TestDecomposition:
         rep = verify_log_decomposition(chi4(), 30.0, 100, n_trunc=1000)
         assert abs(rep.residual) < 1e-13
 
+    def test_prime_sum_radius_covers_terms_that_underflow(self):
+        # at sigma = 700 every term w(p) p^-sigma with p <= 10 underflows to 0, and so
+        # do the tail and the rounding charge; the true sum, -1.04e-334, is not 0
+        from mpmath import mp, mpf
+
+        (rep,) = decomposition_scan(chi4(), [700.0], 10, n_trunc=10)
+        with mp.workdps(30):
+            exact = sum(chi4_value(p) * mpf(p) ** -700 for p in simple_sieve(10))
+            assert rep.prime_sum_value == 0.0 and exact != 0
+            assert abs(exact - rep.prime_sum_value) <= rep.prime_sum_radius
+
     def test_requires_sigma_above_one(self):
         with pytest.raises(DomainError):
             verify_log_decomposition(chi4(), 1.0, 1000)

@@ -1,4 +1,5 @@
 import ast
+import bisect
 import functools
 import math
 import tracemalloc
@@ -11,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primerace.characters import DirichletWeight, character_from_discriminant, chi4
+from primerace.characters import (
+    MAX_MODULUS,
+    DirichletWeight,
+    character_from_discriminant,
+    chi4,
+    is_fundamental_discriminant,
+)
 from primerace.config import parse_grid
 from primerace import races, sieve
 from primerace.errors import ValidationError
@@ -187,7 +194,7 @@ def _prepared(blk, contrib, sigma):
     sigma = 0 it is the tuple that `races._mask_blocks` makes."""
     contrib = np.array(contrib, dtype=np.float64)
     if sigma == 0.0:  # the bound and sum of the sigma = 0 fold, as _mask_blocks takes them
-        (low,), (high,), (total,) = (a.tolist() for a in races._slot_bounds(contrib))
+        (low,), (high,), (total,) = (a.tolist() for a in races._chunk_bounds(contrib, 64))
         return np.array(blk), contrib, low, high, float(total), 0.0
     (block,) = races._prepare_segment(np.array(blk), contrib, np.zeros(len(contrib)), sigma)
     return block
@@ -200,10 +207,51 @@ def _fresh_prepared(blk, contrib, sigma):
     return block
 
 
+def _shaped_row(rng, n: int, shape: str, spread: int) -> np.ndarray:
+    """n floats over `spread` binary orders: of random signs ("noise"), nine in ten of
+    one sign ("runs"), or of one size, 64 up then 64 down in every 128-term chunk
+    ("tent"), where a prefix sum is 64 terms from every running chunk sum."""
+    if shape == "tent":
+        size = 2.0 ** -int(rng.integers(0, spread + 1))
+        return np.where(np.arange(n) % 128 < 64, size, -size)
+    signs = rng.choice([-1.0, 1.0], n, p=[0.1, 0.9] if shape == "runs" else [0.5, 0.5])
+    return signs * rng.uniform(1, 2, n) * 2.0 ** rng.integers(-spread, 1, n)
+
+
+def _int8_weights(rng, n: int, shape: str) -> np.ndarray:
+    """n weights of -1, 0 and 1 with at most 87 nonzero in each aligned 128-term
+    chunk, as on the slots of odd numbers: noise, or in runs of one sign."""
+    row = np.zeros(-(-n // 128) * 128, np.int8)
+    row[:n] = rng.integers(-1, 2, n) if shape == "noise" else np.repeat(
+        rng.choice([-1, 1], -(-n // 500)), 500)[:n]
+    chunks = row.reshape(-1, 128)
+    chunks[np.cumsum(chunks != 0, axis=1) > 87] = 0
+    return row[:n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 127, 128, 129, _BLOCK]) | st.integers(1, _BLOCK),
+       st.sampled_from(["noise", "runs", "tent"]), st.integers(0, 120), st.integers(0, 2**32 - 1))
+def test_chunk_bounds_contain_every_prefix_sum(n, shape, spread, seed):
+    # a float row is one sigma > 0 block, bounded by `_prepare_segment` (at log p = 0
+    # its contributions are the weights); an int8 row is a sigma = 0 segment of up to
+    # four blocks, bounded with reach 64 as `_mask_blocks` does
+    rng = np.random.default_rng(seed)
+    row = _shaped_row(rng, n, shape, spread)
+    ((_, contrib, low, high, _, _),) = races._prepare_segment(np.arange(n), row, np.zeros(n), 0.5)
+    cum = np.cumsum(contrib)
+    assert contrib.tobytes() == row.tobytes() and low <= cum.min() and cum.max() <= high
+    weights = _int8_weights(rng, 3 * n + int(rng.integers(0, _BLOCK)), shape)
+    for start, low, high, total in zip(range(0, len(weights), _BLOCK),
+                                       *races._chunk_bounds(weights, 64)):
+        cum = np.cumsum(weights[start : start + _BLOCK], dtype=np.int64)
+        assert low <= cum.min() and cum.max() <= high and total == cum[-1]
+
+
 def test_a_blocks_contributions_outlive_the_next_sigma():
     # each call forms its contributions in a row of its own, so the next sigma's
     # call on the same block leaves the first one's bits as the fresh oracle has them
-    block = next(races.walk(chi4(), 10**5, [0.3, 0.7]))
+    block = next(races.walk(chi4(), 10**5))
     ((_, first, *_),) = races._prepare_segment(*block, 0.3)
     kept = first.copy()
     races._prepare_segment(*block, 0.7)
@@ -295,6 +343,53 @@ def test_sigma0_mask_fold_matches_brute_force(monkeypatch, width, d):
     assert (series.final_value, series.final_sign) == (float(oracle[-1][1]), final)
     if d == -7:
         assert series.first_positive_x == 2 and series.sign_events[0].x == 5
+
+
+@functools.lru_cache(maxsize=None)
+def _discriminants() -> tuple[int, ...]:
+    """Every fundamental discriminant d with 3 <= |d| <= MAX_MODULUS, by |d| (6,086 of them)."""
+    found = (d for d in range(-MAX_MODULUS, MAX_MODULUS + 1) if is_fundamental_discriminant(d))
+    return tuple(sorted((d for d in found if abs(d) >= 3), key=abs))
+
+
+@functools.lru_cache(maxsize=8)
+def _domain_character(d: int) -> DirichletWeight:
+    return character_from_discriminant(d)  # about 1 s at q = 10^4
+
+
+_DOMAIN_LIMIT = 100_003
+# ranked down from the largest |d|: hypothesis draws small ranks most, so large q most
+_DOMAIN_D = st.integers(0, 6085).map(lambda rank: _discriminants()[-1 - rank])
+
+
+@settings(max_examples=3, deadline=None)
+@given(_DOMAIN_D, st.floats(0.01, 1.0),
+       st.lists(st.integers(1, _DOMAIN_LIMIT), min_size=1, max_size=40, unique=True).map(sorted))
+@example(-9995, 0.5, [1, 2, 26861, _DOMAIN_LIMIT])
+def test_sigma0_race_over_the_character_domain(d, sigma, cps):
+    # at widths 2^17 and 65,537 the first segment holds two 2^15-slot blocks, and at the
+    # odd width the second starts at 65,539, so at large q the weights are read from
+    # `_period_row` at offset start % q > 0 and from a row made past the first number
+    w, oracle = _domain_character(d), race_sigma0_brute(_DOMAIN_LIMIT, d)
+    primes, values, signs = [p for p, _ in oracle], [0], [0]  # A and its sign before 2 lead
+    for _, a in oracle:
+        values.append(a)
+        signs.append((a > 0) - (a < 0) or signs[-1])
+    changes, final = sign_change_walk(values[1:])
+    at = [bisect.bisect_right(primes, x) for x in cps]  # primes up to x
+    points = [races.RacePoint(x, float(values[i]), 0.0, signs[i]) for x, i in zip(cps, at)]
+    events = [races.RacePoint(primes[i], float(values[i + 1]), 0.0, signs[i + 1]) for i in changes]
+    with pytest.MonkeyPatch.context() as m:
+        for width in (1 << 17, 65_537):
+            m.setattr(sieve, "SEGMENT_WIDTH", width)
+            series = weighted_race(w, 0.0, _DOMAIN_LIMIT, checkpoints=cps)
+            assert series.points == points
+            assert series.sign_events == events
+            assert series.first_positive_x == next((p for p, a in oracle if a > 0), None)
+            assert (series.final_value, series.final_sign) == (float(values[-1]), final)
+        # one sigma > 0 race of the same character, bit for bit, at the odd width
+        _assert_same_repr(race_scan(w, [sigma], _DOMAIN_LIMIT, checkpoints=cps),
+                          race_scan_fresh_arrays(w, [sigma], _DOMAIN_LIMIT, cps))
 
 
 def test_mixed_grid_sieves_each_segment_once(monkeypatch):
@@ -665,6 +760,19 @@ def test_one_prefix_sum_site():
     # np.add.accumulate); mellin-check's running A is the package's other np.cumsum
     found = _attribute_calls(lambda f: f.attr == "cumsum")
     assert found == {"races._RaceState": 1, "lfun.mellin_identity_check": 1}
+
+
+def test_one_chunk_bound_and_one_period_row():
+    # both race folds bound their blocks by races._chunk_bounds, the one np.add.accumulate
+    # (np.maximum.accumulate is the sign scan's), with no np.add.reduceat; the mask fold
+    # and the walk over n read w from races._period_row, the one np.tile. So a second
+    # bound or a second period row fails here
+    found = _attribute_calls(
+        lambda f: f.attr == "accumulate" and getattr(f.value, "attr", "") == "add")
+    assert found == {"races._chunk_bounds": 1}
+    assert _attribute_calls(lambda f: f.attr == "reduceat") == {}
+    found = _attribute_calls(lambda f: f.attr == "tile" and getattr(f.value, "id", "") == "np")
+    assert found == {"races._period_row": 1}
 
 
 def _assert_same_repr(got, want) -> None:
