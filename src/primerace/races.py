@@ -1,24 +1,24 @@
 """Streaming weighted prime races A(x) = sum_{p<=x} w(p) p^{-sigma}.
 
-One walk over the primes (`walk`) serves every sigma of a scan and every prime
-sum of the package: each segment is sieved once and handed out in 2^15-prime
-blocks whose w(p) and log p every sigma shares, so a sigma adds only its
-powers, sums and sign scan, in rows made for the block. A race at sigma = 0
-folds the same segment's odd-only sieve mask instead (`_mask_blocks`): the
-mask times w(first + 2j), a slice of one `_period_row`, is an int8 weight row,
-cut into 2^15-slot blocks, in which a composite weighs 0, and no prime is
-extracted. Block sums are exactly rounded, with math.fsum's bits:
-`_exact_sums` makes every exactly rounded sum of the package and, from the
-same |x| row, the sum and the top of |x|. The prefix is the exact sum of the
-rounded block sums, kept as an integer count of 2^-1074, and the prefix and
-every checkpoint value are that integer rounded once. A block's per-prime
-values, a cumulative sum whose float error is folded into `running_error`,
-are formed only where one bound from its 128-term chunk sums
-(`_chunk_bounds`, for both folds) says they may flip the carried sign, hold
-the first positive value or raise the largest |A|; any other block is folded
-by its exact sum. At sigma = 0 all of this is exact and the error is 0.
-Everything runs in one thread, in a fixed order, so the output bytes repeat
-from run to run.
+One walk over the primes (`walk`) serves every sigma > 0 of a race and every
+prime sum of the package: each segment is sieved once and handed out in
+2^15-prime blocks whose w(p) and log p every sigma shares, so a sigma adds only
+its powers, sums and sign scan, in rows made for the block. A race at sigma = 0
+folds each segment's odd-only sieve mask instead (`_mask_blocks`): the mask
+times w(first + 2j), a slice of one `_period_row`, is an int8 weight row, cut
+into 2^15-slot blocks, in which a composite weighs 0, and no prime is
+extracted. A grid that mixes sigma = 0 and sigma > 0 takes both, sieving twice.
+Block sums are exactly rounded, with math.fsum's bits: `_exact_sums` makes
+every exactly rounded sum of the package and, from the same |x| row, the sum
+and the top of |x|. The prefix is the exact sum of the rounded block sums, kept
+as an integer count of 2^-1074, and the prefix and every checkpoint value are
+that integer rounded once. A block's per-prime values, a cumulative sum whose
+float error is folded into `running_error`, are formed only where one bound
+from its 128-term chunk sums (`_chunk_bounds`, for both folds) says they may
+flip the carried sign, hold the first positive value or raise the largest |A|;
+any other block is folded by its exact sum. At sigma = 0 all of this is exact
+and the error is 0. Everything runs in one thread, in a fixed order, so the
+output bytes repeat from run to run.
 """
 
 from __future__ import annotations
@@ -173,34 +173,22 @@ def default_checkpoints(x_max: int) -> tuple[int, ...]:
     return tuple(sorted(pts))
 
 
-def _rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of p, w(p) and log p that a walk reuses for every block: they feed
-    every consumer, and rows made per block added 5.8k minor faults to bias-scan
-    and 10.8k to mellin-check to 1e8."""
-    return np.empty(_BLOCK, np.int64), *np.empty((2, _BLOCK))
-
-
-def _prime_blocks(w: DirichletWeight, primes: np.ndarray, rows: tuple) -> Iterator[tuple]:
-    """(primes, w(p), log p) per block of at most 2^15 of one segment's primes, at
-    offsets 0, 2^15, ..., formed in `rows` (see `_rows`)."""
-    buf, values, logs = rows
-    for off in range(0, len(primes), _BLOCK):
-        blk = buf[: min(_BLOCK, len(primes) - off)]
-        blk[:] = primes[off : off + _BLOCK]
-        weights = w.values_at_primes(blk, out=values[: len(blk)])
-        yield blk, weights, _power_log(blk, out=logs[: len(blk)])
-
-
 def walk(w: DirichletWeight, limit: int) -> Iterator[tuple]:
     """The package's one walk over the primes to limit, for the powers p^-sigma.
 
-    Yields the blocks of `_prime_blocks`, segment by segment. No view of a
-    segment outlives the next sieve. `race_scan` takes the same blocks from the
-    segments whose masks it also folds at sigma = 0 (`_fold_segment`).
+    Yields (primes, w(p), log p) per block of at most 2^15 of a segment's primes,
+    segment by segment, in rows reused for every block: they feed every consumer,
+    and rows made per block added 5.8k minor faults to bias-scan and 10.8k to
+    mellin-check to 1e8. The primes row is a copy, so no view of a segment
+    outlives the next sieve.
     """
-    rows = _rows()
+    buf, values, logs = np.empty(_BLOCK, np.int64), *np.empty((2, _BLOCK))
     for primes in iter_prime_arrays(limit):
-        yield from _prime_blocks(w, primes, rows)
+        for off in range(0, len(primes), _BLOCK):
+            blk = buf[: min(_BLOCK, len(primes) - off)]
+            blk[:] = primes[off : off + _BLOCK]
+            weights = w.values_at_primes(blk, out=values[: len(blk)])
+            yield blk, weights, _power_log(blk, out=logs[: len(blk)])
         del primes  # before the next segment is sieved
 
 
@@ -276,8 +264,8 @@ def _prepare_segment(
 ) -> list[tuple[np.ndarray, np.ndarray, float, float, float, float]]:
     """[(primes, contributions, low, high, exact sum, sum |x|)] over one block at sigma > 0.
 
-    `race_scan` passes a block of `_prime_blocks`; the contributions are a new
-    row, and every prefix sum np.cumsum would form over them lies in [low, high]
+    `race_scan` passes a block of `walk`; the contributions are a new row, and
+    every prefix sum np.cumsum would form over them lies in [low, high]
     (`_chunk_bounds`). The name and the list of one tuple are kept for the
     benchmark tracer, which hooks them.
     """
@@ -397,27 +385,23 @@ def race_scan(
         raise ValidationError(f"checkpoints must lie in [1, x_max={x_max}], "
                               f"got range [{cps[0]}, {cps[-1]}]")
     states = [_RaceState(s, cps) for s in grid]
-    powered = [st for st in states if st.sigma != 0.0]
     exact = [st for st in states if st.sigma == 0.0]
-    rows = _rows() if powered else None
-    for seg in iter_segments(x_max) if states else ():  # each segment sieved once for the grid
-        # a mask that no sigma = 0 folds goes once its primes are out
-        primes, seg = seg.primes if powered else None, seg if exact else None
-        _fold_segment(w, primes, seg, powered, exact, rows)
-        del primes, seg  # before the next segment is sieved
-    return [st.series() for st in states]
-
-
-def _fold_segment(w, primes, seg: Segment | None, powered: list, exact: list, rows) -> None:
-    """A race grid through one sieved segment: every sigma > 0 through a block of its
-    primes before the next block, then every sigma = 0 through its mask, which
-    becomes the weights. No view of the segment outlives the call."""
-    for block in _prime_blocks(w, primes, rows) if powered else ():
+    powered = [st for st in states if st.sigma != 0.0]
+    for seg in iter_segments(x_max) if exact else ():
+        _fold_mask(seg, w, exact)
+        del seg  # before the next segment is sieved
+    for block in walk(w, x_max) if powered else ():
         for st in powered:
             for prepared in _prepare_segment(*block, st.sigma):
                 st.add_block(*prepared)
-    for block in _mask_blocks(seg, w) if exact else ():
-        for st in exact:
+    return [st.series() for st in states]
+
+
+def _fold_mask(seg: Segment, w: DirichletWeight, states: list) -> None:
+    """Every sigma = 0 state through one segment's mask, which becomes the weights
+    once and is read by each; no block view of it outlives the call."""
+    for block in _mask_blocks(seg, w):
+        for st in states:
             st.add_block(*block)
 
 

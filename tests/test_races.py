@@ -392,18 +392,31 @@ def test_sigma0_race_over_the_character_domain(d, sigma, cps):
                           race_scan_fresh_arrays(w, [sigma], _DOMAIN_LIMIT, cps))
 
 
-def test_mixed_grid_sieves_each_segment_once(monkeypatch):
-    # the sigmas > 0 take each segment's primes, then both sigma = 0 states fold
-    # its mask, turned into the weights once and read by each
+def test_mixed_grid_matches_its_parts(monkeypatch):
+    # the sigma = 0 states fold the masks and the sigmas > 0 take the prime walk,
+    # each sigma with its own state, so the mixed grid is its two parts run alone
     monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 999)
     w, sigmas, cps = character_from_discriminant(-7), [0.0, 0.3, 0.0, 1.0], [2, 5, 1000, 99_991]
-    sieved, real_sieve = [], sieve.sieve_segment
-    with monkeypatch.context() as m:
-        m.setattr(sieve, "sieve_segment",
-                  lambda lo, hi, **kw: sieved.append(lo) or real_sieve(lo, hi, **kw))
-        scan = race_scan(w, sigmas, 10**5, checkpoints=cps)
-    assert sieved == list(range(2, 10**5 + 1, 999))
+    scan = race_scan(w, sigmas, 10**5, checkpoints=cps)
     _assert_same_repr(scan, race_scan_fresh_arrays(w, sigmas, 10**5, cps))
+    _assert_same_repr(scan[::2], race_scan(w, [0.0, 0.0], 10**5, checkpoints=cps))
+    _assert_same_repr(scan[1::2], race_scan(w, [0.3, 1.0], 10**5, checkpoints=cps))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_last_segment_holds_no_odd_number(monkeypatch, sigma):
+    # at an even width the last segment [limit, limit + 1) is one even number with
+    # no mask slot; the race passes it and reads the final value at the limit
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", 1000)
+    limit = 2 + 100 * 1000
+    assert len(sieve.sieve_segment(limit, limit + 1).mask) == 0
+    oracle = race_sigma0_brute(limit)
+    cps = [p for p, _ in oracle] + [limit]
+    (series,) = scan = race_scan(chi4(), [sigma], limit, checkpoints=cps)
+    _assert_same_repr(scan, race_scan_fresh_arrays(chi4(), [sigma], limit, cps))
+    if sigma == 0.0:
+        final = [(limit, float(oracle[-1][1]))]
+        assert _values(series) == [(p, float(a)) for p, a in oracle] + final
 
 
 def test_checkpoint_at_every_prime_matches_single_checkpoints():
@@ -702,15 +715,15 @@ def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
 
 def test_one_walk_over_the_primes():
     # the package sieves in sieve.iter_segments only; a sum over primes looks up
-    # w(p) in races._prime_blocks only, for races.walk and the race grid's
-    # segment fold, which also folds the sigma = 0 masks in races._mask_blocks.
-    # So a second prime walk added anywhere in the package fails here
+    # w(p) in races.walk only, and the race's sigma = 0 fold takes the masks
+    # through races._mask_blocks. So a second prime walk added anywhere in the
+    # package fails here
     allowed = {
         "iter_segments": {"sieve.iter_prime_arrays", "sieve.prime_count", "races.race_scan"},
         "iter_prime_arrays": {"races.walk", "sieve.prime_stream", "cli.cmd_sieve"},
-        "_prime_blocks": {"races.walk", "races._fold_segment"},
-        "_mask_blocks": {"races._fold_segment"},
-        "values_at_primes": {"races._prime_blocks"},
+        "_prime_blocks": set(),
+        "_mask_blocks": {"races._fold_mask"},
+        "values_at_primes": {"races.walk"},
     }
     found = {name: set() for name in allowed}
     for path in Path(races.__file__).parent.glob("*.py"):
