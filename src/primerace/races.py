@@ -4,7 +4,7 @@ One walk over the primes (`walk`) serves every sigma > 0 of a race and every
 prime sum of the package: each segment is sieved once and handed out in
 2^15-prime blocks whose w(p) and log p every sigma shares, so a sigma adds only
 its powers, sums and sign scan, in rows made for the block. A race at sigma = 0
-folds each segment's odd-only sieve mask instead (`_mask_blocks`): the mask
+folds each segment's odd-only sieve mask instead (`_fold_mask`): the mask
 times w(first + 2j), a slice of one `_period_row`, is an int8 weight row, cut
 into 2^15-slot blocks, in which a composite weighs 0, and no prime is
 extracted. A grid that mixes sigma = 0 and sigma > 0 takes both, sieving twice.
@@ -231,34 +231,6 @@ def _chunk_bounds(row: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray
     return np.minimum(runs.min(axis=1), 0) - reach, np.maximum(runs.max(axis=1), 0) + reach, runs[:, -1]
 
 
-def _mask_blocks(seg: Segment, w: DirichletWeight) -> Iterator[tuple]:
-    """The sigma = 0 race's blocks of one sieved segment, as `_RaceState.add_block`
-    takes them, with no prime extracted and no w(p) looked up.
-
-    The mask's bytes become the weights in place, 2^15 slots at a time: slot j
-    times w(first + 2j), read from the `_period_row` made at the segment's first
-    number, so a composite weighs 0; at lo = 2 slot 0, which holds 2, takes w(2).
-    A block is (numbers, weights, low, high, sum, 0.0) per 2^15 slots: the slots'
-    odd numbers as a range (at lo = 2 the first block's as an array that starts
-    with 2), and the bound and sum of `_chunk_bounds`.
-    """
-    weights, first, q = seg.mask.view(np.int8), seg.first, w.modulus
-    n, row = len(weights), _period_row(w, first, 2)
-    for start in range(0, n, _BLOCK):
-        part = weights[start : start + _BLOCK]
-        np.multiply(part, row[start % q :][: len(part)], out=part)
-    if seg.lo == 2:
-        weights[0] = w.period[2 % q]
-    bounds = zip(*(a.tolist() for a in _chunk_bounds(weights, _CHUNK // 2)))
-    for start, (low, high, total) in zip(range(0, n, _BLOCK), bounds):
-        stop = min(start + _BLOCK, n)
-        numbers = range(first + 2 * start, first + 2 * stop, 2)
-        if seg.lo == 2 and start == 0:
-            numbers = np.arange(first, first + 2 * stop, 2)
-            numbers[0] = 2
-        yield numbers, weights[start:stop], low, high, float(total), 0.0
-
-
 def _prepare_segment(
     primes: np.ndarray, weights: np.ndarray, logs: np.ndarray, sigma: float
 ) -> list[tuple[np.ndarray, np.ndarray, float, float, float, float]]:
@@ -299,7 +271,7 @@ class _RaceState:
 
     def add_block(self, blk, contrib, low, high, block_sum: float, abs_weight: float) -> None:
         """Sample checkpoints, scan signs and fold one block of `_prepare_segment` or, at
-        sigma = 0, of `_mask_blocks`, whose numbers `blk` run over odd slots, primes or not,
+        sigma = 0, of `_fold_mask`, whose numbers `blk` run over odd slots, primes or not,
         with the composites' terms 0. Its values, which lie in [prefix + low, prefix + high],
         are formed only where that range may leave the carried sign or pass value_max at
         sigma > 0."""
@@ -398,11 +370,32 @@ def race_scan(
 
 
 def _fold_mask(seg: Segment, w: DirichletWeight, states: list) -> None:
-    """Every sigma = 0 state through one segment's mask, which becomes the weights
-    once and is read by each; no block view of it outlives the call."""
-    for block in _mask_blocks(seg, w):
+    """Every sigma = 0 state through one sieved segment, with no prime extracted
+    and no w(p) looked up; no block view of the mask outlives the call.
+
+    The mask's bytes become the weights in place, 2^15 slots at a time: slot j
+    times w(first + 2j), read from the `_period_row` made at the segment's first
+    number, so a composite weighs 0; at lo = 2 slot 0, which holds 2, takes w(2).
+    Each state then takes one block per 2^15 slots: the slots' odd numbers as a
+    range (at lo = 2 the first block's as an array that starts with 2), their
+    weights, and the bound and sum of `_chunk_bounds`.
+    """
+    weights, first, q = seg.mask.view(np.int8), seg.first, w.modulus
+    n, row = len(weights), _period_row(w, first, 2)
+    for start in range(0, n, _BLOCK):
+        part = weights[start : start + _BLOCK]
+        np.multiply(part, row[start % q :][: len(part)], out=part)
+    if seg.lo == 2:
+        weights[0] = w.period[2 % q]
+    bounds = zip(*(a.tolist() for a in _chunk_bounds(weights, _CHUNK // 2)))
+    for start, (low, high, total) in zip(range(0, n, _BLOCK), bounds):
+        stop = min(start + _BLOCK, n)
+        numbers = range(first + 2 * start, first + 2 * stop, 2)
+        if seg.lo == 2 and start == 0:
+            numbers = np.arange(first, first + 2 * stop, 2)
+            numbers[0] = 2
         for st in states:
-            st.add_block(*block)
+            st.add_block(numbers, weights[start:stop], low, high, float(total), 0.0)
 
 
 def weighted_race(

@@ -63,8 +63,8 @@ def chi4_value(n: int) -> int:
 
 def race_sigma0_brute(limit: int, d: int | None = None) -> list[tuple[int, int]]:
     """Exact integer race values (p, A(p)) at sigma = 0 over trial-division primes,
-    for the character (d/.) by `kronecker_ref`, or chi_4 when d is None."""
-    chi = chi4_value if d is None else lambda p: kronecker_ref(d, p)
+    for the character (d/.) by `kronecker_periodic`, or chi_4 when d is None."""
+    chi = chi4_value if d is None else kronecker_periodic(d)
     out = []
     total = 0
     for p in trial_division_primes(limit):
@@ -223,6 +223,13 @@ def kronecker_ref(d: int, n: int) -> int:
     from sympy import kronecker_symbol
 
     return int(kronecker_symbol(d, n))
+
+
+def kronecker_periodic(d: int):
+    """n -> (d/n) for a fundamental d by `kronecker_ref`, one symbol per residue
+    class: (d/.) has period |d|, and (d/0) = 0 = (d/p) for every p dividing d."""
+    symbol = lru_cache(maxsize=None)(lambda r: kronecker_ref(d, r))
+    return lambda n: symbol(n % abs(d))
 
 
 # The package's per-sigma loops as they were before they formed their terms in

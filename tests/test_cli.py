@@ -416,6 +416,13 @@ def test_python_dash_m_primerace():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_version_matches_pyproject():
+    # the version is kept by hand in both src/primerace/_version.py and pyproject.toml
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with (Path(__file__).resolve().parent.parent / "pyproject.toml").open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == primerace.__version__
+
+
 def test_removed_mmax_flag_exits_2(capsys):
     assert run_cli(["verify-lemma", "--sigma-grid", "2.0", "--prime-limit", "1e3",
                     "--mmax", "64"]) == 2

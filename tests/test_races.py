@@ -37,7 +37,7 @@ from primerace.sieve import iter_prime_arrays, prime_stream
 from oracles import (
     _prepare_segment_fresh_arrays,
     fresh_arrays_race_state,
-    kronecker_ref,
+    kronecker_periodic,
     mp_race,
     race_scan_fresh_arrays,
     race_sigma0_brute,
@@ -150,17 +150,16 @@ def test_checkpoint_at_every_prime_is_linear_at_sigma0(monkeypatch):
             summed.append((self.ctypes.data, self.size))
             return super().sum(*args, **kwargs)
 
-    real_blocks = races._mask_blocks
+    real_add = races._RaceState.add_block
 
-    def counting_blocks(*args):
-        for numbers, weights, *rest in real_blocks(*args):
-            yield numbers, weights.view(CountingRow), *rest
-            for address, size in summed:  # the block is folded: name the slots it summed
-                start = address - weights.ctypes.data
-                covered.extend(int(x) for x in numbers[start : start + size])
-            summed.clear()
+    def counting_add(self, numbers, weights, *rest):
+        real_add(self, numbers, weights.view(CountingRow), *rest)
+        for address, size in summed:  # the block is folded: name the slots it summed
+            start = address - weights.ctypes.data
+            covered.extend(int(x) for x in numbers[start : start + size])
+        summed.clear()
 
-    monkeypatch.setattr(races, "_mask_blocks", counting_blocks)
+    monkeypatch.setattr(races._RaceState, "add_block", counting_add)
     series = weighted_race(chi4(), 0.0, 10**5, checkpoints=primes)
     monkeypatch.undo()
     assert len(covered) == len(set(covered)) and set(primes) <= set(covered)
@@ -191,9 +190,9 @@ def test_checkpoint_heads_are_summed_once_per_block(monkeypatch):
 def _prepared(blk, contrib, sigma):
     """`races._prepare_segment`'s tuple for a hand-made block: at log p = 0 the
     contributions are the weights themselves, w * exp(-0.0) = w * 1.0. At
-    sigma = 0 it is the tuple that `races._mask_blocks` makes."""
+    sigma = 0 it is the tuple that `races._fold_mask` hands each state."""
     contrib = np.array(contrib, dtype=np.float64)
-    if sigma == 0.0:  # the bound and sum of the sigma = 0 fold, as _mask_blocks takes them
+    if sigma == 0.0:  # the bound and sum of the sigma = 0 fold, as _fold_mask forms them
         (low,), (high,), (total,) = (a.tolist() for a in races._chunk_bounds(contrib, 64))
         return np.array(blk), contrib, low, high, float(total), 0.0
     (block,) = races._prepare_segment(np.array(blk), contrib, np.zeros(len(contrib)), sigma)
@@ -235,7 +234,7 @@ def _int8_weights(rng, n: int, shape: str) -> np.ndarray:
 def test_chunk_bounds_contain_every_prefix_sum(n, shape, spread, seed):
     # a float row is one sigma > 0 block, bounded by `_prepare_segment` (at log p = 0
     # its contributions are the weights); an int8 row is a sigma = 0 segment of up to
-    # four blocks, bounded with reach 64 as `_mask_blocks` does
+    # four blocks, bounded with reach 64 as `_fold_mask` does
     rng = np.random.default_rng(seed)
     row = _shaped_row(rng, n, shape, spread)
     ((_, contrib, low, high, _, _),) = races._prepare_segment(np.arange(n), row, np.zeros(n), 0.5)
@@ -472,12 +471,12 @@ def test_extended_precision_route_agrees():
         assert abs(v - ref) < 1e-14
 
 
-@pytest.mark.parametrize("d", [-4, -3, 5, 8, -8, 12])
+@pytest.mark.parametrize("d", [-4, -3, 5, 8, -8, 12, -7, -9995])
 def test_race_values_lie_within_their_error_bounds(d):
     # every checkpoint and sign-event value to 10^5 lies within its own error_bound
     # of a 40-digit sum over trial-division primes and sympy's Kronecker symbol
-    sigmas, chi = [0.3, 0.55, 1.0], functools.cache(lambda n: kronecker_ref(d, n))
-    w = chi4() if d == -4 else character_from_discriminant(d)
+    sigmas, chi = [0.3, 0.55, 1.0], kronecker_periodic(d)
+    w = chi4() if d == -4 else _domain_character(d)  # cached: the domain test builds -9,995 too
     for sigma, series in zip(sigmas, race_scan(w, sigmas, 10**5)):
         reported = sorted(series.points + series.sign_events, key=lambda p: p.x)
         for p, ref in zip(reported, mp_race(sigma, [p.x for p in reported], dps=40, chi=chi)):
@@ -716,13 +715,13 @@ def test_race_scan_keeps_each_sigmas_sign(monkeypatch):
 def test_one_walk_over_the_primes():
     # the package sieves in sieve.iter_segments only; a sum over primes looks up
     # w(p) in races.walk only, and the race's sigma = 0 fold takes the masks
-    # through races._mask_blocks. So a second prime walk added anywhere in the
-    # package fails here
+    # through races._fold_mask, from race_scan only. So a second prime walk added
+    # anywhere in the package fails here
     allowed = {
         "iter_segments": {"sieve.iter_prime_arrays", "sieve.prime_count", "races.race_scan"},
         "iter_prime_arrays": {"races.walk", "sieve.prime_stream", "cli.cmd_sieve"},
         "_prime_blocks": set(),
-        "_mask_blocks": {"races._fold_mask"},
+        "_fold_mask": {"races.race_scan"},
         "values_at_primes": {"races.walk"},
     }
     found = {name: set() for name in allowed}
