@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import astuple, dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
@@ -70,12 +69,14 @@ def _partial_sum_stats(w: DirichletWeight) -> tuple[float, float]:
     """Sbar, the mean of S over one period, and g >= |integral over [a, u] of (S - Sbar)|.
 
     With F(k) = sum_{i<k} (S(i) - Sbar) (piecewise-linear antiderivative at
-    integer points, periodic since F(q) = 0), g = max F - min F.
+    integer points, periodic since F(q) = 0), g = max F - min F. T = q Sbar and
+    q F(k) = q sum_{i<k} S(i) - k T are integers, so each is one rounded division by q.
     """
     q = w.modulus
-    mean = Fraction(sum(w.partial_sum(r) for r in range(1, q + 1)), q)
-    f = list(accumulate((w.partial_sum(i) - mean for i in range(q)), initial=Fraction(0)))
-    return float(mean), float(max(f) - min(f)) * (1.0 + 4.0 * _EPS)
+    s = [w.partial_sum(i) for i in range(q)]
+    total = sum(s)
+    f = [q * c - k * total for k, c in enumerate(accumulate(s, initial=0))]
+    return total / q, (max(f) - min(f)) / q * (1.0 + 4.0 * _EPS)
 
 
 def l_value(w: DirichletWeight, sigma: float, n_trunc: int) -> BoundedValue:

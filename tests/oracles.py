@@ -232,6 +232,49 @@ def kronecker_periodic(d: int):
     return lambda n: symbol(n % abs(d))
 
 
+@lru_cache(maxsize=1)
+def fundamental_discriminants(limit: int) -> tuple[int, ...]:
+    """Every fundamental discriminant d with 3 <= |d| <= limit, ordered by |d| and
+    then sign, from a sieve of squares: d = 1 mod 4 squarefree, or d = 4m with
+    m = 2 or 3 mod 4 squarefree."""
+    squarefree = bytearray([1]) * (limit + 1)
+    for k in range(2, math.isqrt(limit) + 1):
+        squarefree[k * k :: k * k] = bytearray(len(range(k * k, limit + 1, k * k)))
+    found = [d for d in range(-limit, limit + 1) if abs(d) >= 3 and (
+        d % 4 == 1 and squarefree[abs(d)]
+        or d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree[abs(d) // 4])]
+    return tuple(sorted(found, key=abs))
+
+
+def first_multiplicativity_witness(values, rows: int = 64) -> tuple[int, int] | None:
+    """The first (m, n) in row-major order over m, n in 1..q with w(mn) != w(m) w(n),
+    for the period table `values` (index n mod q), or None: all q^2 products, `rows`
+    rows of them at a time."""
+    import numpy as np
+
+    values = np.asarray(values)
+    q = len(values)
+    m = np.arange(1, q + 1, dtype=np.int32)  # q^2 <= 10^8 fits
+    w = values[m % q]
+    for lo in range(0, q, rows):
+        bad = values[np.outer(m[lo : lo + rows], m) % q] != np.outer(w[lo : lo + rows], w)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), q)  # the first True, row-major
+            return lo + i + 1, j + 1
+    return None
+
+
+def partial_sum_stats_fraction(w) -> tuple[float, float]:
+    """`lfun._partial_sum_stats` in Fractions: Sbar, the mean of S over one period,
+    and max F - min F for F(k) = sum_{i<k} (S(i) - Sbar), widened by 4 eps."""
+    q = w.modulus
+    mean = Fraction(sum(w.partial_sum(r) for r in range(1, q + 1)), q)
+    f = [Fraction(0)]
+    for i in range(q):
+        f.append(f[-1] + w.partial_sum(i) - mean)
+    return float(mean), float(max(f) - min(f)) * (1.0 + 4.0 * sys.float_info.epsilon)
+
+
 # The package's per-sigma loops as they were before they formed their terms in
 # place: each sigma builds new arrays as long as a 2^15-term tile of n or a
 # 2^15-prime block, summed by math.fsum over every term of the walk and by one

@@ -2,19 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primerace.characters import (
+    MAX_MODULUS,
     build_character,
     character_from_discriminant,
     character_from_table,
     chi4,
+    is_fundamental_discriminant,
     kronecker_symbol,
 )
 from primerace.errors import ValidationError
 
-from oracles import chi4_value, kronecker_ref
+from oracles import (
+    chi4_value,
+    first_multiplicativity_witness,
+    fundamental_discriminants,
+    kronecker_ref,
+)
 
 FUNDAMENTAL = [-4, -3, 5, 8, -8, 12]
 
@@ -117,9 +124,9 @@ def test_multiplicativity_violation_reports_witness():
 
 
 @pytest.mark.parametrize("rows", [1, 3, 64])
-def test_blocked_products_check_reports_the_first_witness(rows, monkeypatch):
-    # the check walks the q x q products in blocks of rows; its witness must be
-    # the first one of the whole matrix in row-major order
+def test_blocked_products_check_reports_the_first_witness(rows):
+    # the witness must be the first one of the whole q x q products in row-major order,
+    # and the reference that walks those products in blocks of `rows` must name it too
     q = 101
     table = np.array([kronecker_symbol(q, r) for r in range(q)], dtype=np.int8)
     other = next(r for r in range(71, q) if table[r] != table[70])
@@ -127,9 +134,63 @@ def test_blocked_products_check_reports_the_first_witness(rows, monkeypatch):
     m = np.arange(1, q + 1)
     ok = table[np.outer(m, m) % q] == np.outer(table[m % q], table[m % q])
     i, j = np.argwhere(~ok)[0]
-    monkeypatch.setattr("primerace.characters._ROWS", rows)
+    assert first_multiplicativity_witness(table, rows) == (m[i], m[j])
     with pytest.raises(ValidationError, match=rf"witness pair \(m, n\) = \({m[i]}, {m[j]}\)$"):
         character_from_table(q, table)
+
+
+# ranked down from the largest |d|: hypothesis draws small ranks most, so large q most
+_DRAWN_D = st.integers(0, 6085).map(lambda rank: fundamental_discriminants(MAX_MODULUS)[-1 - rank])
+
+
+@settings(max_examples=4, deadline=None)
+@given(_DRAWN_D, st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True))
+@example(-9995, 0.5, 0.5)
+def test_table_check_matches_the_whole_product_table(d, at_a, at_b):
+    # the prime rows decide as all q^2 products do, and name the same first witness,
+    # for the Kronecker table and for a copy with two unit residues of unlike value
+    # swapped, which keeps w(1), the zeros and the sum, so only multiplicativity can fail
+    q = abs(d)
+    table = np.array([kronecker_symbol(d, r) for r in range(q)], dtype=np.int8)
+    units = np.flatnonzero(table)[1:]  # past residue 1
+    a = units[int(at_a * len(units))]
+    unlike = units[table[units] != table[a]]
+    tables = [table]
+    if len(unlike):
+        b = unlike[int(at_b * len(unlike))]
+        tables.append(table.copy())
+        tables[1][[a, b]] = table[[b, a]]
+    for values in tables:
+        witness = first_multiplicativity_witness(values)
+        if witness is None:
+            assert character_from_table(q, values.tolist()).modulus == q
+        else:
+            m, n = witness
+            with pytest.raises(ValidationError, match=rf"witness pair \(m, n\) = \({m}, {n}\)$"):
+                character_from_table(q, values.tolist())
+
+
+@pytest.mark.parametrize("d, row", [(-120, 11), (168, 13)])
+def test_first_witness_row_may_lie_past_the_square_root_of_q(d, row):
+    # (d/.) with its sign flipped outside the units that the primes below `row`
+    # generate is multiplicative on every row below `row`, so a check that stopped
+    # at the primes up to sqrt(q) would accept it
+    q = abs(d)
+    primes = [p for p in (2, 3, 5, 7, 11) if p < row and math.gcd(p, q) == 1]
+    generated = {1}
+    while (grown := generated | {h * p % q for h in generated for p in primes}) != generated:
+        generated = grown
+    table = [kronecker_symbol(d, r) * (1 if r in generated else -1) for r in range(q)]
+    m, n = first_multiplicativity_witness(table)
+    assert m == row > math.isqrt(q)
+    with pytest.raises(ValidationError, match=rf"witness pair \(m, n\) = \({m}, {n}\)$"):
+        character_from_table(q, table)
+
+
+def test_fundamental_discriminants_match_the_sieve_of_squares():
+    found = [d for d in range(-MAX_MODULUS, MAX_MODULUS + 1) if is_fundamental_discriminant(d)]
+    assert sorted((d for d in found if abs(d) >= 3), key=abs) == list(
+        fundamental_discriminants(MAX_MODULUS))
 
 
 def test_gcd_vanishing_enforced():

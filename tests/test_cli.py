@@ -353,16 +353,18 @@ def test_io_error_exit_4(tmp_path):
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Fail the test if any module sieves, walks the primes or sums an L-series.
+    """Fail the test if any module walks the primes or sums an L-series.
 
-    `l_value_scan` may still check its arguments: every L-series sum starts
-    with a call to `_power_log`, the log half of the power kernel, which is
-    replaced here with the whole kernel.
+    Every prime walk enters through `iter_prime_arrays` or `iter_segments`.
+    Building a character may still call `sieve.base_primes` for the primes
+    below its modulus: its table check is input checking. `l_value_scan` may
+    still check its arguments: every L-series sum starts with a call to
+    `_power_log`, the log half of the power kernel, which is replaced here with
+    the whole kernel.
     """
     def forbidden(*args, **kwargs):
         pytest.fail("computing started before the inputs were checked")
 
-    monkeypatch.setattr("primerace.sieve.base_primes", forbidden)
     for name in ("sieve", "races", "cli"):
         monkeypatch.setattr(f"primerace.{name}.iter_prime_arrays", forbidden)
     for name in ("sieve", "races"):

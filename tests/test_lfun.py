@@ -35,6 +35,7 @@ from oracles import (
     machin_pi_over_4,
     mellin_identity_check_fresh_arrays,
     mp_b_double_sum,
+    partial_sum_stats_fraction,
     prime_power_sum,
     simple_sieve,
     trial_division_primes,
@@ -93,6 +94,12 @@ class TestLValue:
             for sigma, lv in zip(sigmas, l_value_scan(w, sigmas, 3 * (1 << 20) + 5)):
                 exact = dirichlet(mpf(sigma), [int(v) for v in w.period])
                 assert abs(lv.value - exact) <= lv.radius
+
+    @pytest.mark.parametrize("d", [-4, -3, 5, 8, -8, 12, -7, -9995, 9997])
+    def test_partial_sum_stats_keep_the_fraction_bits(self, d):
+        # integer numerators over q, rounded once each, as float(Fraction) rounds
+        w = character_from_discriminant(d)
+        assert repr(lfun._partial_sum_stats(w)) == repr(partial_sum_stats_fraction(w))
 
     @pytest.mark.parametrize("sigma,n", [(0.8, 20_000), (1.0, 50_000), (0.55, 10_000), (2.0, 5_000)])
     def test_tail_bounds_are_honest(self, sigma, n):
