@@ -80,25 +80,24 @@ def is_fundamental_discriminant(d: int) -> bool:
 class DirichletWeight:
     """A real non-principal Dirichlet character, backed by a verified period table.
 
-    `period[r]` is w(n) for n = r mod `modulus`. Instances are immutable after
-    construction.
+    `period[r]` is w(n) for n = r mod q, where q = len(period) is the modulus.
+    The constructor checks every character invariant on the table, so no
+    instance holds a principal, non-multiplicative or out-of-range one; a
+    `discriminant` only names a table built from the Kronecker symbol.
+    Instances are immutable after construction.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        *,
-        modulus: int,
-        period: np.ndarray,
-        discriminant: int | None = None,
-    ):
-        self.kind = kind
-        self.modulus = modulus
+    def __init__(self, period, *, discriminant: int | None = None):
+        self.modulus = q = len(period)
+        self.kind = CHARACTER_TABLE if discriminant is None else KRONECKER
         self.discriminant = discriminant
-        self.period = period
-        self._table = period.astype(np.float64)  # w(p) is taken from it as float64
+        origin = f"table mod {q}" if discriminant is None else f"kronecker d={discriminant}"
+        if not all(v in (-1, 0, 1) for v in period):  # int8 would truncate 1.5 and overflow on 300
+            raise ValidationError(f"{origin}: character values must lie in {{-1, 0, +1}}")
+        self.period = _validated_table(np.array(period, dtype=np.int8), origin)
+        self._table = self.period.astype(np.float64)  # w(p) is taken from it as float64
         # exact integer partial sums over one period; pref[r] = sum_{n<=r} w(n)
-        vals = (int(period[n % modulus]) for n in range(1, modulus + 1))
+        vals = (int(self.period[n % q]) for n in range(1, q + 1))
         self._prefix = list(accumulate(vals, initial=0))
 
     def values_at_primes(self, primes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -122,9 +121,8 @@ class DirichletWeight:
         return s
 
     def __eq__(self, other) -> bool:
-        """Equal characters have one modulus and one period table, however built."""
-        return (isinstance(other, DirichletWeight) and self.modulus == other.modulus
-                and np.array_equal(self.period, other.period))
+        """Equal characters have one period table, so one modulus, however built."""
+        return isinstance(other, DirichletWeight) and np.array_equal(self.period, other.period)
 
     def __repr__(self) -> str:
         if self.kind == KRONECKER:
@@ -139,14 +137,14 @@ def _check_modulus(q: int, origin: str) -> None:
         )
 
 
-def _validated_table(q: int, values: np.ndarray, origin: str) -> np.ndarray:
-    """Check every character invariant on a table of -1, 0 and +1; raise on failure."""
+def _validated_table(values: np.ndarray, origin: str) -> np.ndarray:
+    """Check every character invariant on a table of -1, 0 and +1, of modulus
+    q = len(values); raise on failure."""
+    q = len(values)
     if q < 3:
         raise ValidationError(f"{origin}: modulus must be >= 3, got {q}")
     _check_modulus(q, origin)
-    if len(values) != q:
-        raise ValidationError(f"{origin}: expected {q} period values, got {len(values)}")
-    if values[1 % q] != 1:
+    if values[1] != 1:
         raise ValidationError(f"{origin}: w(1) must equal 1")
     n = np.arange(q)
     bad = np.flatnonzero((values == 0) != (np.gcd(n, q) > 1))
@@ -172,10 +170,9 @@ def _validated_table(q: int, values: np.ndarray, origin: str) -> np.ndarray:
 
 def character_from_table(q: int, values) -> DirichletWeight:
     """Character of modulus q from its period table (index = n mod q)."""
-    if not all(v in (-1, 0, 1) for v in values):  # int8 would truncate 1.5 and overflow on 300
-        raise ValidationError(f"table mod {q}: character values must lie in {{-1, 0, +1}}")
-    table = _validated_table(q, np.asarray(values, dtype=np.int8), f"table mod {q}")
-    return DirichletWeight(CHARACTER_TABLE, modulus=q, period=table)
+    if len(values) != q:
+        raise ValidationError(f"table mod {q}: expected {q} period values, got {len(values)}")
+    return DirichletWeight(values)
 
 
 def character_from_discriminant(d: int) -> DirichletWeight:
@@ -183,10 +180,7 @@ def character_from_discriminant(d: int) -> DirichletWeight:
     _check_modulus(abs(d), f"kronecker d={d}")  # before the squarefree test
     if abs(d) < 3 or not is_fundamental_discriminant(d):
         raise ValidationError(f"non-fundamental discriminant: {d}")
-    q = abs(d)
-    table = np.array([kronecker_symbol(d, r) for r in range(q)], dtype=np.int8)
-    _validated_table(q, table, f"kronecker d={d}")
-    return DirichletWeight(KRONECKER, modulus=q, period=table, discriminant=d)
+    return DirichletWeight([kronecker_symbol(d, r) for r in range(abs(d))], discriminant=d)
 
 
 def chi4() -> DirichletWeight:

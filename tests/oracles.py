@@ -232,6 +232,12 @@ def kronecker_periodic(d: int):
     return lambda n: symbol(n % abs(d))
 
 
+# chi mod 12 induced from chi_-4: imprimitive, so only the validated table: form
+# builds it. It differs from chi_-4 only at 3, where it is 0 and chi_-4(3) = -1
+CHI12_TABLE = [0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1]
+CHI12_FROM_CHI4 = "table:12:0,1,0,0,0,1,0,-1,0,0,0,-1"
+
+
 @lru_cache(maxsize=1)
 def fundamental_discriminants(limit: int) -> tuple[int, ...]:
     """Every fundamental discriminant d with 3 <= |d| <= limit, ordered by |d| and

@@ -1,12 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primerace import characters
 from primerace.characters import (
     MAX_MODULUS,
+    DirichletWeight,
     build_character,
     character_from_discriminant,
     character_from_table,
@@ -99,6 +103,44 @@ def test_table_values_checked_before_the_int8_cast(values):
     # an int8 cast overflows on 2^70 and 300, and truncates 1.5 to 1
     with pytest.raises(ValidationError, match=r"^table mod 4: character values must lie in"):
         character_from_table(4, values)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 1, 0, 1], "table mod 4: principal character rejected, non-principal required"),
+    ([0, 1, 1, -1, -1], "table mod 5: not completely multiplicative, witness pair (m, n) = (2, 2)"),
+    ([0, 1, 0, 2], "table mod 4: character values must lie in {-1, 0, +1}"),
+    (np.array([0, 1, 0, 300]), "table mod 4: character values must lie in {-1, 0, +1}"),  # int64
+])
+def test_the_class_rejects_what_the_factory_rejects(values, message):
+    # a table passed to the class itself gets the factory's check and its exact text
+    for build in (DirichletWeight, lambda v: character_from_table(len(v), v)):
+        with pytest.raises(ValidationError) as err:
+            build(values)
+        assert str(err.value) == message
+
+
+def test_modulus_and_kind_come_from_the_table():
+    w = DirichletWeight([0, 1, 0, -1])
+    assert (w.modulus, w.kind, w.discriminant) == (4, "character_table", None)
+    assert w == chi4()
+
+
+def test_the_constructor_is_the_one_table_check():
+    # every table reaches _validated_table through DirichletWeight.__init__, so a
+    # factory, or any other caller, that checks a table itself fails here
+    found = []
+    for path in Path(characters.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            in_class = isinstance(top, ast.ClassDef)
+            prefix = f"{path.stem}.{top.name}." if in_class else f"{path.stem}."
+            for member in top.body if in_class else [top]:
+                for node in ast.walk(member):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                        if name == "_validated_table":
+                            found.append(prefix + getattr(member, "name", ""))
+    assert found == ["characters.DirichletWeight.__init__"]
 
 
 def test_repr_names_the_construction():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -423,6 +424,14 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     with (Path(__file__).resolve().parent.parent / "pyproject.toml").open("rb") as f:
         assert tomllib.load(f)["project"]["version"] == primerace.__version__
+
+
+def test_console_script_is_the_cli_main():
+    # `pip install` makes the `primerace` command from [project.scripts]
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with (Path(__file__).resolve().parent.parent / "pyproject.toml").open("rb") as f:
+        module, name = tomllib.load(f)["project"]["scripts"]["primerace"].split(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_removed_mmax_flag_exits_2(capsys):

@@ -39,6 +39,9 @@ CASES = {
                   "--checkpoints", "1000,4194303,4194305"],
     "race-sigma0": ["race", "--sigma", "0", "--xmax", "1e6"],
     "sign-changes": ["sign-changes", "--sigma", "0", "--xmax", "1e6"],
+    # chi mod 12 induced from chi_-4, which only the table: form builds; exact at sigma = 0
+    "sign-changes-table12": ["sign-changes", "--character", "table:12:0,1,0,0,0,1,0,-1,0,0,0,-1",
+                             "--sigma", "0", "--xmax", "1e6"],
     "bias-scan": ["bias-scan", "--grid", "0.55:0.95:0.1", "--xmax", "1e5", "--ntrunc", "1e5"],
     "verify-lemma-chi-4": LEMMA + ["--character", "kronecker:-4"],
     "verify-lemma-chi5": LEMMA + ["--character", "kronecker:5"],

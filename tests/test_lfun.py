@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primerace import lfun, races, sieve
-from primerace.characters import DirichletWeight, character_from_discriminant, chi4
+from primerace.characters import (
+    DirichletWeight,
+    build_character,
+    character_from_discriminant,
+    chi4,
+)
 from primerace.cli import main
 from primerace.config import parse_grid
 from primerace.errors import DomainError, ValidationError
@@ -28,6 +33,8 @@ from primerace.lfun import (
 from primerace.sieve import iter_prime_arrays
 
 from oracles import (
+    CHI12_FROM_CHI4,
+    CHI12_TABLE,
     catalan_alternating,
     char_prime_sum_fresh_arrays,
     chi4_value,
@@ -95,6 +102,18 @@ class TestLValue:
                 exact = dirichlet(mpf(sigma), [int(v) for v in w.period])
                 assert abs(lv.value - exact) <= lv.radius
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_imprimitive_table_character_lies_within_radius(self, sigma):
+        # L(s) mod 12 = L(s, chi4) (1 + 3^-s), the Euler factor at 3 of chi4 taken out
+        from mpmath import dirichlet, mp, mpf
+
+        w = build_character(CHI12_FROM_CHI4)
+        lv, lv4 = l_value(w, sigma, 10**5), l_value(chi4(), sigma, 10**5)
+        with mp.workdps(30):
+            factor = 1 + mpf(3) ** -mpf(sigma)
+            assert abs(lv.value - dirichlet(mpf(sigma), CHI12_TABLE)) <= lv.radius
+            assert abs(lv.value - lv4.value * factor) <= lv.radius + lv4.radius * factor
+
     @pytest.mark.parametrize("d", [-4, -3, 5, 8, -8, 12, -7, -9995, 9997])
     def test_partial_sum_stats_keep_the_fraction_bits(self, d):
         # integer numerators over q, rounded once each, as float(Fraction) rounds
@@ -120,6 +139,19 @@ class TestEulerProduct:
         series = l_value(w, sigma, 10**6)
         product = euler_product_value(w, sigma, 10**5)
         assert abs(series.value - product.value) <= series.radius + product.radius
+
+    @pytest.mark.parametrize("d", [-4, -3, 5, 8, -8, 12])
+    def test_product_and_log_l_lie_within_radius_of_mpmath(self, d):
+        from mpmath import dirichlet, log, mp, mpf
+
+        w = character_from_discriminant(d)
+        with mp.workdps(30):
+            for sigma in (1.5, 2.0, 3.0):
+                exact = dirichlet(mpf(sigma), [int(v) for v in w.period])
+                product = euler_product_value(w, sigma, 10**5)
+                log_l = l_value(w, sigma, 10**5).log()
+                assert abs(product.value - exact) <= product.radius
+                assert abs(log_l.value - log(exact)) <= log_l.radius
 
     def test_large_sigma_trivial(self):
         bv = euler_product_value(chi4(), 30.0, 10)

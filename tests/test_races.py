@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from primerace.characters import (
     MAX_MODULUS,
     DirichletWeight,
+    build_character,
     character_from_discriminant,
     chi4,
 )
@@ -34,6 +36,8 @@ from primerace.races import (
 from primerace.sieve import iter_prime_arrays, prime_stream
 
 from oracles import (
+    CHI12_FROM_CHI4,
+    CHI12_TABLE,
     _prepare_segment_fresh_arrays,
     fresh_arrays_race_state,
     fundamental_discriminants,
@@ -43,6 +47,7 @@ from oracles import (
     race_sigma0_brute,
     race_sigma1_fraction,
     sign_change_walk,
+    trial_division_primes,
 )
 
 
@@ -344,6 +349,22 @@ def test_sigma0_mask_fold_matches_brute_force(monkeypatch, width, d):
         assert series.first_positive_x == 2 and series.sign_events[0].x == 5
 
 
+def test_sigma0_race_of_an_imprimitive_table_character():
+    # w mod 12 is chi4 at every prime but 3, so A(x) = A(x; chi4) + 1 from x = 3 on,
+    # and its sign changes are those of a trial-division sum over the table itself
+    w, primes = build_character(CHI12_FROM_CHI4), trial_division_primes(10**5)
+    oracle = list(zip(primes, accumulate(CHI12_TABLE[p % 12] for p in primes)))
+    series = weighted_race(w, 0.0, 10**5, checkpoints=primes[1:])
+    chi4_series = weighted_race(chi4(), 0.0, 10**5, checkpoints=primes[1:])
+    assert [p.value for p in series.points] == [p.value + 1 for p in chi4_series.points]
+    changes, final = sign_change_walk([a for _, a in oracle])
+    report = detect_sign_changes(series)
+    assert report.change_locations == tuple(oracle[i][0] for i in changes)
+    assert report.final_sign == final
+    assert report.first_positive_x == next(p for p, a in oracle if a > 0) == 5
+    assert report.change_count == 9
+
+
 @functools.lru_cache(maxsize=8)
 def _domain_character(d: int) -> DirichletWeight:
     return character_from_discriminant(d)  # about 0.1 s at q = 10^4
@@ -420,11 +441,18 @@ def test_checkpoint_at_every_prime_matches_single_checkpoints():
         assert dense.points[i].value == value
 
 
+class _PlusOneAtPrimes:
+    """A weight of +1 at every prime, which no character is: a test double for the
+    one method a race at sigma > 0 reads from its weight."""
+
+    def values_at_primes(self, primes, out=None):
+        values = np.empty(len(primes)) if out is None else out
+        values.fill(1.0)
+        return values
+
+
 def test_constant_sign_series_has_no_changes():
-    # a weight of +1 at every prime; built directly, since the character
-    # constructors reject a principal table
-    w = DirichletWeight("constant", modulus=1, period=np.array([1], dtype=np.int8))
-    report = detect_sign_changes(weighted_race(w, 0.5, 2000))
+    report = detect_sign_changes(weighted_race(_PlusOneAtPrimes(), 0.5, 2000))
     assert report.change_count == 0
     assert report.final_sign == 1
     assert report.first_positive_x == 2
